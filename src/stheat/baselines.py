@@ -11,16 +11,17 @@ gradients of the right-endpoint-quadrature objective
     J = sum_n dt * u_n^T M u_n,   n = 1 .. N_t
 
 that match finite differences to solver precision.
+
+``run_topology_optimization_be`` drives either solver through the MMA loop
+shared with the space-time optimizer in ``optimize``.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .mma import MmaConfig, MmaState, mma_update
-from .optimize import IterationRecord, OptimizationTrace, uniform_feasible_design
+from .optimize import _run_design_loop
 from .problem import dkappa_drho, kappa
 
 
@@ -232,42 +233,15 @@ def run_topology_optimization_be(
     mma_config=None,
 ):
     """MMA loop driven by the backward-Euler forward/adjoint pair."""
-    volumes = spec.element_volumes
-    rho = (
-        uniform_feasible_design(volumes, volume_bound)
-        if initial_rho is None
-        else np.asarray(initial_rho, dtype=float).copy()
-    )
     solver = be_aao_solve if aao else be_march
-    state = MmaState(config=mma_config or MmaConfig())
-    trace = OptimizationTrace()
-    prev_j = None
-    stop_reason = "max_iterations"
-    for it in range(1, max_iters + 1):
-        t0 = time.perf_counter()
+
+    def forward(rho):
         fe = fe_assemble(spec, rho)
         sol = solver(fe, spec, n_steps)
-        j = be_objective(fe, sol)
-        grad = be_adjoint_and_sensitivity(fe, sol, spec, rho)
-        new_rho = mma_update(rho, grad, volumes, volume_bound, state)
-        change = float(np.max(np.abs(new_rho - rho)))
-        j_rel = np.inf if prev_j is None else abs(j - prev_j) / max(abs(prev_j), 1e-12)
-        trace.records.append(
-            IterationRecord(
-                iteration=it,
-                rho=new_rho.copy(),
-                objective=j,
-                design_change=change,
-                objective_rel_change=j_rel,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        rho, prev_j = new_rho, j
-        if change < tol_design:
-            stop_reason = "design_change"
-            break
-    trace.stop_reason = stop_reason
-    trace.final_rho = rho.copy()
-    fe = fe_assemble(spec, rho)
-    trace.final_objective = be_objective(fe, solver(fe, spec, n_steps))
-    return trace
+        return be_objective(fe, sol), (fe, sol)
+
+    def gradient(rho, state):
+        return be_adjoint_and_sensitivity(*state, spec, rho)
+
+    return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,
+                            initial_rho, tol_design, max_iters, mma_config)

@@ -181,7 +181,8 @@ def _optimize_once(cfg, solver, n_steps=None):
 
 
 def cmd_optimize(cfg, out_dir):
-    """Run the configured design problem once and dump design and trace."""
+    """Run the configured design problem once and dump design and trace;
+    exit 1 if it stopped at ``max_iters`` instead of converging."""
     solver = cfg.solvers[0]
     spec, vstar, trace = _optimize_once(cfg, solver)
     edges = spec.element_edges
@@ -207,6 +208,7 @@ def cmd_optimize(cfg, out_dir):
         "solver": solver,
         "iterations": trace.iterations,
         "stop_reason": trace.stop_reason,
+        "converged": trace.converged,
         "final_objective": trace.final_objective,
         "final_design": trace.final_rho,
         "volume": float(trace.final_rho @ spec.element_volumes),
@@ -214,7 +216,7 @@ def cmd_optimize(cfg, out_dir):
     })
     print(f"{solver}: J={trace.final_objective:.6f} after {trace.iterations} iterations "
           f"({trace.stop_reason})")
-    return 0
+    return 0 if trace.converged else 1
 
 
 def _compare_point(payload):

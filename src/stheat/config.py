@@ -32,7 +32,6 @@ class RunConfig:
     sat_safety: float = 1.0
     # optimizer
     tol_design: float = 1e-4
-    tol_objective: float = 1e-8
     max_iters: int = 300
     # experiment sweeps
     solvers: tuple = _SOLVERS
@@ -52,7 +51,7 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         for name in ("horizon", "penalization", "volume_bound", "tol_design",
-                     "tol_objective", "sat_s", "sat_safety"):
+                     "sat_s", "sat_safety"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if not 0 <= self.kappa_min_ratio < 1:
@@ -82,7 +81,7 @@ _SCHEMA = {
         "source_offset": float,
     },
     "sat": {"sigma_0": float, "s": float, "safety": float},
-    "optimizer": {"tol_design": float, "tol_objective": float, "max_iters": int},
+    "optimizer": {"tol_design": float, "max_iters": int},
     "run": {
         "solvers": "strlist",
         "nt_nodes_sweep": "intlist",

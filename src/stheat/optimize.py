@@ -5,6 +5,9 @@ contraction, and an MMA design update; the loop stops when the max design
 update drops below tolerance or the iteration cap is reached.  The whole
 time history lives in the monolithic space-time state, so no checkpointing
 is involved.
+
+The loop is written once, in ``_run_design_loop``, and shared with the
+backward-Euler drivers of ``baselines``.
 """
 
 import time
@@ -47,11 +50,59 @@ class OptimizationTrace:
     def objectives(self):
         return np.array([r.objective for r in self.records])
 
+    @property
+    def converged(self):
+        """True when the design change fell below tolerance before the cap."""
+        return self.stop_reason == "design_change"
+
 
 def uniform_feasible_design(volumes, volume_bound):
     """Uniform design saturating the volume bound (the standard start)."""
     volumes = np.asarray(volumes, dtype=float)
     return np.full(volumes.size, min(1.0, volume_bound / volumes.sum()))
+
+
+def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_design,
+                     max_iters, mma_config):
+    """The MMA design loop shared by every solver.
+
+    ``forward(rho) -> (J, state)`` and ``gradient(rho, state) -> dJ/drho``
+    supply the physics; the final design is re-evaluated by ``forward`` alone.
+    """
+    rho = (
+        uniform_feasible_design(volumes, volume_bound)
+        if initial_rho is None
+        else np.asarray(initial_rho, dtype=float).copy()
+    )
+    if rho.shape != volumes.shape:
+        raise ValueError(f"design must have {volumes.size} entries, got shape {rho.shape}")
+    mma_state = MmaState(config=mma_config or MmaConfig())
+    trace = OptimizationTrace(stop_reason="max_iterations")
+    prev_j = None
+    for it in range(1, max_iters + 1):
+        t0 = time.perf_counter()
+        j, state = forward(rho)
+        grad = gradient(rho, state)
+        new_rho = mma_update(rho, grad, volumes, volume_bound, mma_state)
+        change = float(np.max(np.abs(new_rho - rho)))
+        j_rel = np.inf if prev_j is None else abs(j - prev_j) / max(abs(prev_j), REL_EPS)
+        trace.records.append(
+            IterationRecord(
+                iteration=it,
+                rho=new_rho.copy(),
+                objective=j,
+                design_change=change,
+                objective_rel_change=j_rel,
+                wall_time=time.perf_counter() - t0,
+            )
+        )
+        rho, prev_j = new_rho, j
+        if change < tol_design:
+            trace.stop_reason = "design_change"
+            break
+    trace.final_rho = rho.copy()
+    trace.final_objective = forward(rho)[0]
+    return trace
 
 
 def run_topology_optimization(
@@ -71,43 +122,16 @@ def run_topology_optimization(
     """
     if disc is None:
         disc = Discretization(spec, sat=sat)
-    volumes = spec.element_volumes
-    rho = (
-        uniform_feasible_design(volumes, volume_bound)
-        if initial_rho is None
-        else np.asarray(initial_rho, dtype=float).copy()
-    )
-    state = MmaState(config=mma_config or MmaConfig())
-    trace = OptimizationTrace()
-    prev_j = None
-    stop_reason = "max_iterations"
-    for it in range(1, max_iters + 1):
-        t0 = time.perf_counter()
+
+    def forward(rho):
         system = assemble_global(disc, rho)
         u, _ = solve_system(system)
-        j = objective(u, disc)
+        return objective(u, disc), (system, u)
+
+    def gradient(rho, state):
+        system, u = state
         adj = solve_adjoint(disc, system, u)
-        grad = sensitivities(disc, system, u, adj.lam, rho)
-        new_rho = mma_update(rho, grad, volumes, volume_bound, state)
-        change = float(np.max(np.abs(new_rho - rho)))
-        j_rel = np.inf if prev_j is None else abs(j - prev_j) / max(abs(prev_j), REL_EPS)
-        trace.records.append(
-            IterationRecord(
-                iteration=it,
-                rho=new_rho.copy(),
-                objective=j,
-                design_change=change,
-                objective_rel_change=j_rel,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        rho, prev_j = new_rho, j
-        if change < tol_design:
-            stop_reason = "design_change"
-            break
-    trace.stop_reason = stop_reason
-    trace.final_rho = rho.copy()
-    system = assemble_global(disc, rho)
-    u, _ = solve_system(system)
-    trace.final_objective = objective(u, disc)
-    return trace
+        return sensitivities(disc, system, u, adj.lam, rho)
+
+    return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,
+                            initial_rho, tol_design, max_iters, mma_config)

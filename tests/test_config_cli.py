@@ -42,9 +42,12 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_unknown_key_fails_fast(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("[problem]\nelemnts = 10\n")
-    with pytest.raises(ConfigError, match="problem.elemnts"):
-        parse_config(str(path))
+    # the stop rule is design change only, so there is no objective tolerance
+    for text, key in (("[problem]\nelemnts = 10\n", "problem.elemnts"),
+                      ("[optimizer]\ntol_objective = 1e-8\n", "optimizer.tol_objective")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown key {key}"):
+            parse_config(str(path))
 
 
 def test_unknown_section_fails(tmp_path):
@@ -105,6 +108,25 @@ def test_cli_optimize_writes_design(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     vol = summary["volume"]
     assert vol <= summary["volume_bound"] + 1e-9
+    assert summary["converged"] is True
+
+
+def test_cli_optimize_capped_run_exits_nonzero(tmp_path):
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(
+        "[problem]\nelements = 10\nnx = 3\nnt = 5\n"
+        "[optimizer]\ntol_design = 1e-3\nmax_iters = 1\n"
+    )
+    code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["stop_reason"] == "max_iterations"
+    assert summary["iterations"] == 1
+    design = (tmp_path / "out" / "design.csv").read_text().splitlines()
+    assert len(design) == 11
+    trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 2
 
 
 def test_cli_compare_small_table_deterministic(tmp_path):

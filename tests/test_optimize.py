@@ -1,9 +1,46 @@
 import numpy as np
 import pytest
 
+from stheat import baselines, optimize
+from stheat.adjoint import objective
+from stheat.assembly import Discretization, assemble_global
+from stheat.baselines import (
+    be_aao_solve,
+    be_march,
+    be_objective,
+    fe_assemble,
+    run_topology_optimization_be,
+)
+from stheat.blocksolve import solve_system
 from stheat.optimize import run_topology_optimization, uniform_feasible_design
-from stheat.presets import two_design_benchmark
+from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
+
+SOLVERS = ("st-se", "be-fe", "be-fe-aao")
+BE_STEPS = 64
+
+
+def _cooling_run(solver, **kwargs):
+    """One design loop on the six-cell cooling preset with the given solver."""
+    spec, vstar = cooling_benchmark(n_elements=6)
+    if solver == "st-se":
+        trace = run_topology_optimization(spec, vstar, **kwargs)
+    else:
+        trace = run_topology_optimization_be(
+            spec, vstar, BE_STEPS, aao=solver == "be-fe-aao", **kwargs
+        )
+    return spec, vstar, trace
+
+
+def _fresh_objective(solver, spec, rho):
+    """J at rho from a forward solve built outside the design loop."""
+    if solver == "st-se":
+        disc = Discretization(spec)
+        u, _ = solve_system(assemble_global(disc, rho))
+        return objective(u, disc)
+    fe = fe_assemble(spec, rho)
+    solve = be_aao_solve if solver == "be-fe-aao" else be_march
+    return be_objective(fe, solve(fe, spec, BE_STEPS))
 
 
 def test_uniform_feasible_design():
@@ -35,9 +72,9 @@ def test_inert_material_stops_immediately():
     assert trace.stop_reason == "design_change"
 
 
-def test_trace_metrics_definitions():
-    spec, vstar = two_design_benchmark(nx=8, nt=8)
-    trace = run_topology_optimization(spec, vstar, tol_design=1e-3, max_iters=20)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_trace_metrics_definitions(solver):
+    spec, vstar, trace = _cooling_run(solver, tol_design=1e-3, max_iters=20)
     rhos = [r.rho for r in trace.records]
     start = uniform_feasible_design(spec.element_volumes, vstar)
     prev = start
@@ -53,6 +90,42 @@ def test_trace_metrics_definitions():
     assert trace.records[0].objective_rel_change == np.inf
     assert all(r.wall_time >= 0 for r in trace.records)
     np.testing.assert_allclose(trace.final_rho, rhos[-1], atol=0)
+    assert trace.final_objective == pytest.approx(
+        _fresh_objective(solver, spec, trace.final_rho), rel=1e-13, abs=0
+    )
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_capped_run_stops_at_max_iterations(solver):
+    spec, _, trace = _cooling_run(solver, tol_design=1e-12, max_iters=2)
+    assert trace.stop_reason == "max_iterations" and not trace.converged
+    assert trace.iterations == 2
+    np.testing.assert_array_equal(trace.final_rho, trace.records[-1].rho)
+    assert trace.final_objective == pytest.approx(
+        _fresh_objective(solver, spec, trace.final_rho), rel=1e-13, abs=0
+    )
+
+
+def test_marching_and_all_at_once_traces_agree():
+    _, _, march = _cooling_run("be-fe", tol_design=1e-3, max_iters=20)
+    _, _, aao = _cooling_run("be-fe-aao", tol_design=1e-3, max_iters=20)
+    assert march.iterations == aao.iterations and march.stop_reason == aao.stop_reason
+    for a, b in zip(march.records, aao.records):
+        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+        assert a.design_change == pytest.approx(b.design_change, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(a.rho, b.rho, rtol=1e-12, atol=1e-12)
+    assert march.final_objective == pytest.approx(aao.final_objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("solver", ("st-se", "be-fe"))
+def test_start_design_shape_checked_before_any_solve(solver, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the start design was checked")
+
+    monkeypatch.setattr(optimize, "assemble_global", no_solve)
+    monkeypatch.setattr(baselines, "fe_assemble", no_solve)
+    with pytest.raises(ValueError, match=r"design must have 6 entries, got shape \(1,\)"):
+        _cooling_run(solver, initial_rho=[0.5])
 
 
 def test_feasibility_throughout():
