@@ -23,7 +23,14 @@ from .baselines import (
     fe_assemble,
     run_topology_optimization_be,
 )
-from .blocksolve import BlockTriFactorization, condition_estimate, factor, solve, solve_system
+from .blocksolve import (
+    BlockTriFactorization,
+    condition_estimate,
+    factor,
+    solve,
+    solve_system,
+    solve_transposed,
+)
 from .errors import ConfigError, NumericalError, ResourceLimitError, SingularSystemError
 from .mma import MmaConfig, MmaState, mma_update, scalar_minimize
 from .optimize import OptimizationTrace, run_topology_optimization, uniform_feasible_design

@@ -2,9 +2,10 @@
 
 The objective is the quadrature of the squared temperature over space-time,
 J = u^T P u.  Because the assembled system is premultiplied by P, the
-adjoint of the scheme is the plain algebraic transpose: A^T Lambda = 2 P u.
-With the default penalty choices the transpose is itself a consistent
-terminal-value discretization of the dual heat equation, which is what buys
+adjoint of the scheme is the plain algebraic transpose, A^T Lambda = 2 P u,
+solved with the block LU factors of the forward solve.  With the default
+penalty choices the transpose is itself a consistent terminal-value
+discretization of the dual heat equation, which is what buys
 superconvergent objective values.
 
 Sensitivities contract the adjoint with the kappa-linear parts of the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksolve import factor, solve
+from .blocksolve import solve_transposed
 from .problem import dkappa_drho
 
 
@@ -37,11 +38,13 @@ def objective(u, disc):
     return float(u @ (p * u))
 
 
-def solve_adjoint(disc, system, u):
-    """Solve A^T Lambda = 2 P u with a fresh transpose factorization."""
+def solve_adjoint(disc, system, u, fact):
+    """Solve A^T Lambda = 2 P u with ``fact``, the factors ``solve_system(system)`` returned.
+
+    ``system`` is not read; the perfbench tracer takes it to check the residual.
+    """
     rhs = 2.0 * disc.global_p() * np.asarray(u, dtype=float)
-    fact = factor(system, transpose=True)
-    lam = solve(fact, rhs)
+    lam = solve_transposed(fact, rhs)
     return AdjointSolution(lam=lam, objective=objective(u, disc))
 
 

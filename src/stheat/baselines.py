@@ -199,14 +199,11 @@ def be_objective(fe, solution):
 def be_adjoint_and_sensitivity(fe, solution, spec, rho):
     """Backward adjoint march and the design gradient of be_objective."""
     n_steps = solution.n_steps
-    dt = solution.times[1] - solution.times[0]
+    dt, _, m_dt, _, lu = _step_pieces(spec, fe, n_steps)
     fr = fe.free
-    m_dt = fe.mass / dt
-    step = m_dt + fe.stiffness
-    lu = sla.lu_factor(step[np.ix_(fr, fr)].T)
-    prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)].T)
+    prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)].T, trans=1)
     dj_du = 2.0 * dt * (fe.mass @ solution.states)[fr, 1:]
-    source = sla.lu_solve(lu, dj_du)  # all levels in one batched solve
+    source = sla.lu_solve(lu, dj_du, trans=1)  # all levels in one batched solve
     lam = np.zeros((fe.n_nodes, n_steps + 1))  # level n holds lambda^n, n >= 1
     nxt = np.zeros(fr.size)
     for n in range(n_steps, 0, -1):

@@ -2,8 +2,8 @@
 
 Elimination proceeds block row by block row with LAPACK partial-pivoted LU
 inside each pivot block; no pivoting happens across blocks, which preserves
-the banded layout.  Transposed systems get their own factorization of the
-transposed block pattern rather than reusing the primal factors.
+the banded layout.  Transposed systems A^T x = b are solved with the same
+factors A = L U, as U^T y = b followed by L^T x = y.
 """
 
 import warnings
@@ -23,7 +23,6 @@ class BlockTriFactorization:
     pivot_lus: list
     multipliers: list
     uppers: list
-    transpose: bool
 
     @property
     def n_blocks(self):
@@ -32,13 +31,6 @@ class BlockTriFactorization:
     @property
     def block_size(self):
         return self.pivot_lus[0][0].shape[0]
-
-
-def _transposed_blocks(system):
-    diag = [a.T for a in system.diag]
-    upper = [c.T for c in system.lower]
-    lower = [b.T for b in system.upper]
-    return diag, upper, lower
 
 
 def _pivot_lu(block, element):
@@ -51,12 +43,9 @@ def _pivot_lu(block, element):
     return lu, piv
 
 
-def factor(system, transpose=False):
-    """Block LU of the system (or of its transpose)."""
-    if transpose:
-        diag, upper, lower = _transposed_blocks(system)
-    else:
-        diag, upper, lower = system.diag, system.upper, system.lower
+def factor(system):
+    """Block LU of the system."""
+    diag, upper, lower = system.diag, system.upper, system.lower
     pivot_lus = [_pivot_lu(diag[0], 0)]
     multipliers = []
     for k in range(1, len(diag)):
@@ -66,30 +55,41 @@ def factor(system, transpose=False):
         U_k = diag[k] - L_k @ upper[k - 1]
         multipliers.append(L_k)
         pivot_lus.append(_pivot_lu(U_k, k))
-    return BlockTriFactorization(
-        pivot_lus=pivot_lus,
-        multipliers=multipliers,
-        uppers=list(upper),
-        transpose=transpose,
-    )
+    return BlockTriFactorization(pivot_lus, multipliers, list(upper))
 
 
-def solve(fact, rhs):
-    """Forward/back substitution for one stacked right-hand side."""
+def _stacked(fact, rhs):
     K, n = fact.n_blocks, fact.block_size
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (K * n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({K * n},)")
-    y = rhs.reshape(K, n).copy()
+    return rhs.reshape(K, n).copy()
+
+
+def solve(fact, rhs):
+    """Solve A x = b by forward/back substitution: L y = b, then U x = y."""
+    K = fact.n_blocks
+    y = _stacked(fact, rhs)
     for k in range(1, K):
         y[k] -= fact.multipliers[k - 1] @ y[k - 1]
-    x = np.empty_like(y)
-    x[K - 1] = sla.lu_solve(fact.pivot_lus[K - 1], y[K - 1], check_finite=False)
+    for k in range(K - 1, -1, -1):
+        if k < K - 1:
+            y[k] -= fact.uppers[k] @ y[k + 1]
+        y[k] = sla.lu_solve(fact.pivot_lus[k], y[k], check_finite=False)
+    return y.ravel()
+
+
+def solve_transposed(fact, rhs):
+    """Solve A^T x = b with the factors of A: U^T y = b, then L^T x = y."""
+    K = fact.n_blocks
+    y = _stacked(fact, rhs)
+    for k in range(K):
+        if k > 0:
+            y[k] -= fact.uppers[k - 1].T @ y[k - 1]
+        y[k] = sla.lu_solve(fact.pivot_lus[k], y[k], trans=1, check_finite=False)
     for k in range(K - 2, -1, -1):
-        x[k] = sla.lu_solve(
-            fact.pivot_lus[k], y[k] - fact.uppers[k] @ x[k + 1], check_finite=False
-        )
-    return x.ravel()
+        y[k] -= fact.multipliers[k].T @ y[k + 1]
+    return y.ravel()
 
 
 def solve_system(system):
@@ -127,15 +127,14 @@ def one_norm(system):
 def condition_estimate(system):
     """Hager-style 1-norm condition estimate via forward/transpose solves."""
     try:
-        primal = factor(system)
-        dual = factor(system, transpose=True)
+        fact = factor(system)
     except SingularSystemError:
         return np.inf
     m = system.n_unknowns
     inv_op = spla.LinearOperator(
         (m, m),
-        matvec=lambda v: solve(primal, np.ravel(v)),
-        rmatvec=lambda v: solve(dual, np.ravel(v)),
+        matvec=lambda v: solve(fact, np.ravel(v)),
+        rmatvec=lambda v: solve_transposed(fact, np.ravel(v)),
         dtype=float,
     )
     inv_norm = spla.onenormest(inv_op)

@@ -246,6 +246,7 @@ def _compare_point(payload):
         "J": trace.final_objective,
         "rho": trace.final_rho.tolist(),
         "iterations": trace.iterations,
+        "converged": trace.converged,
     }
 
 
@@ -260,7 +261,10 @@ def declared_convergence_level(levels, changes, tol):
 
 
 def cmd_compare(cfg, out_dir):
-    """Timing / design-change table across the three forward solvers."""
+    """Timing / design-change table across the three forward solvers.
+
+    Exits 1 when any cell stopped at ``max_iters``; the tables are still written.
+    """
     tasks = []
     for solver in cfg.solvers:
         levels = cfg.nt_nodes_sweep if solver == "st-se" else cfg.nt_steps_sweep
@@ -299,6 +303,7 @@ def cmd_compare(cfg, out_dir):
             "delta_rho_inf": changes,
             "J": [c["J"] for c in cells],
             "iterations": [c["iterations"] for c in cells],
+            "converged": [c["converged"] for c in cells],
             "declared_converged_at": declared_convergence_level(
                 [c["level"] for c in cells], changes, cfg.tol_design
             ),
@@ -317,7 +322,7 @@ def cmd_compare(cfg, out_dir):
     })
     for row in rows:
         print(",".join(str(c) for c in row))
-    return 0
+    return 0 if all(r["converged"] for r in results) else 1
 
 
 def main(argv=None):

@@ -83,6 +83,7 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
         t0 = time.perf_counter()
         j, state = forward(rho)
         grad = gradient(rho, state)
+        del state  # else it lives on beside the next forward's system and factors
         new_rho = mma_update(rho, grad, volumes, volume_bound, mma_state)
         change = float(np.max(np.abs(new_rho - rho)))
         j_rel = np.inf if prev_j is None else abs(j - prev_j) / max(abs(prev_j), REL_EPS)
@@ -125,12 +126,12 @@ def run_topology_optimization(
 
     def forward(rho):
         system = assemble_global(disc, rho)
-        u, _ = solve_system(system)
-        return objective(u, disc), (system, u)
+        u, fact = solve_system(system)
+        return objective(u, disc), (system, u, fact)
 
     def gradient(rho, state):
-        system, u = state
-        adj = solve_adjoint(disc, system, u)
+        system, u, fact = state
+        adj = solve_adjoint(disc, system, u, fact)
         return sensitivities(disc, system, u, adj.lam, rho)
 
     return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,

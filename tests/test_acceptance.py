@@ -167,8 +167,8 @@ def test_criterion_4_energy_stability():
 def _stse_gradient_case(spec, rho):
     disc = Discretization(spec)
     system = assemble_global(disc, rho)
-    u, _ = solve_system(system)
-    adj = solve_adjoint(disc, system, u)
+    u, fact = solve_system(system)
+    adj = solve_adjoint(disc, system, u, fact)
     grad = sensitivities(disc, system, u, adj.lam, rho)
 
     def j_of(r):

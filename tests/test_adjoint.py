@@ -4,7 +4,7 @@ from scipy.special import roots_legendre
 
 from stheat.adjoint import objective, sensitivities, solve_adjoint
 from stheat.assembly import Discretization, assemble_global
-from stheat.blocksolve import solve_system
+from stheat.blocksolve import factor, solve_system, solve_transposed
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.presets import two_design_benchmark
 from stheat.twodomain import two_domain_solution
@@ -14,8 +14,8 @@ LINEAR = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
 
 def forward(disc, rho):
     system = assemble_global(disc, rho)
-    u, _ = solve_system(system)
-    return u, system
+    u, fact = solve_system(system)
+    return u, system, fact
 
 
 def fd_gradient(disc, rho, steps=(1e-4, 1e-5, 1e-6), reference=None):
@@ -91,7 +91,7 @@ def test_adjoint_of_zero_state_is_zero():
     spec, _ = two_design_benchmark(nx=6, nt=6)
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.4, 0.3]))
-    adj = solve_adjoint(disc, system, np.zeros(disc.n_unknowns))
+    adj = solve_adjoint(disc, system, np.zeros(disc.n_unknowns), factor(system))
     np.testing.assert_allclose(adj.lam, 0.0, atol=0)
     assert adj.objective == 0.0
 
@@ -120,8 +120,8 @@ def test_adjoint_inherits_spatial_symmetry_single_element():
     # no interface: the discrete scheme is mirror symmetric, so any adjoint
     # asymmetry would expose a transposition bug
     disc = Discretization(_symmetric_spec(K=1, n=12))
-    u, system = forward(disc, np.array([0.6]))
-    adj = solve_adjoint(disc, system, u)
+    u, system, fact = forward(disc, np.array([0.6]))
+    adj = solve_adjoint(disc, system, u, fact)
     assert np.max(np.abs(u - _reflect(disc, u))) <= 1e-9 * max(1, np.max(np.abs(u)))
     assert np.max(np.abs(adj.lam - _reflect(disc, adj.lam))) <= 1e-9 * max(
         1, np.max(np.abs(adj.lam))
@@ -134,8 +134,8 @@ def test_adjoint_symmetry_restored_under_refinement():
     asym = []
     for n in (6, 12, 18):
         disc = Discretization(_symmetric_spec(K=2, n=n))
-        u, system = forward(disc, np.array([0.6, 0.6]))
-        adj = solve_adjoint(disc, system, u)
+        u, system, fact = forward(disc, np.array([0.6, 0.6]))
+        adj = solve_adjoint(disc, system, u, fact)
         if n >= 12:
             assert np.max(np.abs(u - _reflect(disc, u))) <= 1e-9 * max(1, np.max(np.abs(u)))
         asym.append(np.max(np.abs(adj.lam - _reflect(disc, adj.lam))))
@@ -162,8 +162,6 @@ def test_dual_mms_consistency():
             + kap * np.pi**2 * np.sin(np.pi * x) * (horizon - t) ** 2
         )
 
-    from stheat.blocksolve import factor, solve
-
     res, sol_err = [], []
     for n in (4, 6, 8, 10, 12):
         spec = ProblemSpec(
@@ -187,7 +185,9 @@ def test_dual_mms_consistency():
             face[:, -1] = 0.0
         r = (r * mask).ravel()
         res.append(np.sqrt(np.sum(r**2 / p)))
-        lam = solve(factor(system, transpose=True), p * gh)
+        b = p * gh
+        lam = solve_transposed(factor(system), b)
+        assert np.linalg.norm(system.rmatvec(lam) - b) <= 1e-12 * np.linalg.norm(b)
         sol_err.append(np.sqrt((lam - vh) @ (p * (lam - vh))))
     assert res[-1] <= 1e-6 * res[0]
     assert res[-1] <= 1e-9
@@ -199,8 +199,8 @@ def test_adjoint_identity_random_perturbation():
     spec, _ = two_design_benchmark(nx=8, nt=8)
     disc = Discretization(spec)
     rho = np.array([0.45, 0.30])
-    u, system = forward(disc, rho)
-    adj = solve_adjoint(disc, system, u)
+    u, system, fact = forward(disc, rho)
+    adj = solve_adjoint(disc, system, u, fact)
     rng = np.random.default_rng(31)
     for _ in range(5):
         du = rng.standard_normal(disc.n_unknowns)
@@ -217,8 +217,8 @@ def test_sensitivities_vanish_for_inert_material():
     )
     disc = Discretization(spec)
     rho = np.array([0.2, 0.5, 0.8])
-    u, system = forward(disc, rho)
-    adj = solve_adjoint(disc, system, u)
+    u, system, fact = forward(disc, rho)
+    adj = solve_adjoint(disc, system, u, fact)
     grad = sensitivities(disc, system, u, adj.lam, rho)
     np.testing.assert_allclose(grad, 0.0, atol=0)
 
@@ -227,8 +227,8 @@ def test_gradient_matches_fd_two_design():
     spec, _ = two_design_benchmark(nx=10, nt=10)
     disc = Discretization(spec)
     rho = np.array([0.45, 0.30])
-    u, system = forward(disc, rho)
-    adj = solve_adjoint(disc, system, u)
+    u, system, fact = forward(disc, rho)
+    adj = solve_adjoint(disc, system, u, fact)
     grad = sensitivities(disc, system, u, adj.lam, rho)
     fd = fd_gradient(disc, rho, reference=grad)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
@@ -247,8 +247,8 @@ def test_gradient_matches_fd_ten_design():
     )
     disc = Discretization(spec)
     rho = np.clip(rng.uniform(0, 1, 10), 0.05, 0.95)
-    u, system = forward(disc, rho)
-    adj = solve_adjoint(disc, system, u)
+    u, system, fact = forward(disc, rho)
+    adj = solve_adjoint(disc, system, u, fact)
     grad = sensitivities(disc, system, u, adj.lam, rho)
     fd = fd_gradient(disc, rho, reference=grad)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
@@ -267,7 +267,7 @@ def test_functional_superconverges_relative_to_state():
             f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
         )
         disc = Discretization(spec)
-        u, _ = forward(disc, np.array([sol.kappa_1, sol.kappa_2]))
+        u = forward(disc, np.array([sol.kappa_1, sol.kappa_2]))[0]
         exact = np.concatenate([sol(*disc.element_coordinates(k)) for k in range(2)])
         p = disc.global_p()
         state = np.sqrt((u - exact) @ (p * (u - exact)))

@@ -1,16 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stheat.assembly import GlobalSystem
+from stheat.assembly import Discretization, GlobalSystem, assemble_global
 from stheat.blocksolve import (
     condition_estimate,
     factor,
     one_norm,
     solve,
     solve_system,
+    solve_transposed,
     to_dense,
 )
 from stheat.errors import SingularSystemError
+from stheat.presets import cooling_benchmark, two_design_benchmark
+
+EPS = np.finfo(float).eps
+# fixed example sequence and no example database, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
 
 def random_system(rng, K, n, shift=None):
@@ -45,9 +55,10 @@ def test_transpose_solve_matches_dense_oracle():
     rng = np.random.default_rng(7)
     system = random_system(rng, K=5, n=6)
     b = rng.standard_normal(system.n_unknowns)
-    ft = factor(system, transpose=True)
-    x = solve(ft, b)
-    x_oracle = np.linalg.solve(to_dense(system).T, b)
+    x = solve_transposed(factor(system), b)
+    dense = to_dense(system)
+    assert np.linalg.norm(dense.T @ x - b, np.inf) <= 1e-11 * np.linalg.norm(b, np.inf)
+    x_oracle = np.linalg.solve(dense.T, b)
     np.testing.assert_allclose(x, x_oracle, rtol=1e-11, atol=1e-13)
 
 
@@ -76,8 +87,9 @@ def test_adjoint_identity():
     system = random_system(rng, K=4, n=7)
     b = rng.standard_normal(system.n_unknowns)
     y = rng.standard_normal(system.n_unknowns)
-    fwd = solve(factor(system), b)
-    adj = solve(factor(system, transpose=True), y)
+    fact = factor(system)
+    fwd = solve(fact, b)
+    adj = solve_transposed(fact, y)
     lhs = adj @ b
     rhs = y @ fwd
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
@@ -99,6 +111,8 @@ def test_solve_rejects_bad_rhs_length():
     f = factor(system)
     with pytest.raises(ValueError):
         solve(f, np.zeros(5))
+    with pytest.raises(ValueError):
+        solve_transposed(f, np.zeros(5))
 
 
 def test_condition_identity():
@@ -135,3 +149,50 @@ def test_one_norm_matches_dense():
     system = random_system(rng, K=3, n=5)
     dense = to_dense(system)
     assert one_norm(system) == pytest.approx(np.abs(dense).sum(axis=0).max())
+
+
+def assert_transposed_solve_exact(system, rng):
+    """solve_transposed against the dense oracle, and <c, A^-1 b> = <A^-T c, b>."""
+    dense = to_dense(system)
+    fact = factor(system)
+    b, c = rng.standard_normal((2, system.n_unknowns))
+    y = solve_transposed(fact, c)
+    y_oracle = np.linalg.solve(dense.T, c)
+    err = np.linalg.norm(y - y_oracle)
+    assert err <= 16 * EPS * np.linalg.cond(dense, 1) * np.linalg.norm(y_oracle)
+    x = solve(fact, b)
+    scale = np.linalg.norm(c) * np.linalg.norm(x) + np.linalg.norm(y) * np.linalg.norm(b)
+    assert abs(c @ x - y @ b) <= 64 * EPS * scale
+
+
+@PROPERTY
+@given(K=st.integers(1, 6), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_transposed_solve_property_random_blocks(K, n, seed):
+    rng = np.random.default_rng(seed)
+    assert_transposed_solve_exact(random_system(rng, K, n), rng)
+
+
+@functools.cache
+def preset_discretization(preset):
+    # the two-design material has kappa_min = 0: rho = 0 switches conduction off
+    spec, _ = {
+        "two-design": lambda: two_design_benchmark(nx=8, nt=8),
+        "cooling": lambda: cooling_benchmark(n_elements=6),
+    }[preset]()
+    return Discretization(spec)
+
+
+@st.composite
+def preset_designs(draw):
+    preset = draw(st.sampled_from(["two-design", "cooling"]))
+    K = preset_discretization(preset).n_elements
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    return preset, np.array(draw(st.lists(value, min_size=K, max_size=K)))
+
+
+@PROPERTY
+@given(case=preset_designs(), seed=st.integers(0, 2**32 - 1))
+def test_transposed_solve_property_assembled_systems(case, seed):
+    preset, rho = case
+    system = assemble_global(preset_discretization(preset), rho)
+    assert_transposed_solve_exact(system, np.random.default_rng(seed))

@@ -111,12 +111,18 @@ def test_cli_optimize_writes_design(tmp_path):
     assert summary["converged"] is True
 
 
-def test_cli_optimize_capped_run_exits_nonzero(tmp_path):
+def capped_config(tmp_path, run_section=""):
+    """A small problem whose optimizer stops at max_iters = 1."""
     cfg = tmp_path / "capped.cfg"
     cfg.write_text(
         "[problem]\nelements = 10\nnx = 3\nnt = 5\n"
-        "[optimizer]\ntol_design = 1e-3\nmax_iters = 1\n"
+        "[optimizer]\ntol_design = 1e-3\nmax_iters = 1\n" + run_section
     )
+    return cfg
+
+
+def test_cli_optimize_capped_run_exits_nonzero(tmp_path):
+    cfg = capped_config(tmp_path)
     code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -127,6 +133,20 @@ def test_cli_optimize_capped_run_exits_nonzero(tmp_path):
     assert len(design) == 11
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert len(trace) == 2
+
+
+def test_cli_compare_capped_cells_exit_nonzero(tmp_path):
+    sweep = "[run]\nnt_nodes_sweep = 3 4\nnt_steps_sweep = 4 8\nrepeats = 1\n"
+    cfg = capped_config(tmp_path, sweep)
+    code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert set(summary["solvers"]) == {"st-se", "be-fe", "be-fe-aao"}
+    for cells in summary["solvers"].values():
+        assert cells["converged"] == [False, False]
+        assert cells["iterations"] == [1, 1]
+    table = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+    assert len(table) == 7
 
 
 def test_cli_compare_small_table_deterministic(tmp_path):
