@@ -3,7 +3,7 @@
 The package builds summation-by-parts collocation operators, assembles a
 monolithic space-time discretization of the heat equation with weakly
 enforced initial/boundary/interface conditions, solves it (and its exact
-transpose, the adjoint) with a block-tridiagonal direct solver, and drives
+transpose, the adjoint) through a Schur form of its time operator, and drives
 density-based design optimization with a moving-asymptotes update.  Low
 order backward-Euler finite-element baselines and closed-form verification
 problems round out the toolbox.
@@ -12,7 +12,7 @@ problems round out the toolbox.
 __version__ = "0.1.0"
 
 from .adjoint import AdjointSolution, objective, sensitivities, solve_adjoint
-from .assembly import Discretization, GlobalSystem, assemble_element, assemble_global, residual
+from .assembly import Discretization, GlobalSystem, assemble_global, residual
 from .baselines import (
     FeDiscretization,
     MarchingSolution,
@@ -24,7 +24,7 @@ from .baselines import (
     run_topology_optimization_be,
 )
 from .blocksolve import (
-    BlockTriFactorization,
+    SchurFactorization,
     condition_estimate,
     factor,
     solve,

@@ -1,96 +1,84 @@
 """Monolithic space-time SBP-SAT assembly of the heat equation.
 
 The space-time domain is split into K elements in x (one element in t).
-Each element contributes one diagonal block; interface penalties couple
-nearest neighbours only, so the global matrix is block tridiagonal:
+Every term of the scheme is a Kronecker product of a time factor and a
+spatial factor, and every term except the time derivative and the weak
+initial condition has the time factor P_t.  Ordered time-major (all spatial
+nodes of time level 0, then of level 1, ...), the global matrix is therefore
 
-    [ A1 B1          ] [u1]   [b1]
-    [ C2 A2 B2       ] [u2]   [b2]
-    [    ..  ..  ..  ] [..] = [..]
-    [        CK  AK  ] [uK]   [bK]
+    A = T (x) W + P_t (x) M(kappa),        T = Q_t + sigma_0 e_s e_s^T,
 
-Every block is a short sum of Kronecker products of small 1D factors.  The
-diagonal blocks collect the time derivative, the diffusion term, the weak
-initial condition and the element's share of boundary/interface penalties;
-off-diagonal blocks carry the neighbour couplings.  The whole system is
-premultiplied by the quadrature matrix P, which symmetrizes the penalty
-structure and makes the algebraic transpose the natural dual scheme.
+where W is the diagonal spatial quadrature of all elements and
+M(kappa) = M0 + sum_k kappa_k M_k is a sparse spatial operator holding the
+diffusion term and the boundary and interface penalties.  M couples element
+k to its neighbours k-1 and k+1 only.  The whole system is premultiplied by
+the quadrature matrix P, which symmetrizes the penalty structure and makes
+the algebraic transpose the natural dual scheme.
+
+States are stacked element-major (element after element, each stacked as in
+``spacetime``); ``Discretization.time_major`` and ``element_major`` convert
+between the two orders.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .problem import choose_sat_coefficients, kappa
 from .sbp import build_sbp_1d
-from .spacetime import build_element_ops, kron_acc, restrict
+from .spacetime import build_element_ops, restrict
 
 
 @dataclass
 class GlobalSystem:
-    """Blocks and right-hand side of the assembled space-time system.
+    """The space-time system A = T (x) W + P_t (x) M(kappa) of one design.
 
-    ``diag[k]`` is the k-th diagonal block (0-based), ``upper[k]`` couples
-    block row k to k+1 and ``lower[k]`` couples block row k+1 to k.  The
-    right-hand side is independent of the design; only the diagonal and
-    off-diagonal blocks carry the diffusivities.
+    Only the sparse spatial operator ``M`` depends on the design; T, W and
+    P_t belong to ``disc``.  ``rhs`` is element-major and independent of the
+    design.
     """
 
-    diag: list
-    upper: list
-    lower: list
-    rhs: list
-    kappa_values: np.ndarray = None
-    disc: object = None
+    disc: object
+    M: sp.csc_matrix
+    rhs: np.ndarray
 
     @property
     def n_blocks(self):
-        return len(self.diag)
+        return self.disc.n_elements
 
     @property
     def block_size(self):
-        return self.diag[0].shape[0]
+        return self.disc.block_size
 
     @property
     def n_unknowns(self):
-        return self.n_blocks * self.block_size
+        return self.disc.n_unknowns
 
     def rhs_vector(self):
-        return np.concatenate(self.rhs)
-
-    def blocks_of(self, u):
-        return u.reshape(self.n_blocks, self.block_size)
+        return self.rhs
 
     def matvec(self, u):
-        ub = self.blocks_of(np.asarray(u))
-        out = np.empty_like(ub)
-        for k in range(self.n_blocks):
-            acc = self.diag[k] @ ub[k]
-            if k > 0:
-                acc += self.lower[k - 1] @ ub[k - 1]
-            if k + 1 < self.n_blocks:
-                acc += self.upper[k] @ ub[k + 1]
-            out[k] = acc
-        return out.ravel()
+        return self._apply(self.disc.T, self.M, u)
 
     def rmatvec(self, v):
-        vb = self.blocks_of(np.asarray(v))
-        out = np.empty_like(vb)
-        for k in range(self.n_blocks):
-            acc = self.diag[k].T @ vb[k]
-            if k + 1 < self.n_blocks:
-                acc += self.lower[k].T @ vb[k + 1]
-            if k > 0:
-                acc += self.upper[k - 1].T @ vb[k - 1]
-            out[k] = acc
-        return out.ravel()
+        return self._apply(self.disc.T.T, self.M.T, v)
+
+    def _apply(self, T, M, u):
+        """(T (x) W + P_t (x) M) u for an element-major u."""
+        disc = self.disc
+        U = disc.time_major(np.asarray(u))
+        return disc.element_major((T @ U) * disc.W + disc.op_t.weights[:, None] * (M @ U.T).T)
 
 
 class Discretization:
     """Element operators and SAT coefficients for one problem setup.
 
-    Building the 1D operators once per element keeps reassembly at a new
-    design cheap: only the diffusivity-weighted terms change.
+    The pieces of the Kronecker form (T, W, the Schur form of P_t^-1 T and
+    the kappa-affine terms of M) are built on first use and kept, so
+    reassembly at a new design only rescales the kappa-dependent entries.
     """
 
     def __init__(self, spec, sat=None):
@@ -135,79 +123,109 @@ class Discretization:
         """Quadrature weights of all elements, concatenated."""
         return np.concatenate([ops.p_vec for ops in self.ops])
 
+    @cached_property
+    def T(self):
+        """Time factor Q_t + sigma_0 e_s e_s^T of the time derivative and initial penalty."""
+        T = self.op_t.Q.copy()
+        T[0, 0] += self.sat.sigma_0
+        return T
 
-def _face_projectors(n_x):
-    e_w = np.zeros(n_x)
-    e_w[0] = 1.0
-    e_e = np.zeros(n_x)
-    e_e[-1] = 1.0
-    return np.outer(e_w, e_w), np.outer(e_e, e_e), np.outer(e_w, e_e), np.outer(e_e, e_w)
+    @cached_property
+    def W(self):
+        """Diagonal of W: the spatial quadrature weights of all elements."""
+        return np.concatenate([ops.op_x.weights for ops in self.ops])
+
+    @cached_property
+    def schur(self):
+        """Complex Schur form (R, Z) of P_t^-1 T = Z R Z^H: R upper triangular, Z unitary."""
+        return sla.schur(self.T / self.op_t.weights[:, None], output="complex")
+
+    @cached_property
+    def spatial_terms(self):
+        """M(kappa) as COO triples ``(rows, cols, values, owner)``.
+
+        An entry adds ``values * kappa[owner]`` to M, or ``values`` where
+        ``owner`` is -1: those entries make up M0, the ones owned by element
+        k make up M_k.  Duplicate positions add up.
+        """
+        n_x = self.ops[0].n_x
+        rows, cols, values, owner = [], [], [], []
+        for row, col, factor, coefficient, kappa_of in _spatial_terms(self):
+            i, j = np.nonzero(factor)
+            rows.append(row * n_x + i)
+            cols.append(col * n_x + j)
+            values.append(coefficient * factor[i, j])
+            owner.append(np.full(i.size, -1 if kappa_of is None else kappa_of))
+        return tuple(np.concatenate(a) for a in (rows, cols, values, owner))
+
+    def spatial_operator(self, kap):
+        """M(kappa) = M0 + sum_k kappa_k M_k as a sparse CSC matrix."""
+        rows, cols, values, owner = self.spatial_terms
+        scale = np.append(kap, 1.0)[owner]  # owner -1 picks the trailing 1
+        n_s = self.W.size
+        return sp.csc_matrix((values * scale, (rows, cols)), shape=(n_s, n_s))
+
+    def time_major(self, u):
+        """Element-major state as a (time level, spatial node) array."""
+        n_t, n_x = self.op_t.n_nodes, self.ops[0].n_x
+        return u.reshape(self.n_elements, n_t, n_x).transpose(1, 0, 2).reshape(n_t, -1)
+
+    def element_major(self, U):
+        """Inverse of ``time_major``: a flat element-major state."""
+        n_t, n_x = U.shape[0], self.ops[0].n_x
+        return U.reshape(n_t, self.n_elements, n_x).transpose(1, 0, 2).ravel()
 
 
-def assemble_element(k, disc, kappa_k, kappa_left=None, kappa_right=None):
-    """Diagonal block, rhs block, and neighbour blocks of element k.
+def _spatial_terms(disc):
+    """Every P_t-weighted term of the scheme, as (row element, column element,
+    spatial factor, coefficient, owner).
 
-    Returns (A_k, b_k, B_k, C_next) where B_k couples row k to element k+1
-    and C_next couples row k+1 to element k; each is None at the domain
-    ends.  ``kappa_left``/``kappa_right`` are the neighbour diffusivities
-    required by the flux-penalty cross terms.
+    A term adds coefficient * kappa_owner * (P_t (x) factor) to the block
+    (row, column), or coefficient * (P_t (x) factor) when owner is None.
+    Physical boundaries get a Dirichlet penalty or a flux penalty on kappa u_x.
+    Each interface penalizes the jumps of the value and of the flux kappa u_x
+    between an element and its neighbour.
     """
     spec, sat = disc.spec, disc.sat
-    ops = disc.ops[k]
-    n_x, n_t = ops.n_x, ops.n_t
-    wt, wx = ops.op_t.weights, ops.op_x.weights
-    Pt = np.diag(wt)
-    Dx = ops.op_x.D
-    W, Eee, WE, EW = _face_projectors(n_x)
-    first, last = k == 0, k == spec.n_elements - 1
-
-    A = np.zeros((ops.n, ops.n))
-    # P D_t - kappa P D_x^2 with P = P_t (x) P_x
-    kron_acc(A, ops.op_t.Q, np.diag(wx))
-    kron_acc(A, Pt, ops.op_x.Q @ Dx, scale=-kappa_k)
-    # weak initial condition
-    es_outer = np.zeros((n_t, n_t))
-    es_outer[0, 0] = 1.0
-    kron_acc(A, es_outer, np.diag(wx), scale=sat.sigma_0)
-
-    # physical boundaries: Dirichlet penalty, or a flux penalty whose sign
-    # cancels the boundary term of the discrete integration by parts
-    if first:
-        if spec.bc_left == "dirichlet":
-            kron_acc(A, Pt, W, scale=sat.sigma_w)
+    last = spec.n_elements - 1
+    e_w, e_e = np.eye(disc.ops[0].n_x)[[0, -1]]
+    Eww, Eee, Ewe, Eew = (np.outer(a, b) for a, b in ((e_w, e_w), (e_e, e_e), (e_w, e_e), (e_e, e_w)))
+    terms = []
+    for k in range(spec.n_elements):
+        op_x = disc.ops[k].op_x
+        Dx = op_x.D
+        terms.append((k, k, -(op_x.Q @ Dx), 1.0, k))  # -kappa P D_x^2
+        if k == 0:
+            if spec.bc_left == "dirichlet":
+                terms.append((k, k, Eww, sat.sigma_w, None))
+            else:
+                terms.append((k, k, Eww @ Dx, 1.0, k))
         else:
-            kron_acc(A, Pt, W @ Dx, scale=kappa_k)
-    else:
-        kron_acc(A, Pt, W, scale=sat.sigma_1)
-        kron_acc(A, Pt, W @ Dx, scale=sat.sigma_2 * kappa_k)
-        kron_acc(A, Pt, Dx.T @ W, scale=sat.tau_1 * kappa_k)
-    if last:
-        if spec.bc_right == "dirichlet":
-            kron_acc(A, Pt, Eee, scale=sat.sigma_e)
+            Dx_left = disc.ops[k - 1].op_x.D
+            terms += [
+                (k, k, Eww, sat.sigma_1, None),
+                (k, k, Eww @ Dx, sat.sigma_2, k),
+                (k, k, Dx.T @ Eww, sat.tau_1, k),
+                (k, k - 1, Ewe, -sat.sigma_1, None),
+                (k, k - 1, Ewe @ Dx_left, -sat.sigma_2, k - 1),
+                (k, k - 1, Dx.T @ Ewe, -sat.tau_1, k),
+            ]
+        if k == last:
+            if spec.bc_right == "dirichlet":
+                terms.append((k, k, Eee, sat.sigma_e, None))
+            else:
+                terms.append((k, k, Eee @ Dx, -1.0, k))
         else:
-            kron_acc(A, Pt, Eee @ Dx, scale=-kappa_k)
-    else:
-        kron_acc(A, Pt, Eee, scale=sat.sigma_3)
-        kron_acc(A, Pt, Eee @ Dx, scale=sat.sigma_4 * kappa_k)
-        kron_acc(A, Pt, Dx.T @ Eee, scale=sat.tau_2 * kappa_k)
-
-    b = _element_rhs(k, disc)
-
-    B = None
-    if not last:
-        Dx_right = disc.ops[k + 1].op_x.D
-        B = np.zeros((ops.n, ops.n))
-        kron_acc(B, Pt, EW, scale=-sat.sigma_3)
-        kron_acc(B, Pt, EW @ Dx_right, scale=-sat.sigma_4 * kappa_right)
-        kron_acc(B, Pt, Dx.T @ EW, scale=-sat.tau_2 * kappa_k)
-    C = None
-    if not first:
-        Dx_left = disc.ops[k - 1].op_x.D
-        C = np.zeros((ops.n, ops.n))
-        kron_acc(C, Pt, WE, scale=-sat.sigma_1)
-        kron_acc(C, Pt, WE @ Dx_left, scale=-sat.sigma_2 * kappa_left)
-        kron_acc(C, Pt, Dx.T @ WE, scale=-sat.tau_1 * kappa_k)
-    return A, b, B, C
+            Dx_right = disc.ops[k + 1].op_x.D
+            terms += [
+                (k, k, Eee, sat.sigma_3, None),
+                (k, k, Eee @ Dx, sat.sigma_4, k),
+                (k, k, Dx.T @ Eee, sat.tau_2, k),
+                (k, k + 1, Eew, -sat.sigma_3, None),
+                (k, k + 1, Eew @ Dx_right, -sat.sigma_4, k + 1),
+                (k, k + 1, Dx.T @ Eew, -sat.tau_2, k),
+            ]
+    return terms
 
 
 def _element_rhs(k, disc):
@@ -242,31 +260,14 @@ def _element_rhs(k, disc):
 
 
 def assemble_global(disc, rho):
-    """Assemble all blocks of the design-dependent space-time system."""
-    kap = disc.kappa_of(rho)
-    K = disc.n_elements
-    diag, upper, lower, rhs = [], [], [], []
-    for k in range(K):
-        A, b, B, C = assemble_element(
-            k,
-            disc,
-            kap[k],
-            kappa_left=kap[k - 1] if k > 0 else None,
-            kappa_right=kap[k + 1] if k + 1 < K else None,
-        )
-        diag.append(A)
-        rhs.append(b)
-        if B is not None:
-            upper.append(B)
-        if C is not None:
-            lower.append(C)
-    return GlobalSystem(
-        diag=diag, upper=upper, lower=lower, rhs=rhs, kappa_values=kap, disc=disc
-    )
+    """The design's spatial operator M(kappa) and the design-independent rhs."""
+    M = disc.spatial_operator(disc.kappa_of(rho))
+    rhs = np.concatenate([_element_rhs(k, disc) for k in range(disc.n_elements)])
+    return GlobalSystem(disc=disc, M=M, rhs=rhs)
 
 
 def residual(u, system):
-    """Blockwise A(rho) u - b for a stacked state vector."""
+    """A(rho) u - b for a stacked state vector."""
     u = np.asarray(u, dtype=float)
     if u.shape != (system.n_unknowns,):
         raise ValueError(

@@ -1,95 +1,80 @@
-"""Direct block-tridiagonal solves by block LU (block Thomas algorithm).
+"""Direct solves of the space-time system through a Schur form in time.
 
-Elimination proceeds block row by block row with LAPACK partial-pivoted LU
-inside each pivot block; no pivoting happens across blocks, which preserves
-the banded layout.  Transposed systems A^T x = b are solved with the same
-factors A = L U, as U^T y = b followed by L^T x = y.
+In the time-major order of ``assembly`` the system is
+A = T (x) W + P_t (x) M.  With U the (time level, spatial node) array of the
+unknowns and B that of the right-hand side, A u = b reads
+
+    S U W + U M^T = P_t^-1 B,        S = P_t^-1 T = Z R Z^H,
+
+where Z R Z^H is the complex Schur form of S (Bartels-Stewart 1972).  In
+the basis V = Z^H U the time operator is upper triangular, so the rows of V
+follow by back substitution, each from one sparse spatial solve with
+R_jj W + M.  Z is unitary, so the change of basis costs no accuracy, unlike
+the eigenvector basis of a high-order time operator.
+
+Transposed systems A^T x = b reuse the same factors: with Y = P_t X and
+V = Z^T Y they read R^T V W + V M = Z^T B, solved by forward substitution
+with the transposed spatial factors.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError
 
 
 @dataclass
-class BlockTriFactorization:
-    """Pivot-block LU factors and elimination multipliers."""
+class SchurFactorization:
+    """Sparse LU factors of R_jj W + M for every time mode j of ``disc.schur``."""
 
-    pivot_lus: list
-    multipliers: list
-    uppers: list
-
-    @property
-    def n_blocks(self):
-        return len(self.pivot_lus)
-
-    @property
-    def block_size(self):
-        return self.pivot_lus[0][0].shape[0]
-
-
-def _pivot_lu(block, element):
-    with warnings.catch_warnings():
-        # singularity is detected below and raised as a typed error
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(block, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) == 0.0:
-        raise SingularSystemError(element)
-    return lu, piv
+    disc: object
+    lus: list
 
 
 def factor(system):
-    """Block LU of the system."""
-    diag, upper, lower = system.diag, system.upper, system.lower
-    pivot_lus = [_pivot_lu(diag[0], 0)]
-    multipliers = []
-    for k in range(1, len(diag)):
-        lu_prev = pivot_lus[k - 1]
-        # L_k = C_k U_{k-1}^{-1}, obtained from U_{k-1}^T L_k^T = C_k^T
-        L_k = sla.lu_solve(lu_prev, lower[k - 1].T, trans=1, check_finite=False).T
-        U_k = diag[k] - L_k @ upper[k - 1]
-        multipliers.append(L_k)
-        pivot_lus.append(_pivot_lu(U_k, k))
-    return BlockTriFactorization(pivot_lus, multipliers, list(upper))
+    """One sparse LU of the spatial factor R_jj W + M per time mode j."""
+    R, _ = system.disc.schur
+    W = sp.diags(system.disc.W)
+    lus = []
+    for j, r in enumerate(np.diag(R)):
+        try:
+            lus.append(spla.splu((r * W + system.M).tocsc()))
+        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+            raise SingularSystemError(j) from err
+    return SchurFactorization(system.disc, lus)
 
 
-def _stacked(fact, rhs):
-    K, n = fact.n_blocks, fact.block_size
+def _time_major(fact, rhs):
+    disc = fact.disc
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (K * n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({K * n},)")
-    return rhs.reshape(K, n).copy()
+    if rhs.shape != (disc.n_unknowns,):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({disc.n_unknowns},)")
+    return disc.time_major(rhs)
 
 
 def solve(fact, rhs):
-    """Solve A x = b by forward/back substitution: L y = b, then U x = y."""
-    K = fact.n_blocks
-    y = _stacked(fact, rhs)
-    for k in range(1, K):
-        y[k] -= fact.multipliers[k - 1] @ y[k - 1]
-    for k in range(K - 1, -1, -1):
-        if k < K - 1:
-            y[k] -= fact.uppers[k] @ y[k + 1]
-        y[k] = sla.lu_solve(fact.pivot_lus[k], y[k], check_finite=False)
-    return y.ravel()
+    """Solve A x = b: back substitution on R V W + V M^T = Z^H P_t^-1 B, then X = Z V."""
+    disc = fact.disc
+    R, Z = disc.schur
+    C = Z.conj().T @ (_time_major(fact, rhs) / disc.op_t.weights[:, None])
+    V = np.empty_like(C)
+    for j in range(len(fact.lus) - 1, -1, -1):
+        V[j] = fact.lus[j].solve(C[j] - disc.W * (R[j, j + 1:] @ V[j + 1:]))
+    return disc.element_major((Z @ V).real)
 
 
 def solve_transposed(fact, rhs):
-    """Solve A^T x = b with the factors of A: U^T y = b, then L^T x = y."""
-    K = fact.n_blocks
-    y = _stacked(fact, rhs)
-    for k in range(K):
-        if k > 0:
-            y[k] -= fact.uppers[k - 1].T @ y[k - 1]
-        y[k] = sla.lu_solve(fact.pivot_lus[k], y[k], trans=1, check_finite=False)
-    for k in range(K - 2, -1, -1):
-        y[k] -= fact.multipliers[k].T @ y[k + 1]
-    return y.ravel()
+    """Solve A^T x = b: forward substitution on R^T V W + V M = Z^T B, then P_t X = conj(Z) V."""
+    disc = fact.disc
+    R, Z = disc.schur
+    C = Z.T @ _time_major(fact, rhs)
+    V = np.empty_like(C)
+    for j in range(len(fact.lus)):
+        V[j] = fact.lus[j].solve(C[j] - disc.W * (R[:j, j] @ V[:j]), trans="T")
+    return disc.element_major((Z.conj() @ V).real / disc.op_t.weights[:, None])
 
 
 def solve_system(system):
@@ -98,30 +83,11 @@ def solve_system(system):
     return solve(fact, system.rhs_vector()), fact
 
 
-def to_dense(system):
-    """Materialize the block-tridiagonal matrix (testing/small systems only)."""
-    K, n = system.n_blocks, system.block_size
-    dense = np.zeros((K * n, K * n))
-    for k in range(K):
-        dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = system.diag[k]
-        if k + 1 < K:
-            dense[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = system.upper[k]
-            dense[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = system.lower[k]
-    return dense
-
-
 def one_norm(system):
-    """Exact 1-norm of the block-tridiagonal matrix."""
-    K = system.n_blocks
-    worst = 0.0
-    for k in range(K):
-        cols = np.abs(system.diag[k]).sum(axis=0)
-        if k > 0:
-            cols = cols + np.abs(system.upper[k - 1]).sum(axis=0)
-        if k + 1 < K:
-            cols = cols + np.abs(system.lower[k]).sum(axis=0)
-        worst = max(worst, float(cols.max()))
-    return worst
+    """Exact 1-norm of A, from its sparse Kronecker form."""
+    disc = system.disc
+    A = sp.kron(disc.T, sp.diags(disc.W)) + sp.kron(sp.diags(disc.op_t.weights), system.M)
+    return float(abs(A).sum(axis=0).max())
 
 
 def condition_estimate(system):

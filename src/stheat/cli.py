@@ -94,7 +94,10 @@ def cmd_verify(cfg, out_dir):
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.2, 0.8, 0.5]))
     r = residual(np.full(disc.n_unknowns, c), system)
-    scale = max(np.max(np.abs(system.diag[0])), 1.0)
+    n_x = disc.ops[0].n_x  # scale: the largest entry of element 0's diagonal block
+    block0 = np.kron(disc.T, np.diag(disc.W[:n_x])) + np.kron(
+        np.diag(disc.op_t.weights), system.M[:n_x, :n_x].toarray())
+    scale = max(np.max(np.abs(block0)), 1.0)
     checks.append(("constant_state_residual", float(np.max(np.abs(r)) / scale), 1e-11))
 
     # terminal-energy bound for random initial data

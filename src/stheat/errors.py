@@ -6,11 +6,15 @@ class NumericalError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """A pivot block of the block-tridiagonal system is exactly singular."""
+    """The spatial factor R_jj W + M of time mode j is exactly singular.
 
-    def __init__(self, element, message=None):
-        self.element = element
-        super().__init__(message or f"singular pivot block at element {element}")
+    ``mode`` is j, the index of the diagonal entry R_jj of the Schur form of
+    the time operator (see ``blocksolve``).
+    """
+
+    def __init__(self, mode):
+        self.mode = mode
+        super().__init__(f"singular spatial factor R_jj W + M at time mode {mode}")
 
 
 class ResourceLimitError(RuntimeError):

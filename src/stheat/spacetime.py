@@ -169,16 +169,3 @@ def restrict(face, ops, u):
         return grid[-1, :].copy()
     raise ValueError(f"unknown face {face!r}, expected one of {FACES}")
 
-
-def kron_acc(out, a_t, a_x, scale=1.0):
-    """Accumulate ``scale * (a_t (x) a_x)`` into the dense matrix ``out``.
-
-    Works row-block by row-block to avoid allocating a second N x N
-    temporary; ``out`` must have shape (n_t*n_x, n_t*n_x).
-    """
-    n_t = a_t.shape[0]
-    n_x = a_x.shape[0]
-    out4 = out.reshape(n_t, n_x, n_t, n_x)
-    for j in range(n_t):
-        out4[j] += scale * a_t[j][None, :, None] * a_x[:, None, :]
-    return out

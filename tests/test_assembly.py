@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracle import kronecker_dense, to_dense
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
-from stheat.blocksolve import solve_system, to_dense
+from stheat.blocksolve import solve_system
 from stheat.problem import MaterialModel, ProblemSpec, choose_sat_coefficients
 from stheat.spacetime import restrict
 from stheat.twodomain import two_domain_solution
@@ -63,21 +64,32 @@ def test_constant_state_is_exact():
     assert np.max(np.abs(r)) <= 1e-11 * scale
 
 
-def test_single_element_structure():
-    spec = constant_problem(K=1)
+@pytest.mark.parametrize("K", [1, 3, 5])
+def test_kronecker_structure(K):
+    # A = T (x) W + P_t (x) M(kappa) in time-major order, M couples element k
+    # to k-1 and k+1 only, and rmatvec applies the transpose
+    spec = constant_problem(K=K)
     disc = Discretization(spec)
-    system = assemble_global(disc, np.array([0.5]))
-    assert len(system.diag) == 1
-    assert system.upper == [] and system.lower == []
+    system = assemble_global(disc, np.linspace(0.2, 0.8, K))
+    dense = to_dense(system)
+    np.testing.assert_allclose(dense, kronecker_dense(system), rtol=0, atol=1e-14 * np.abs(dense).max())
+    v = np.random.default_rng(K).standard_normal(system.n_unknowns)
+    np.testing.assert_allclose(system.rmatvec(v), dense.T @ v, rtol=0, atol=1e-13 * np.abs(dense).max())
+    n_x = disc.ops[0].n_x
+    M = system.M.toarray()
+    for k in range(K):
+        for j in range(K):
+            block = M[k * n_x:(k + 1) * n_x, j * n_x:(j + 1) * n_x]
+            assert np.any(block != 0) == (abs(k - j) <= 1), (k, j)
 
 
-def test_block_counts():
-    spec = constant_problem(K=3)
-    disc = Discretization(spec)
-    system = assemble_global(disc, np.array([0.2, 0.5, 0.8]))
-    assert len(system.diag) == 3
-    assert len(system.upper) == 2
-    assert len(system.lower) == 2
+def test_spatial_operator_is_affine_in_kappa():
+    disc = Discretization(constant_problem(K=4))
+    kap = np.array([0.3, 1.7, 0.0, 2.5])
+    m0 = disc.spatial_operator(np.zeros(4)).toarray()
+    pieces = [disc.spatial_operator(np.eye(4)[k]).toarray() - m0 for k in range(4)]
+    expect = m0 + sum(c * piece for c, piece in zip(kap, pieces))
+    np.testing.assert_allclose(disc.spatial_operator(kap).toarray(), expect, rtol=0, atol=1e-13)
 
 
 def test_rhs_independent_of_design():
@@ -254,7 +266,7 @@ def test_restrict_consistency_with_solution_blocks():
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.5, 0.25]))
     u, _ = solve_system(system)
-    ub = system.blocks_of(u)
+    ub = u.reshape(disc.n_elements, disc.block_size)
     south = restrict("south", disc.ops[0], ub[0])
     q_exact = sol.initial(disc.ops[0].op_x.nodes)
     assert np.max(np.abs(south - q_exact)) <= 1e-6

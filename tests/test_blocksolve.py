@@ -2,9 +2,11 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import to_dense
 from stheat.assembly import Discretization, GlobalSystem, assemble_global
 from stheat.blocksolve import (
     condition_estimate,
@@ -13,36 +15,58 @@ from stheat.blocksolve import (
     solve,
     solve_system,
     solve_transposed,
-    to_dense,
 )
 from stheat.errors import SingularSystemError
 from stheat.presets import cooling_benchmark, two_design_benchmark
+from stheat.problem import MaterialModel, ProblemSpec
 
 EPS = np.finfo(float).eps
 # fixed example sequence and no example database, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
 
-def random_system(rng, K, n, shift=None):
-    # SPD-shifted random blocks keep the pivots safely nonsingular
+@functools.cache
+def grid(K, nx, nt):
+    spec = ProblemSpec(
+        domain=(0.0, 1.0), horizon=1.0, n_elements=K, nx=nx, nt=nt,
+        material=MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0),
+    )
+    return Discretization(spec)
+
+
+def random_system(rng, K, nx, nt, shift=None):
+    """T (x) W + P_t (x) M with a random dense spatial operator M.
+
+    The diagonal shift keeps every spatial factor R_jj W + M safely
+    nonsingular: the eigenvalues R_jj of P_t^-1 T have nonnegative real part.
+    """
+    disc = grid(K, nx, nt)
+    n_s = disc.W.size
     if shift is None:
-        shift = 4.0 * n
-    diag = [rng.standard_normal((n, n)) + shift * np.eye(n) for _ in range(K)]
-    upper = [rng.standard_normal((n, n)) for _ in range(K - 1)]
-    lower = [rng.standard_normal((n, n)) for _ in range(K - 1)]
-    rhs = [rng.standard_normal(n) for _ in range(K)]
-    return GlobalSystem(diag=diag, upper=upper, lower=lower, rhs=rhs)
+        shift = 4.0 * n_s
+    M = rng.standard_normal((n_s, n_s)) + shift * np.eye(n_s)
+    return GlobalSystem(disc=disc, M=sp.csc_matrix(M), rhs=rng.standard_normal(disc.n_unknowns))
 
 
-def test_identity_single_block():
-    sys1 = GlobalSystem(diag=[np.eye(5)], upper=[], lower=[], rhs=[np.arange(5.0)])
-    x, _ = solve_system(sys1)
-    np.testing.assert_allclose(x, np.arange(5.0), atol=0)
+def singular_system(mode=2):
+    """A hand-built system whose spatial factor of time mode ``mode`` has a zero first row."""
+    disc = grid(2, 3, 4)
+    R, _ = disc.schur
+    n_s = disc.W.size
+    M = sp.csc_matrix(([-R[mode, mode] * disc.W[0]], ([0], [0])), shape=(n_s, n_s))
+    return GlobalSystem(disc=disc, M=M, rhs=np.zeros(disc.n_unknowns))
 
 
-def test_random_blocks_match_dense_oracle():
+def test_known_state_single_element():
+    system = random_system(np.random.default_rng(5), K=1, nx=4, nt=4)
+    x_true = np.arange(system.n_unknowns, dtype=float)
+    x = solve(factor(system), system.matvec(x_true))
+    np.testing.assert_allclose(x, x_true, rtol=1e-12, atol=1e-12)
+
+
+def test_random_system_matches_dense_oracle():
     rng = np.random.default_rng(42)
-    system = random_system(rng, K=4, n=9)
+    system = random_system(rng, K=4, nx=3, nt=4)
     b = system.rhs_vector()
     x, _ = solve_system(system)
     dense = to_dense(system)
@@ -53,7 +77,7 @@ def test_random_blocks_match_dense_oracle():
 
 def test_transpose_solve_matches_dense_oracle():
     rng = np.random.default_rng(7)
-    system = random_system(rng, K=5, n=6)
+    system = random_system(rng, K=5, nx=2, nt=3)
     b = rng.standard_normal(system.n_unknowns)
     x = solve_transposed(factor(system), b)
     dense = to_dense(system)
@@ -64,27 +88,30 @@ def test_transpose_solve_matches_dense_oracle():
 
 def test_zero_rhs_gives_zero():
     rng = np.random.default_rng(3)
-    system = random_system(rng, K=3, n=4)
+    system = random_system(rng, K=3, nx=2, nt=2)
     f = factor(system)
-    np.testing.assert_allclose(solve(f, np.zeros(12)), np.zeros(12), atol=0)
+    zero = np.zeros(system.n_unknowns)
+    np.testing.assert_allclose(solve(f, zero), zero, atol=0)
+    np.testing.assert_allclose(solve_transposed(f, zero), zero, atol=0)
 
 
 def test_many_random_systems_oracle_equivalence():
     rng = np.random.default_rng(2024)
     for trial in range(50):
         K = int(rng.integers(1, 7))
-        n = int(rng.integers(2, 13))
-        system = random_system(rng, K, n)
+        nx = int(rng.integers(1, 6))
+        nt = int(rng.integers(1, 6))
+        system = random_system(rng, K, nx, nt)
         b = system.rhs_vector()
         x, _ = solve_system(system)
         x_oracle = np.linalg.solve(to_dense(system), b)
         err = np.linalg.norm(x - x_oracle) / max(np.linalg.norm(x_oracle), 1e-300)
-        assert err <= 1e-10, f"trial {trial}: K={K} n={n} err={err}"
+        assert err <= 1e-10, f"trial {trial}: K={K} nx={nx} nt={nt} err={err}"
 
 
 def test_adjoint_identity():
     rng = np.random.default_rng(99)
-    system = random_system(rng, K=4, n=7)
+    system = random_system(rng, K=4, nx=3, nt=3)
     b = rng.standard_normal(system.n_unknowns)
     y = rng.standard_normal(system.n_unknowns)
     fact = factor(system)
@@ -95,19 +122,15 @@ def test_adjoint_identity():
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-def test_singular_pivot_names_element():
-    diag = [np.eye(3), np.zeros((3, 3))]
-    upper = [np.zeros((3, 3))]
-    lower = [np.zeros((3, 3))]
-    system = GlobalSystem(diag=diag, upper=upper, lower=lower, rhs=[np.zeros(3)] * 2)
-    with pytest.raises(SingularSystemError) as err:
-        factor(system)
-    assert err.value.element == 1
+def test_singular_spatial_factor_names_mode():
+    with pytest.raises(SingularSystemError, match="time mode 2") as err:
+        factor(singular_system(mode=2))
+    assert err.value.mode == 2
 
 
 def test_solve_rejects_bad_rhs_length():
     rng = np.random.default_rng(1)
-    system = random_system(rng, K=2, n=3)
+    system = random_system(rng, K=2, nx=2, nt=1)
     f = factor(system)
     with pytest.raises(ValueError):
         solve(f, np.zeros(5))
@@ -115,61 +138,70 @@ def test_solve_rejects_bad_rhs_length():
         solve_transposed(f, np.zeros(5))
 
 
-def test_condition_identity():
-    sys1 = GlobalSystem(
-        diag=[np.eye(4)] * 3,
-        upper=[np.zeros((4, 4))] * 2,
-        lower=[np.zeros((4, 4))] * 2,
-        rhs=[np.zeros(4)] * 3,
-    )
-    est = condition_estimate(sys1)
-    assert 0.5 <= est <= 2.0
+def _condition_cases():
+    rng = np.random.default_rng(11)
+    spec, _ = two_design_benchmark(nx=6, nt=6)
+    scaled = random_system(rng, K=2, nx=3, nt=3)
+    # spatial rows scaled over six decades make A badly conditioned
+    scaled.M = sp.csc_matrix(np.diag(np.logspace(0, 6, scaled.M.shape[0])) @ scaled.M.toarray())
+    return {
+        "random": random_system(rng, K=3, nx=3, nt=4),
+        "scaled": scaled,
+        "two-design": assemble_global(Discretization(spec), np.array([0.45, 0.3])),
+        "two-design-kappa-0": assemble_global(Discretization(spec), np.array([0.0, 1.0])),
+        "cooling": assemble_global(
+            Discretization(cooling_benchmark(n_elements=4)[0]), np.array([0.0, 0.3, 1.0, 0.6])
+        ),
+    }
 
 
-def test_condition_known_diagonal():
-    scales = np.logspace(0, 6, 8)
-    diag = [np.diag(scales[:4]), np.diag(scales[4:])]
-    system = GlobalSystem(
-        diag=diag,
-        upper=[np.zeros((4, 4))],
-        lower=[np.zeros((4, 4))],
-        rhs=[np.zeros(4)] * 2,
-    )
+@pytest.mark.parametrize("case", ["random", "scaled", "two-design", "two-design-kappa-0", "cooling"])
+def test_condition_estimate_matches_exact(case):
+    system = _condition_cases()[case]
+    exact = np.linalg.cond(to_dense(system), 1)
     est = condition_estimate(system)
-    assert 1e5 <= est <= 1e7
+    # Hager's estimate is a lower bound on the 1-norm of the inverse
+    assert exact / 3 <= est <= exact * (1 + 1e-8)
 
 
 def test_condition_singular_is_inf():
-    system = GlobalSystem(diag=[np.zeros((2, 2))], upper=[], lower=[], rhs=[np.zeros(2)])
-    assert condition_estimate(system) == np.inf
+    assert condition_estimate(singular_system()) == np.inf
 
 
-def test_one_norm_matches_dense():
-    rng = np.random.default_rng(13)
-    system = random_system(rng, K=3, n=5)
+@pytest.mark.parametrize("case", ["random", "scaled", "two-design", "cooling"])
+def test_one_norm_matches_dense(case):
+    system = _condition_cases()[case]
     dense = to_dense(system)
-    assert one_norm(system) == pytest.approx(np.abs(dense).sum(axis=0).max())
+    assert one_norm(system) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
 
 
-def assert_transposed_solve_exact(system, rng):
-    """solve_transposed against the dense oracle, and <c, A^-1 b> = <A^-T c, b>."""
+def assert_solves_exact(system, rng):
+    """solve and solve_transposed against the dense oracle, and <c, A^-1 b> = <A^-T c, b>."""
     dense = to_dense(system)
+    cond = np.linalg.cond(dense, 1)
     fact = factor(system)
     b, c = rng.standard_normal((2, system.n_unknowns))
     y = solve_transposed(fact, c)
     y_oracle = np.linalg.solve(dense.T, c)
-    err = np.linalg.norm(y - y_oracle)
-    assert err <= 16 * EPS * np.linalg.cond(dense, 1) * np.linalg.norm(y_oracle)
+    assert np.linalg.norm(y - y_oracle) <= 16 * EPS * cond * np.linalg.norm(y_oracle)
     x = solve(fact, b)
+    x_oracle = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - x_oracle) <= 16 * EPS * cond * np.linalg.norm(x_oracle)
+    # normwise backward error of both solves
+    scale = np.linalg.norm(dense, 1)
+    assert np.linalg.norm(dense @ x - b, 1) <= 64 * EPS * scale * np.linalg.norm(x, 1)
+    assert np.linalg.norm(dense.T @ y - c, 1) <= 64 * EPS * scale * np.linalg.norm(y, 1)
     scale = np.linalg.norm(c) * np.linalg.norm(x) + np.linalg.norm(y) * np.linalg.norm(b)
     assert abs(c @ x - y @ b) <= 64 * EPS * scale
 
 
 @PROPERTY
-@given(K=st.integers(1, 6), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
-def test_transposed_solve_property_random_blocks(K, n, seed):
+@given(
+    K=st.integers(1, 5), nx=st.integers(1, 5), nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1)
+)
+def test_transposed_solve_property_random_systems(K, nx, nt, seed):
     rng = np.random.default_rng(seed)
-    assert_transposed_solve_exact(random_system(rng, K, n), rng)
+    assert_solves_exact(random_system(rng, K, nx, nt), rng)
 
 
 @functools.cache
@@ -195,4 +227,4 @@ def preset_designs(draw):
 def test_transposed_solve_property_assembled_systems(case, seed):
     preset, rho = case
     system = assemble_global(preset_discretization(preset), rho)
-    assert_transposed_solve_exact(system, np.random.default_rng(seed))
+    assert_solves_exact(system, np.random.default_rng(seed))

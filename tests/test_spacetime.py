@@ -3,7 +3,7 @@ import pytest
 
 from stheat.errors import ResourceLimitError
 from stheat.sbp import build_sbp_1d
-from stheat.spacetime import build_element_ops, kron_acc, restrict
+from stheat.spacetime import build_element_ops, restrict
 
 
 def make_ops(nx_nodes=5, nt_nodes=5, interval=(0.0, 1.0), horizon=1.0):
@@ -124,15 +124,6 @@ def test_layout_index_bijection():
     ops = make_ops(4, 3)
     seen = {ops.layout.index(i, j) for j in range(3) for i in range(4)}
     assert seen == set(range(12))
-
-
-def test_kron_acc_matches_numpy_kron():
-    rng = np.random.default_rng(3)
-    a_t = rng.standard_normal((4, 4))
-    a_x = rng.standard_normal((6, 6))
-    out = np.zeros((24, 24))
-    kron_acc(out, a_t, a_x, scale=2.5)
-    np.testing.assert_allclose(out, 2.5 * np.kron(a_t, a_x), atol=1e-14)
 
 
 def test_node_cap_enforced():
