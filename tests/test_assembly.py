@@ -83,6 +83,39 @@ def test_kronecker_structure(K):
             assert np.any(block != 0) == (abs(k - j) <= 1), (k, j)
 
 
+def spatial_blocks(system):
+    """The (row element, column element) pairs whose block of M is nonzero."""
+    n_x = system.disc.ops[0].n_x
+    M = system.M.toarray()
+    K = system.n_blocks
+    return {
+        (k, j) for k in range(K) for j in range(K)
+        if np.any(M[k * n_x:(k + 1) * n_x, j * n_x:(j + 1) * n_x] != 0)
+    }
+
+
+def test_single_element_structure():
+    spec = constant_problem(K=1)
+    disc = Discretization(spec)
+    system = assemble_global(disc, np.array([0.5]))
+    assert system.n_blocks == 1
+    assert system.block_size == (spec.nx + 1) * (spec.nt + 1)
+    assert system.M.shape == (spec.nx + 1, spec.nx + 1)
+    assert spatial_blocks(system) == {(0, 0)}
+
+
+def test_block_counts():
+    spec = constant_problem(K=3)
+    disc = Discretization(spec)
+    system = assemble_global(disc, np.array([0.2, 0.5, 0.8]))
+    assert system.n_blocks == 3
+    assert system.n_unknowns == 3 * system.block_size
+    blocks = spatial_blocks(system)
+    assert {(k, k) for k in range(3)} <= blocks
+    assert sorted(j - k for k, j in blocks if j > k) == [1, 1]
+    assert sorted(k - j for k, j in blocks if j < k) == [1, 1]
+
+
 def test_spatial_operator_is_affine_in_kappa():
     disc = Discretization(constant_problem(K=4))
     kap = np.array([0.3, 1.7, 0.0, 2.5])

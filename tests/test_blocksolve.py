@@ -57,6 +57,26 @@ def singular_system(mode=2):
     return GlobalSystem(disc=disc, M=M, rhs=np.zeros(disc.n_unknowns))
 
 
+def diagonal_system(K, nx, diagonal):
+    """A hand-built system with the time factor switched off (T = 0): A = P_t (x) M.
+
+    One time interval on [0, 1] gives P_t = diag(1/2, 1/2), so M = 2 diag(d)
+    makes A the diagonal matrix with d at both time levels.
+    """
+    disc = Discretization(grid(K, nx, 1).spec)  # a fresh one: T is overwritten
+    disc.T = np.zeros((2, 2))
+    assert np.array_equal(disc.op_t.weights, [0.5, 0.5])
+    M = sp.diags(2.0 * np.asarray(diagonal, dtype=float)).tocsc()
+    return GlobalSystem(disc=disc, M=M, rhs=np.arange(disc.n_unknowns, dtype=float))
+
+
+def test_identity_single_block():
+    system = diagonal_system(K=1, nx=4, diagonal=np.ones(5))
+    np.testing.assert_array_equal(to_dense(system), np.eye(system.n_unknowns))
+    x, _ = solve_system(system)
+    np.testing.assert_allclose(x, system.rhs_vector(), atol=0)
+
+
 def test_known_state_single_element():
     system = random_system(np.random.default_rng(5), K=1, nx=4, nt=4)
     x_true = np.arange(system.n_unknowns, dtype=float)
@@ -64,7 +84,7 @@ def test_known_state_single_element():
     np.testing.assert_allclose(x, x_true, rtol=1e-12, atol=1e-12)
 
 
-def test_random_system_matches_dense_oracle():
+def test_random_blocks_match_dense_oracle():
     rng = np.random.default_rng(42)
     system = random_system(rng, K=4, nx=3, nt=4)
     b = system.rhs_vector()
@@ -164,15 +184,29 @@ def test_condition_estimate_matches_exact(case):
     assert exact / 3 <= est <= exact * (1 + 1e-8)
 
 
+def test_condition_identity():
+    system = diagonal_system(K=3, nx=3, diagonal=np.ones(12))
+    est = condition_estimate(system)
+    assert 0.5 <= est <= 2.0
+
+
+def test_condition_known_diagonal():
+    system = diagonal_system(K=2, nx=3, diagonal=np.logspace(0, 6, 8))
+    assert np.linalg.cond(to_dense(system), 1) == pytest.approx(1e6, rel=1e-12)
+    est = condition_estimate(system)
+    assert 1e5 <= est <= 1e7
+
+
 def test_condition_singular_is_inf():
     assert condition_estimate(singular_system()) == np.inf
 
 
-@pytest.mark.parametrize("case", ["random", "scaled", "two-design", "cooling"])
-def test_one_norm_matches_dense(case):
-    system = _condition_cases()[case]
-    dense = to_dense(system)
-    assert one_norm(system) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
+def test_one_norm_matches_dense():
+    cases = _condition_cases()
+    for case in ["random", "scaled", "two-design", "cooling"]:
+        system = cases[case]
+        dense = to_dense(system)
+        assert one_norm(system) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14), case
 
 
 def assert_solves_exact(system, rng):
@@ -199,7 +233,7 @@ def assert_solves_exact(system, rng):
 @given(
     K=st.integers(1, 5), nx=st.integers(1, 5), nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1)
 )
-def test_transposed_solve_property_random_systems(K, nx, nt, seed):
+def test_transposed_solve_property_random_blocks(K, nx, nt, seed):
     rng = np.random.default_rng(seed)
     assert_solves_exact(random_system(rng, K, nx, nt), rng)
 
