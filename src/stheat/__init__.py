@@ -44,7 +44,6 @@ from .problem import (
     kappa,
 )
 from .sbp import LglRule, SbpOperator1D, build_sbp_1d, lgl_rule, verify_sbp
-from .spacetime import GridLayout, SpaceTimeElementOps, build_element_ops, restrict
 from .twodomain import (
     TwoDomainSolution,
     evaluate_solution,

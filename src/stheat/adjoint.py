@@ -47,12 +47,12 @@ def solve_adjoint(disc, system, u, fact):
     return AdjointSolution(lam=lam, objective=objective(u, disc))
 
 
-def sensitivities(disc, system, u, lam, rho):
+def sensitivities(disc, u, lam, rho):
     """Gradient of the objective with respect to the design vector.
 
     dJ/drho_k = -Lambda^T (dA/drho_k) u = -dkappa_k sum_j p_t,j lambda_j^T M_k u_j,
     with lambda_j, u_j the time-level-j slices and M_k the entries of
-    ``disc.spatial_terms`` owned by element k.  ``system`` is not read.
+    ``disc.spatial_terms`` owned by element k.
     """
     rows, cols, values, owner = disc.spatial_terms
     U = disc.time_major(np.asarray(u, dtype=float))

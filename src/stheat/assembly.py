@@ -15,9 +15,10 @@ k to its neighbours k-1 and k+1 only.  The whole system is premultiplied by
 the quadrature matrix P, which symmetrizes the penalty structure and makes
 the algebraic transpose the natural dual scheme.
 
-States are stacked element-major (element after element, each stacked as in
-``spacetime``); ``Discretization.time_major`` and ``element_major`` convert
-between the two orders.
+States are stacked element-major: element after element, and within an
+element space-fastest, so entry j*(N_x+1) + i of element k holds spatial node
+i at time level j.  ``Discretization.time_major`` and ``element_major``
+convert between the two orders.
 """
 
 from dataclasses import dataclass
@@ -27,9 +28,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .errors import ResourceLimitError
 from .problem import choose_sat_coefficients, kappa
 from .sbp import build_sbp_1d
-from .spacetime import build_element_ops, restrict
+
+NODE_CAP = 100_000
 
 
 @dataclass
@@ -74,26 +77,31 @@ class GlobalSystem:
 
 
 class Discretization:
-    """Element operators and SAT coefficients for one problem setup.
+    """The 1D SBP operators and SAT coefficients of one problem setup.
 
-    The pieces of the Kronecker form (T, W, the Schur form of P_t^-1 T and
-    the kappa-affine terms of M) are built on first use and kept, so
-    reassembly at a new design only rescales the kappa-dependent entries.
+    Element k is the tensor product of the time operator ``op_t`` and its
+    spatial operator ``ops_x[k]`` on ``n_x`` nodes.  The pieces of the
+    Kronecker form (T, W, the Schur form of P_t^-1 T and the kappa-affine
+    terms of M) are built on first use and kept, so reassembly at a new
+    design only rescales the kappa-dependent entries.
     """
 
     def __init__(self, spec, sat=None):
         self.spec = spec
-        edges = spec.element_edges
-        op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
-        self.ops = [
-            build_element_ops(
-                build_sbp_1d(spec.nx + 1, (edges[k], edges[k + 1])), op_t
+        self.n_x = spec.nx + 1
+        n = self.n_x * (spec.nt + 1)
+        if n > NODE_CAP:
+            raise ResourceLimitError(
+                f"element would hold {n} nodes, above the cap of {NODE_CAP}"
             )
+        edges = spec.element_edges
+        self.op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
+        self.ops_x = [
+            build_sbp_1d(self.n_x, (edges[k], edges[k + 1]))
             for k in range(spec.n_elements)
         ]
-        self.op_t = op_t
         self.sat = sat if sat is not None else choose_sat_coefficients(
-            self.ops[0].op_x, spec.material
+            self.ops_x[0], spec.material
         )
 
     @property
@@ -102,7 +110,7 @@ class Discretization:
 
     @property
     def block_size(self):
-        return self.ops[0].n
+        return self.n_x * self.op_t.n_nodes
 
     @property
     def n_unknowns(self):
@@ -117,11 +125,20 @@ class Discretization:
         return kappa(rho, self.spec.material)
 
     def element_coordinates(self, k):
-        return self.ops[k].layout.coordinates()
+        """Flat (X, T) node coordinates of element k, space-fastest."""
+        X = np.tile(self.ops_x[k].nodes, self.op_t.n_nodes)
+        T = np.repeat(self.op_t.nodes, self.n_x)
+        return X, T
 
     def global_p(self):
-        """Quadrature weights of all elements, concatenated."""
-        return np.concatenate([ops.p_vec for ops in self.ops])
+        """Diagonal of P = P_t (x) P_x of all elements, element-major; read-only."""
+        return self._p
+
+    @cached_property
+    def _p(self):
+        p = self.element_major(np.outer(self.op_t.weights, self.W))
+        p.flags.writeable = False
+        return p
 
     @cached_property
     def T(self):
@@ -133,7 +150,7 @@ class Discretization:
     @cached_property
     def W(self):
         """Diagonal of W: the spatial quadrature weights of all elements."""
-        return np.concatenate([ops.op_x.weights for ops in self.ops])
+        return np.concatenate([op.weights for op in self.ops_x])
 
     @cached_property
     def schur(self):
@@ -148,12 +165,11 @@ class Discretization:
         ``owner`` is -1: those entries make up M0, the ones owned by element
         k make up M_k.  Duplicate positions add up.
         """
-        n_x = self.ops[0].n_x
         rows, cols, values, owner = [], [], [], []
         for row, col, factor, coefficient, kappa_of in _spatial_terms(self):
             i, j = np.nonzero(factor)
-            rows.append(row * n_x + i)
-            cols.append(col * n_x + j)
+            rows.append(row * self.n_x + i)
+            cols.append(col * self.n_x + j)
             values.append(coefficient * factor[i, j])
             owner.append(np.full(i.size, -1 if kappa_of is None else kappa_of))
         return tuple(np.concatenate(a) for a in (rows, cols, values, owner))
@@ -167,12 +183,12 @@ class Discretization:
 
     def time_major(self, u):
         """Element-major state as a (time level, spatial node) array."""
-        n_t, n_x = self.op_t.n_nodes, self.ops[0].n_x
+        n_t, n_x = self.op_t.n_nodes, self.n_x
         return u.reshape(self.n_elements, n_t, n_x).transpose(1, 0, 2).reshape(n_t, -1)
 
     def element_major(self, U):
         """Inverse of ``time_major``: a flat element-major state."""
-        n_t, n_x = U.shape[0], self.ops[0].n_x
+        n_t, n_x = U.shape[0], self.n_x
         return U.reshape(n_t, self.n_elements, n_x).transpose(1, 0, 2).ravel()
 
 
@@ -188,11 +204,11 @@ def _spatial_terms(disc):
     """
     spec, sat = disc.spec, disc.sat
     last = spec.n_elements - 1
-    e_w, e_e = np.eye(disc.ops[0].n_x)[[0, -1]]
+    e_w, e_e = np.eye(disc.n_x)[[0, -1]]
     Eww, Eee, Ewe, Eew = (np.outer(a, b) for a, b in ((e_w, e_w), (e_e, e_e), (e_w, e_e), (e_e, e_w)))
     terms = []
     for k in range(spec.n_elements):
-        op_x = disc.ops[k].op_x
+        op_x = disc.ops_x[k]
         Dx = op_x.D
         terms.append((k, k, -(op_x.Q @ Dx), 1.0, k))  # -kappa P D_x^2
         if k == 0:
@@ -201,7 +217,7 @@ def _spatial_terms(disc):
             else:
                 terms.append((k, k, Eww @ Dx, 1.0, k))
         else:
-            Dx_left = disc.ops[k - 1].op_x.D
+            Dx_left = disc.ops_x[k - 1].D
             terms += [
                 (k, k, Eww, sat.sigma_1, None),
                 (k, k, Eww @ Dx, sat.sigma_2, k),
@@ -216,7 +232,7 @@ def _spatial_terms(disc):
             else:
                 terms.append((k, k, Eee @ Dx, -1.0, k))
         else:
-            Dx_right = disc.ops[k + 1].op_x.D
+            Dx_right = disc.ops_x[k + 1].D
             terms += [
                 (k, k, Eee, sat.sigma_3, None),
                 (k, k, Eee @ Dx, sat.sigma_4, k),
@@ -230,30 +246,30 @@ def _spatial_terms(disc):
 
 def _element_rhs(k, disc):
     spec, sat = disc.spec, disc.sat
-    ops = disc.ops[k]
-    wt, wx = ops.op_t.weights, ops.op_x.weights
-    X, T = ops.layout.coordinates()
+    op_t, op_x = disc.op_t, disc.ops_x[k]
+    wt, wx = op_t.weights, op_x.weights
+    X, T = disc.element_coordinates(k)
     if getattr(spec.f, "element_aware", False):
         # sources built from a per-element diffusivity are one-sided at
         # interface nodes, so they need to know which element is asking
         f_vals = spec.f(X, T, element=k)
     else:
         f_vals = spec.f(X, T)
-    b = ops.p_vec * np.asarray(f_vals, dtype=float)
-    q_nodes = np.asarray(spec.q(ops.op_x.nodes), dtype=float)
-    e_s = np.zeros(ops.n_t)
+    b = np.kron(wt, wx) * np.asarray(f_vals, dtype=float)
+    q_nodes = np.asarray(spec.q(op_x.nodes), dtype=float)
+    e_s = np.zeros(op_t.n_nodes)
     e_s[0] = 1.0
     b += sat.sigma_0 * np.kron(e_s, wx * q_nodes)
-    e_w = np.zeros(ops.n_x)
+    e_w = np.zeros(disc.n_x)
     e_w[0] = 1.0
-    e_e = np.zeros(ops.n_x)
+    e_e = np.zeros(disc.n_x)
     e_e[-1] = 1.0
     if k == 0:
-        data = np.asarray(spec.h(ops.op_t.nodes), dtype=float)
+        data = np.asarray(spec.h(op_t.nodes), dtype=float)
         scale = sat.sigma_w if spec.bc_left == "dirichlet" else 1.0
         b += scale * np.kron(wt * data, e_w)
     if k == spec.n_elements - 1:
-        data = np.asarray(spec.g(ops.op_t.nodes), dtype=float)
+        data = np.asarray(spec.g(op_t.nodes), dtype=float)
         scale = sat.sigma_e if spec.bc_right == "dirichlet" else -1.0
         b += scale * np.kron(wt * data, e_e)
     return b
@@ -278,5 +294,4 @@ def residual(u, system):
 
 def north_trace(disc, u):
     """Terminal-time traces of all elements for a stacked state."""
-    ub = u.reshape(disc.n_elements, disc.block_size)
-    return [restrict("north", disc.ops[k], ub[k]) for k in range(disc.n_elements)]
+    return np.split(disc.time_major(np.asarray(u))[-1], disc.n_elements)

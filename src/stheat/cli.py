@@ -94,7 +94,7 @@ def cmd_verify(cfg, out_dir):
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.2, 0.8, 0.5]))
     r = residual(np.full(disc.n_unknowns, c), system)
-    n_x = disc.ops[0].n_x  # scale: the largest entry of element 0's diagonal block
+    n_x = disc.n_x  # scale: the largest entry of element 0's diagonal block
     block0 = np.kron(disc.T, np.diag(disc.W[:n_x])) + np.kron(
         np.diag(disc.op_t.weights), system.M[:n_x, :n_x].toarray())
     scale = max(np.max(np.abs(block0)), 1.0)
@@ -236,11 +236,11 @@ def _compare_point(payload):
             spec, vstar, trace = _optimize_once(cfg, solver, n_steps=level)
         times.append(time.perf_counter() - t0)
     if solver == "st-se":
-        dof = cfg.elements * (cfg.nx + 1) * (level + 1)
+        dof = spec.n_elements * (spec.nx + 1) * (spec.nt + 1)
     elif solver == "be-fe":
-        dof = cfg.elements + 1
+        dof = spec.n_elements + 1
     else:
-        dof = (cfg.elements + 1) * (level + 1)
+        dof = (spec.n_elements + 1) * (level + 1)
     return {
         "solver": solver,
         "level": level,

@@ -1,7 +1,8 @@
 """Run configuration: plain-text key=value files with section headers.
 
-Unknown sections or keys fail fast with the offending path; every value is
-type checked.  A minimal (or absent) file yields the fifty-cell cooling
+Unknown sections or keys fail fast with the offending path, as do keys of
+the cooling preset set under ``preset = two-design``; every value is type
+checked.  A minimal (or absent) file yields the fifty-cell cooling
 benchmark with its published defaults.
 """
 
@@ -96,6 +97,9 @@ _SCHEMA = {
 
 _RENAME = {("sat", "s"): "sat_s", ("sat", "safety"): "sat_safety"}
 
+# keys of the cooling preset that the two-design preset has no use for
+_COOLING_ONLY = ("elements", "kappa_min_ratio", "penalization", "source_offset")
+
 
 def _convert(kind, raw, path):
     try:
@@ -117,6 +121,7 @@ def _convert(kind, raw, path):
 def parse_config(path=None, overrides=None):
     """Load and validate a RunConfig; ``overrides`` wins over the file."""
     cfg = RunConfig()
+    from_file = set()
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(path)
@@ -130,6 +135,11 @@ def parse_config(path=None, overrides=None):
                     raise ConfigError(f"unknown key {section}.{key}")
                 attr = _RENAME.get((section, key), key)
                 setattr(cfg, attr, _convert(_SCHEMA[section][key], raw, f"{section}.{key}"))
+                from_file.add(attr)
+    if cfg.preset == "two-design":
+        for key in _COOLING_ONLY:
+            if key in from_file:
+                raise ConfigError(f"problem.{key}: not used by preset two-design")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -151,6 +161,7 @@ def problem_from_config(cfg):
             p=cfg.penalization,
             kappa_min_ratio=cfg.kappa_min_ratio,
             source_offset=cfg.source_offset,
+            horizon=cfg.horizon,
         )
     else:
         spec, _ = two_design_benchmark(nx=cfg.nx, nt=cfg.nt, horizon=cfg.horizon)

@@ -132,7 +132,7 @@ def run_topology_optimization(
     def gradient(rho, state):
         system, u, fact = state
         adj = solve_adjoint(disc, system, u, fact)
-        return sensitivities(disc, system, u, adj.lam, rho)
+        return sensitivities(disc, u, adj.lam, rho)
 
     return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,
                             initial_rho, tol_design, max_iters, mma_config)

@@ -42,7 +42,7 @@ def two_design_benchmark(nx=40, nt=30, source=1.0, u_right=1.0, horizon=1.0,
 
 
 def cooling_benchmark(nx=5, nt=15, n_elements=50, p=3.0, kappa_min_ratio=1e-3,
-                      source_offset=10.0):
+                      source_offset=10.0, horizon=1.0):
     """Fifty-cell cooling design problem with an oscillatory heat load.
 
     Insulated (zero-flux) left boundary, cold Dirichlet sink at the right,
@@ -59,7 +59,7 @@ def cooling_benchmark(nx=5, nt=15, n_elements=50, p=3.0, kappa_min_ratio=1e-3,
 
     spec = ProblemSpec(
         domain=(0.0, 1.0),
-        horizon=1.0,
+        horizon=horizon,
         n_elements=n_elements,
         nx=nx,
         nt=nt,

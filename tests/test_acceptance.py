@@ -155,7 +155,7 @@ def test_criterion_4_energy_stability():
     # so the same estimate must report a violation
     spec = _random_initial_spec(2, rng.standard_normal(6), material)
     probe = Discretization(spec)
-    bad_sat = choose_sat_coefficients(probe.ops[0].op_x, material, sigma_0=0.4)
+    bad_sat = choose_sat_coefficients(probe.ops_x[0], material, sigma_0=0.4)
     lhs_bad, bound_bad = energy_estimate_sides(spec, np.array([0.5, 0.5]), sat=bad_sat)
     detected = not (lhs_bad <= bound_bad)
     ok = worst <= 1e-12 and detected
@@ -169,7 +169,7 @@ def _stse_gradient_case(spec, rho):
     system = assemble_global(disc, rho)
     u, fact = solve_system(system)
     adj = solve_adjoint(disc, system, u, fact)
-    grad = sensitivities(disc, system, u, adj.lam, rho)
+    grad = sensitivities(disc, u, adj.lam, rho)
 
     def j_of(r):
         sys_r = assemble_global(disc, r)

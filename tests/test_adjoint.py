@@ -107,7 +107,7 @@ def _reflect(disc, v):
     blocks = v.reshape(K, disc.block_size)
     out = []
     for k in range(K - 1, -1, -1):
-        grid = blocks[k].reshape(disc.ops[k].n_t, disc.ops[k].n_x)
+        grid = blocks[k].reshape(disc.op_t.n_nodes, disc.n_x)
         out.append(grid[:, ::-1].ravel())
     return np.concatenate(out)
 
@@ -185,7 +185,7 @@ def test_dual_mms_consistency():
         r = (system.rmatvec(vh) - p * gh).reshape(3, disc.block_size)
         mask = np.ones_like(r)
         for k in range(3):
-            face = mask[k].reshape(disc.ops[k].n_t, disc.ops[k].n_x)
+            face = mask[k].reshape(disc.op_t.n_nodes, disc.n_x)
             face[:, 0] = 0.0
             face[:, -1] = 0.0
         r = (r * mask).ravel()
@@ -224,7 +224,7 @@ def test_sensitivities_vanish_for_inert_material():
     rho = np.array([0.2, 0.5, 0.8])
     u, system, fact = forward(disc, rho)
     adj = solve_adjoint(disc, system, u, fact)
-    grad = sensitivities(disc, system, u, adj.lam, rho)
+    grad = sensitivities(disc, u, adj.lam, rho)
     np.testing.assert_allclose(grad, 0.0, atol=0)
 
 
@@ -234,7 +234,7 @@ def test_gradient_matches_fd_two_design():
     rho = np.array([0.45, 0.30])
     u, system, fact = forward(disc, rho)
     adj = solve_adjoint(disc, system, u, fact)
-    grad = sensitivities(disc, system, u, adj.lam, rho)
+    grad = sensitivities(disc, u, adj.lam, rho)
     fd = fd_gradient(disc, rho, reference=grad)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
     assert np.max(rel) <= 1e-6
@@ -254,7 +254,7 @@ def test_gradient_matches_fd_ten_design():
     rho = np.clip(rng.uniform(0, 1, 10), 0.05, 0.95)
     u, system, fact = forward(disc, rho)
     adj = solve_adjoint(disc, system, u, fact)
-    grad = sensitivities(disc, system, u, adj.lam, rho)
+    grad = sensitivities(disc, u, adj.lam, rho)
     fd = fd_gradient(disc, rho, reference=grad)
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-12)
     assert np.max(rel) <= 1e-5
@@ -290,7 +290,7 @@ def test_gradient_matches_fd_property(case):
     disc = preset_discretization(preset)
     u, system, fact = forward(disc, rho)
     adj = solve_adjoint(disc, system, u, fact)
-    grad = sensitivities(disc, system, u, adj.lam, rho)
+    grad = sensitivities(disc, u, adj.lam, rho)
     h = 1e-4
     tol = 1e-6 * np.max(np.abs(grad)) + EPS * condition_estimate(system) * adj.objective / h
     for k in np.flatnonzero((rho > 0) & (rho < 1)):

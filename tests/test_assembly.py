@@ -5,7 +5,6 @@ from oracle import kronecker_dense, to_dense
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.blocksolve import solve_system
 from stheat.problem import MaterialModel, ProblemSpec, choose_sat_coefficients
-from stheat.spacetime import restrict
 from stheat.twodomain import two_domain_solution
 
 LINEAR = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
@@ -75,7 +74,7 @@ def test_kronecker_structure(K):
     np.testing.assert_allclose(dense, kronecker_dense(system), rtol=0, atol=1e-14 * np.abs(dense).max())
     v = np.random.default_rng(K).standard_normal(system.n_unknowns)
     np.testing.assert_allclose(system.rmatvec(v), dense.T @ v, rtol=0, atol=1e-13 * np.abs(dense).max())
-    n_x = disc.ops[0].n_x
+    n_x = disc.n_x
     M = system.M.toarray()
     for k in range(K):
         for j in range(K):
@@ -85,7 +84,7 @@ def test_kronecker_structure(K):
 
 def spatial_blocks(system):
     """The (row element, column element) pairs whose block of M is nonzero."""
-    n_x = system.disc.ops[0].n_x
+    n_x = system.disc.n_x
     M = system.M.toarray()
     K = system.n_blocks
     return {
@@ -224,14 +223,14 @@ def test_energy_estimate_random_initial_data(K):
         system = assemble_global(disc, rho)
         u, _ = solve_system(system)
         lhs = sum(
-            tr @ (disc.ops[k].op_x.weights * tr)
+            tr @ (disc.ops_x[k].weights * tr)
             for k, tr in enumerate(north_trace(disc, u))
         )
         qs = [
-            np.asarray(q(disc.ops[k].op_x.nodes)) for k in range(disc.n_elements)
+            np.asarray(q(disc.ops_x[k].nodes)) for k in range(disc.n_elements)
         ]
         rhs_bound = sum(
-            qk @ (disc.ops[k].op_x.weights * qk) for k, qk in enumerate(qs)
+            qk @ (disc.ops_x[k].weights * qk) for k, qk in enumerate(qs)
         ) / (2 * disc.sat.sigma_0 - 1)
         assert lhs <= rhs_bound * (1 + 1e-12), f"K={K} trial={trial}"
 
@@ -244,17 +243,17 @@ def test_energy_estimate_detects_violated_sat():
         material=material, q=lambda x: np.cos(np.pi * np.asarray(x, float)),
     )
     probe = Discretization(spec)
-    bad_sat = choose_sat_coefficients(probe.ops[0].op_x, material, sigma_0=0.4)
+    bad_sat = choose_sat_coefficients(probe.ops_x[0], material, sigma_0=0.4)
     disc = Discretization(spec, sat=bad_sat)
     system = assemble_global(disc, np.array([0.5, 0.5]))
     u, _ = solve_system(system)
     lhs = sum(
-        tr @ (disc.ops[k].op_x.weights * tr)
+        tr @ (disc.ops_x[k].weights * tr)
         for k, tr in enumerate(north_trace(disc, u))
     )
-    qs = [spec.q(disc.ops[k].op_x.nodes) for k in range(2)]
+    qs = [spec.q(disc.ops_x[k].nodes) for k in range(2)]
     rhs_bound = sum(
-        qk @ (disc.ops[k].op_x.weights * qk) for k, qk in enumerate(qs)
+        qk @ (disc.ops_x[k].weights * qk) for k, qk in enumerate(qs)
     ) / (2 * bad_sat.sigma_0 - 1)
     assert not lhs <= rhs_bound
 
@@ -299,7 +298,6 @@ def test_restrict_consistency_with_solution_blocks():
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.5, 0.25]))
     u, _ = solve_system(system)
-    ub = u.reshape(disc.n_elements, disc.block_size)
-    south = restrict("south", disc.ops[0], ub[0])
-    q_exact = sol.initial(disc.ops[0].op_x.nodes)
+    south = disc.time_major(u)[0, :disc.n_x]
+    q_exact = sol.initial(disc.ops_x[0].nodes)
     assert np.max(np.abs(south - q_exact)) <= 1e-6

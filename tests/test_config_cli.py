@@ -64,6 +64,22 @@ def test_negative_horizon_rejected(tmp_path):
         parse_config(str(path))
 
 
+def test_horizon_reaches_cooling_preset(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[problem]\nhorizon = 3\n")
+    spec, _ = problem_from_config(parse_config(str(path)))
+    assert spec.horizon == 3.0
+    assert problem_from_config(parse_config())[0].horizon == 1.0
+
+
+@pytest.mark.parametrize("key", ["elements", "kappa_min_ratio", "penalization", "source_offset"])
+def test_cooling_keys_rejected_for_two_design(tmp_path, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[problem]\npreset = two-design\n{key} = 2\n")
+    with pytest.raises(ConfigError, match=f"problem.{key}"):
+        parse_config(str(path))
+
+
 def test_type_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[problem]\nelements = many\n")
@@ -209,3 +225,17 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[problem]\nhorizon = -1\n")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_compare_two_design_dof(tmp_path):
+    # the two-design preset has 2 elements whatever `elements` defaults to
+    nx, levels = 2, (3, 4)
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(
+        f"[problem]\npreset = two-design\nnx = {nx}\nnt = 3\n"
+        "[optimizer]\ntol_design = 1e-3\nmax_iters = 20\n"
+        "[run]\nsolvers = st-se\nnt_nodes_sweep = 3 4\nrepeats = 1\n"
+    )
+    main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["solvers"]["st-se"]["dof"] == [2 * (nx + 1) * (level + 1) for level in levels]

@@ -1,131 +1,167 @@
+"""The space-time tensor-product layout of ``Discretization``.
+
+Element k is the tensor product of the time operator ``op_t`` and its
+spatial operator ``ops_x[k]``; its nodes are stacked space-fastest and the
+elements one after the other.
+"""
+
 import numpy as np
 import pytest
 
+from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.errors import ResourceLimitError
-from stheat.sbp import build_sbp_1d
-from stheat.spacetime import build_element_ops, restrict
+from stheat.problem import MaterialModel, ProblemSpec
+
+LINEAR = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
 
 
-def make_ops(nx_nodes=5, nt_nodes=5, interval=(0.0, 1.0), horizon=1.0):
-    return build_element_ops(
-        build_sbp_1d(nx_nodes, interval), build_sbp_1d(nt_nodes, (0.0, horizon))
-    )
+def make_disc(nx_nodes=5, nt_nodes=5, interval=(0.0, 1.0), horizon=1.0, n_elements=1,
+              breakpoints=None, **data):
+    return Discretization(ProblemSpec(
+        domain=interval, horizon=horizon, n_elements=n_elements, nx=nx_nodes - 1,
+        nt=nt_nodes - 1, material=LINEAR, breakpoints=breakpoints, **data,
+    ))
 
 
 def test_minimal_element_constants():
-    ops = make_ops(2, 2)
-    assert ops.n == 4
-    c = np.full(4, 3.7)
-    assert np.max(np.abs(ops.D_t @ c)) <= 1e-13
-    assert np.max(np.abs(ops.D_x @ c)) <= 1e-13
+    # two nodes per direction: the scheme still reproduces a constant state
+    c = 3.7
+    const_t = lambda t: np.full_like(np.asarray(t, float), c)
+    disc = make_disc(2, 2, h=const_t, g=const_t, q=lambda x: np.full_like(np.asarray(x, float), c))
+    assert disc.block_size == 4
+    system = assemble_global(disc, np.array([0.6]))
+    assert np.max(np.abs(residual(np.full(4, c), system))) <= 1e-13 * np.abs(system.rhs).max()
 
 
 def test_dx_of_coordinate_is_one():
-    ops = make_ops(4, 3, interval=(-0.5, 2.0))
-    X, _ = ops.layout.coordinates()
-    np.testing.assert_allclose(ops.D_x @ X, np.ones(ops.n), atol=1e-12)
+    disc = make_disc(4, 3, interval=(-0.5, 2.0), n_elements=2, breakpoints=(-0.5, 0.1, 2.0))
+    for k, op_x in enumerate(disc.ops_x):
+        X, _ = disc.element_coordinates(k)
+        grid = X.reshape(disc.op_t.n_nodes, disc.n_x)
+        np.testing.assert_allclose(grid @ op_x.D.T, 1.0, atol=1e-12)
 
 
 def test_dt_of_time_coordinate_is_one():
-    ops = make_ops(3, 6, horizon=2.5)
-    _, T = ops.layout.coordinates()
-    np.testing.assert_allclose(ops.D_t @ T, np.ones(ops.n), atol=1e-12)
+    disc = make_disc(3, 6, horizon=2.5, n_elements=2)
+    for k in range(2):
+        _, T = disc.element_coordinates(k)
+        grid = T.reshape(disc.op_t.n_nodes, disc.n_x)
+        np.testing.assert_allclose(disc.op_t.D @ grid, 1.0, atol=1e-12)
 
 
 def test_kronecker_reconstruction():
-    ops = make_ops(4, 6, interval=(0.25, 1.5), horizon=0.8)
-    np.testing.assert_allclose(ops.P, np.kron(ops.op_t.P, ops.op_x.P), atol=1e-13)
-    np.testing.assert_allclose(ops.Q_x, np.kron(ops.op_t.P, ops.op_x.Q), atol=1e-13)
-    np.testing.assert_allclose(ops.Q_t, np.kron(ops.op_t.Q, ops.op_x.P), atol=1e-13)
-    np.testing.assert_allclose(ops.P @ ops.D_x, ops.Q_x, atol=1e-13)
-    np.testing.assert_allclose(ops.P @ ops.D_t, ops.Q_t, atol=1e-13)
+    # element k of global_p is the diagonal of P_t (x) P_x^k
+    disc = make_disc(4, 6, interval=(0.25, 1.5), horizon=0.8, n_elements=3,
+                     breakpoints=(0.25, 0.4, 1.1, 1.5))
+    p = disc.global_p().reshape(3, disc.block_size)
+    for k, op_x in enumerate(disc.ops_x):
+        np.testing.assert_array_equal(p[k], np.kron(disc.op_t.weights, op_x.weights))
+    np.testing.assert_array_equal(disc.W, np.concatenate([op.weights for op in disc.ops_x]))
 
 
 def test_surface_operator_identities():
-    ops = make_ops(5, 4)
-    pt, px = ops.op_t.P, ops.op_x.P
-    r_w, r_e = ops.restriction("west"), ops.restriction("east")
-    r_s, r_n = ops.restriction("south"), ops.restriction("north")
-    np.testing.assert_allclose(ops.E_x, r_e.T @ pt @ r_e - r_w.T @ pt @ r_w, atol=1e-13)
-    np.testing.assert_allclose(ops.E_t, r_n.T @ px @ r_n - r_s.T @ px @ r_s, atol=1e-13)
+    # T + T^T = E_t + 2 sigma_0 e_s e_s^T: the time boundary terms of the energy estimate
+    disc = make_disc(5, 4)
+    expected = np.diag([2 * disc.sat.sigma_0 - 1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_allclose(disc.T + disc.T.T, expected, atol=1e-13)
 
 
 @pytest.mark.parametrize("direction", ["x", "t"])
 def test_discrete_integration_by_parts(direction):
-    ops = make_ops(5, 5, interval=(0.0, 0.4))
+    disc = make_disc(5, 5, interval=(0.0, 0.4))
+    op_t, op_x = disc.op_t, disc.ops_x[0]
+    if direction == "x":
+        Q, E = np.kron(op_t.P, op_x.Q), np.kron(op_t.P, op_x.E)
+    else:
+        Q, E = np.kron(op_t.Q, op_x.P), np.kron(op_t.E, op_x.P)
     rng = np.random.default_rng(11)
-    Q = ops.Q_x if direction == "x" else ops.Q_t
-    E = ops.E_x if direction == "x" else ops.E_t
     for _ in range(100):
-        u = rng.standard_normal(ops.n)
-        v = rng.standard_normal(ops.n)
-        lhs = u @ (Q + Q.T) @ v
-        rhs = u @ E @ v
-        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
+        u = rng.standard_normal(disc.block_size)
+        v = rng.standard_normal(disc.block_size)
+        gap = abs(u @ (Q + Q.T) @ v - u @ E @ v)
+        assert gap <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def test_quadrature_measures_element_area():
-    ops = make_ops(6, 4, interval=(0.3, 1.1), horizon=2.0)
-    one = np.ones(ops.n)
-    assert abs(one @ (ops.p_vec * one) - 0.8 * 2.0) <= 1e-12
+    for breakpoints in (None, (0.3, 0.35, 0.9, 1.1)):
+        disc = make_disc(6, 4, interval=(0.3, 1.1), horizon=2.0, n_elements=3,
+                         breakpoints=breakpoints)
+        assert abs(disc.global_p().sum() - 0.8 * 2.0) <= 1e-12
 
 
 def test_restrict_south_of_time_field_is_zero():
-    ops = make_ops(4, 5)
-    _, T = ops.layout.coordinates()
-    np.testing.assert_allclose(restrict("south", ops, T), np.zeros(4), atol=0)
+    disc = make_disc(4, 5, n_elements=2)
+    T = np.concatenate([disc.element_coordinates(k)[1] for k in range(2)])
+    np.testing.assert_array_equal(disc.time_major(T)[0], 0.0)
 
 
 def test_restrict_west_of_coordinate_field_is_left_end():
-    ops = make_ops(4, 5, interval=(0.7, 1.9))
-    X, _ = ops.layout.coordinates()
-    np.testing.assert_allclose(restrict("west", ops, X), np.full(5, 0.7), atol=1e-15)
+    disc = make_disc(4, 5, interval=(0.7, 1.9), n_elements=2, breakpoints=(0.7, 1.0, 1.9))
+    for k, left in enumerate((0.7, 1.0)):
+        X, _ = disc.element_coordinates(k)
+        np.testing.assert_allclose(X.reshape(-1, disc.n_x)[:, 0], left, atol=1e-15)
 
 
 def test_restrict_north_is_last_block():
-    ops = make_ops(6, 3)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(ops.n)
-    np.testing.assert_allclose(restrict("north", ops, u), u[-6:], atol=0)
+    disc = make_disc(6, 3, n_elements=2)
+    u = np.random.default_rng(5).standard_normal(disc.n_unknowns)
+    for block, trace in zip(u.reshape(2, -1), north_trace(disc, u)):
+        np.testing.assert_array_equal(trace, block[-6:])
 
 
 def test_restrict_matches_dense_matrices():
-    ops = make_ops(5, 4)
-    rng = np.random.default_rng(17)
-    u = rng.standard_normal(ops.n)
-    for face in ("west", "east", "south", "north"):
-        np.testing.assert_allclose(
-            restrict(face, ops, u), ops.restriction(face) @ u, atol=1e-14
-        )
+    # the four faces of each element, sliced from time_major, against dense restrictions
+    disc = make_disc(5, 4, n_elements=3)
+    n_x, n_t = disc.n_x, disc.op_t.n_nodes
+    u = np.random.default_rng(17).standard_normal(disc.n_unknowns)
+    U = disc.time_major(u)
+    blocks = u.reshape(3, disc.block_size)
+    e_x, e_t = np.eye(n_x), np.eye(n_t)
+    for k in range(3):
+        faces = {
+            "west": (U[:, k * n_x], np.kron(e_t, e_x[:1])),
+            "east": (U[:, (k + 1) * n_x - 1], np.kron(e_t, e_x[-1:])),
+            "south": (U[0, k * n_x:(k + 1) * n_x], np.kron(e_t[:1], e_x)),
+            "north": (U[-1, k * n_x:(k + 1) * n_x], np.kron(e_t[-1:], e_x)),
+        }
+        for face, (sliced, R) in faces.items():
+            np.testing.assert_array_equal(sliced, R @ blocks[k], err_msg=face)
 
 
 def test_restrict_rejects_bad_length():
-    ops = make_ops(3, 3)
+    disc = make_disc(3, 3)
     with pytest.raises(ValueError):
-        restrict("west", ops, np.zeros(7))
+        north_trace(disc, np.zeros(7))
 
 
 def test_trace_inequality():
     # boundary-restricted norms are bounded by the volume norm with the
     # endpoint quadrature weight as constant
-    ops = make_ops(6, 5, interval=(0.0, 0.35))
+    disc = make_disc(6, 5, interval=(0.0, 0.35))
+    op_x = disc.ops_x[0]
+    wt = disc.op_t.weights
+    p = disc.global_p()
     rng = np.random.default_rng(23)
-    wt = ops.op_t.weights
     for _ in range(200):
-        z = rng.standard_normal(ops.n)
-        vol = z @ (ops.p_vec * z)
-        west = restrict("west", ops, z)
-        east = restrict("east", ops, z)
-        assert west @ (wt * west) <= vol / ops.p_hat_w + 1e-13
-        assert east @ (wt * east) <= vol / ops.p_hat_e + 1e-13
+        z = rng.standard_normal(disc.n_unknowns)
+        vol = z @ (p * z)
+        Z = disc.time_major(z)
+        west, east = Z[:, 0], Z[:, -1]
+        assert west @ (wt * west) <= vol / op_x.weights[0] + 1e-13
+        assert east @ (wt * east) <= vol / op_x.weights[-1] + 1e-13
 
 
 def test_layout_index_bijection():
-    ops = make_ops(4, 3)
-    seen = {ops.layout.index(i, j) for j in range(3) for i in range(4)}
-    assert seen == set(range(12))
+    # time_major and element_major are inverse permutations of the unknowns
+    disc = make_disc(4, 3, n_elements=3)
+    idx = np.arange(disc.n_unknowns)
+    U = disc.time_major(idx)
+    assert U.shape == (3, 12)
+    assert sorted(U.ravel()) == list(idx)
+    np.testing.assert_array_equal(disc.element_major(U), idx)
+    np.testing.assert_array_equal(disc.time_major(disc.element_major(U)), U)
 
 
 def test_node_cap_enforced():
-    with pytest.raises(ResourceLimitError):
-        build_element_ops(build_sbp_1d(400, (0, 1)), build_sbp_1d(300, (0, 1)))
+    with pytest.raises(ResourceLimitError, match="above the cap of 100000"):
+        make_disc(400, 300)
