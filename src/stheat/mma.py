@@ -95,6 +95,30 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
     return x
 
 
+def _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound):
+    """The subproblem minimizer at the smallest feasible volume multiplier."""
+    x0 = _subproblem_minimizer(0.0, p, q, low, upp, alfa, beta, volumes)
+    if x0 @ volumes <= volume_bound:
+        return x0
+    mu_lo, mu_hi = 0.0, 1.0
+    while (
+        _subproblem_minimizer(mu_hi, p, q, low, upp, alfa, beta, volumes) @ volumes
+        > volume_bound
+    ):
+        mu_hi *= 2.0
+        if mu_hi > 1e12:
+            raise NumericalError("volume multiplier bracket not found")
+    while mu_hi - mu_lo > 1e-12 * max(1.0, mu_hi):
+        mid = 0.5 * (mu_lo + mu_hi)
+        x_mid = _subproblem_minimizer(mid, p, q, low, upp, alfa, beta, volumes)
+        if x_mid @ volumes > volume_bound:
+            mu_lo = mid
+        else:
+            mu_hi = mid
+    # the upper endpoint is feasible by construction
+    return _subproblem_minimizer(mu_hi, p, q, low, upp, alfa, beta, volumes)
+
+
 def mma_update(rho, dj, volumes, volume_bound, state):
     """One MMA design update under sum(rho * volumes) <= volume_bound."""
     rho = np.asarray(rho, dtype=float)
@@ -128,27 +152,7 @@ def mma_update(rho, dj, volumes, volume_bound, state):
     p = (upp - rho) ** 2 * (1.001 * dpos + 0.001 * dneg + cfg.raa0)
     q = (rho - low) ** 2 * (0.001 * dpos + 1.001 * dneg + cfg.raa0)
 
-    x0 = _subproblem_minimizer(0.0, p, q, low, upp, alfa, beta, volumes)
-    if x0 @ volumes <= volume_bound:
-        new_rho = x0
-    else:
-        mu_lo, mu_hi = 0.0, 1.0
-        while (
-            _subproblem_minimizer(mu_hi, p, q, low, upp, alfa, beta, volumes) @ volumes
-            > volume_bound
-        ):
-            mu_hi *= 2.0
-            if mu_hi > 1e12:
-                raise NumericalError("volume multiplier bracket not found")
-        while mu_hi - mu_lo > 1e-12 * max(1.0, mu_hi):
-            mid = 0.5 * (mu_lo + mu_hi)
-            x_mid = _subproblem_minimizer(mid, p, q, low, upp, alfa, beta, volumes)
-            if x_mid @ volumes > volume_bound:
-                mu_lo = mid
-            else:
-                mu_hi = mid
-        # the upper endpoint is feasible by construction
-        new_rho = _subproblem_minimizer(mu_hi, p, q, low, upp, alfa, beta, volumes)
+    new_rho = _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound)
 
     state.low, state.upp = low, upp
     state.x_prev2, state.x_prev1 = state.x_prev1, rho.copy()

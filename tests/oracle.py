@@ -17,3 +17,46 @@ def kronecker_dense(system):
     dense = np.empty_like(a)
     dense[np.ix_(order, order)] = a
     return dense
+
+
+def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):
+    """The MMA dual solved by nested bisection: 64 halvings of [alfa, beta] per
+    component, inside a bisection on the volume multiplier mu.
+
+    The subproblem minimizer at the smallest feasible mu; same contract as
+    ``stheat.mma._solve_dual``.
+    """
+
+    def minimizer(mu):
+        lo, hi = alfa.copy(), beta.copy()
+        c = mu * volumes
+
+        def dphi(x):
+            return p / (upp - x) ** 2 - q / (x - low) ** 2 + c
+
+        take_lo = dphi(lo) >= 0.0
+        take_hi = dphi(hi) <= 0.0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            positive = dphi(mid) > 0.0
+            hi = np.where(positive, mid, hi)
+            lo = np.where(positive, lo, mid)
+        x = 0.5 * (lo + hi)
+        x[take_lo] = alfa[take_lo]
+        x[take_hi] = beta[take_hi]
+        return x
+
+    x0 = minimizer(0.0)
+    if x0 @ volumes <= volume_bound:
+        return x0
+    mu_lo, mu_hi = 0.0, 1.0
+    while minimizer(mu_hi) @ volumes > volume_bound:
+        mu_hi *= 2.0
+        assert mu_hi <= 1e12, "volume multiplier bracket not found"
+    while mu_hi - mu_lo > 1e-12 * max(1.0, mu_hi):
+        mid = 0.5 * (mu_lo + mu_hi)
+        if minimizer(mid) @ volumes > volume_bound:
+            mu_lo = mid
+        else:
+            mu_hi = mid
+    return minimizer(mu_hi)

@@ -1,8 +1,18 @@
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import mma_dual_bisection
+from stheat import mma
 from stheat.errors import NumericalError
 from stheat.mma import MmaState, mma_update, scalar_minimize
+
+# fixed example sequence and no example database, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def fresh_state():
@@ -78,6 +88,59 @@ def test_zero_gradient_returns_same_design():
 def test_nonfinite_gradient_rejected():
     with pytest.raises(ValueError):
         mma_update(np.array([0.5]), np.array([np.nan]), np.ones(1), 1.0, fresh_state())
+
+
+@st.composite
+def mma_inputs(draw):
+    """A design with 0/1 extremes, a gradient, volumes, a bound and an MMA history.
+
+    The bound is the current volume (active whenever the step adds material)
+    or lies up to the full box volume (often inactive).  A history of one or
+    two earlier iterations fixes the gradient scale, and at two it also
+    fixes the asymptotes that the oscillation rule rescales.
+    """
+    n = draw(st.integers(1, 12))
+
+    def vector(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    rho = vector(unit)
+    dj = vector(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+    volumes = vector(st.floats(1e-2, 2.0))
+    slack = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    bound = rho @ volumes + slack * (volumes.sum() - rho @ volumes)
+    state = MmaState()
+    state.iteration = draw(st.integers(0, 2))
+    if state.iteration >= 1:
+        state.gradient_scale = draw(st.floats(1e-3, 1e3))
+        state.x_prev1 = vector(unit)
+    if state.iteration == 2:
+        state.x_prev2 = vector(unit)
+        state.low = state.x_prev1 - vector(st.floats(1e-5, 2.0))
+        state.upp = state.x_prev1 + vector(st.floats(1e-5, 2.0))
+    return rho, dj, volumes, bound, state
+
+
+@PROPERTY
+@given(case=mma_inputs())
+def test_update_stays_in_box_and_volume_property(case):
+    rho, dj, volumes, bound, state = case
+    new = mma_update(rho, dj, volumes, bound, state)
+    assert np.all((new >= 0.0) & (new <= 1.0))
+    if state.low is not None:
+        assert np.all((state.low < new) & (new < state.upp))
+    assert new @ volumes <= bound * (1 + 1e-12)
+
+
+@PROPERTY
+@given(case=mma_inputs())
+def test_update_matches_nested_bisection_property(case):
+    rho, dj, volumes, bound, state = case
+    new = mma_update(rho, dj, volumes, bound, copy.deepcopy(state))
+    with mock.patch.object(mma, "_solve_dual", mma_dual_bisection):
+        oracle = mma_update(rho, dj, volumes, bound, copy.deepcopy(state))
+    np.testing.assert_allclose(new, oracle, rtol=0, atol=1e-11)
 
 
 def test_scalar_minimize_quadratic():
