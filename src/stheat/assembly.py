@@ -82,8 +82,8 @@ class Discretization:
     Element k is the tensor product of the time operator ``op_t`` and its
     spatial operator ``ops_x[k]`` on ``n_x`` nodes.  The pieces of the
     Kronecker form (T, W, the Schur form of P_t^-1 T and the kappa-affine
-    terms of M) are built on first use and kept, so reassembly at a new
-    design only rescales the kappa-dependent entries.
+    terms of M) and the right-hand side are built on first use and kept, so
+    reassembly at a new design only rescales the kappa-dependent entries.
     """
 
     def __init__(self, spec, sat=None):
@@ -156,6 +156,13 @@ class Discretization:
     def schur(self):
         """Complex Schur form (R, Z) of P_t^-1 T = Z R Z^H: R upper triangular, Z unitary."""
         return sla.schur(self.T / self.op_t.weights[:, None], output="complex")
+
+    @cached_property
+    def rhs(self):
+        """The element-major right-hand side; independent of the design, read-only."""
+        rhs = np.concatenate([_element_rhs(k, self) for k in range(self.n_elements)])
+        rhs.flags.writeable = False
+        return rhs
 
     @cached_property
     def spatial_terms(self):
@@ -277,9 +284,7 @@ def _element_rhs(k, disc):
 
 def assemble_global(disc, rho):
     """The design's spatial operator M(kappa) and the design-independent rhs."""
-    M = disc.spatial_operator(disc.kappa_of(rho))
-    rhs = np.concatenate([_element_rhs(k, disc) for k in range(disc.n_elements)])
-    return GlobalSystem(disc=disc, M=M, rhs=rhs)
+    return GlobalSystem(disc=disc, M=disc.spatial_operator(disc.kappa_of(rho)), rhs=disc.rhs)
 
 
 def residual(u, system):

@@ -34,14 +34,48 @@ class SchurFactorization:
     lus: list
 
 
+def _shift_pattern(M):
+    """The CSC pattern of |M| + I, M's entries on it, and where its diagonal sits.
+
+    The data of r W + M on this pattern is the returned base data plus r W
+    at the diagonal positions.  The sparse sum r W + M drops exact zeros,
+    and M stores some (kappa = 0 scales whole element terms to zero), so the
+    pattern holds M's nonzero entries only.
+    """
+    n = M.shape[0]
+    M = sp.csc_matrix(M)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    pattern = (abs(M) + sp.identity(n, format="csc")).tocsc()
+    pattern.sort_indices()
+
+    def keys(A):
+        return np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices
+
+    pattern_keys = keys(pattern)
+    nonzero = M.data != 0
+    base = np.zeros(pattern.nnz, dtype=np.result_type(M.dtype, complex))
+    base[np.searchsorted(pattern_keys, keys(M)[nonzero])] = M.data[nonzero]
+    return pattern, base, np.searchsorted(pattern_keys, np.arange(n) * (n + 1))
+
+
 def factor(system):
     """One sparse LU of the spatial factor R_jj W + M per time mode j."""
     R, _ = system.disc.schur
-    W = sp.diags(system.disc.W)
+    W = system.disc.W
+    pattern, base, diagonal = _shift_pattern(system.M)
     lus = []
     for j, r in enumerate(np.diag(R)):
+        data = base.copy()
+        data[diagonal] += r * W
+        A = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        if not np.all(data[diagonal]):
+            # a diagonal entry cancelled: drop it, as the sparse sum does
+            A = A.copy()
+            A.eliminate_zeros()
         try:
-            lus.append(spla.splu((r * W + system.M).tocsc()))
+            lus.append(spla.splu(A))
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(j) from err
     return SchurFactorization(system.disc, lus)

@@ -1,7 +1,8 @@
 """Run configuration: plain-text key=value files with section headers.
 
 Unknown sections or keys fail fast with the offending path, as do keys of
-the cooling preset set under ``preset = two-design``; every value is type
+the cooling preset set under ``preset = two-design`` and keys of the
+space-time solver set when no ``st-se`` solver runs; every value is type
 checked.  A minimal (or absent) file yields the fifty-cell cooling
 benchmark with its published defaults.
 """
@@ -99,6 +100,9 @@ _RENAME = {("sat", "s"): "sat_s", ("sat", "safety"): "sat_safety"}
 
 # keys of the cooling preset that the two-design preset has no use for
 _COOLING_ONLY = ("elements", "kappa_min_ratio", "penalization", "source_offset")
+# keys that only the space-time solver reads: the backward-Euler baselines
+# use the element edges, the material and the data alone
+_SPACE_TIME_ONLY = ("problem.nx", "problem.nt", "sat.sigma_0", "sat.s", "sat.safety")
 
 
 def _convert(kind, raw, path):
@@ -135,10 +139,10 @@ def parse_config(path=None, overrides=None):
                     raise ConfigError(f"unknown key {section}.{key}")
                 attr = _RENAME.get((section, key), key)
                 setattr(cfg, attr, _convert(_SCHEMA[section][key], raw, f"{section}.{key}"))
-                from_file.add(attr)
+                from_file.add(f"{section}.{key}")
     if cfg.preset == "two-design":
         for key in _COOLING_ONLY:
-            if key in from_file:
+            if f"problem.{key}" in from_file:
                 raise ConfigError(f"problem.{key}: not used by preset two-design")
     for key, value in (overrides or {}).items():
         if value is None:
@@ -146,6 +150,10 @@ def parse_config(path=None, overrides=None):
         if not any(f.name == key for f in fields(RunConfig)):
             raise ConfigError(f"unknown override {key}")
         setattr(cfg, key, value)
+    if "st-se" not in cfg.solvers:
+        for path in _SPACE_TIME_ONLY:
+            if path in from_file:
+                raise ConfigError(f"{path}: not used by solvers {' '.join(cfg.solvers)}")
     return cfg.validate()
 
 

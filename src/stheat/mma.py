@@ -4,11 +4,14 @@ bracket minimizer used as an independent optimization reference.
 The MMA update builds the usual separable rational approximation of the
 objective around the current design, with asymptotes adapted by oscillation
 detection.  Because the volume constraint is linear it is kept exact in the
-subproblem rather than approximated, so the dual is a one-dimensional
-bisection on the volume multiplier and every update is feasible by
-construction.  Gradients are normalized by the first iteration's magnitude
-(see MmaState), which makes whole trajectories invariant to positive
-rescaling of the objective without losing the step damping near optima.
+subproblem rather than approximated (Svanberg 1987), so the dual is a
+monotone one-dimensional root-find on the volume multiplier, and so is each
+component of the subproblem for a fixed multiplier.  Both are solved by
+Newton's method inside a bracket, with bisection as the safeguard, and
+every update is feasible by construction.  Gradients are normalized by the
+first iteration's magnitude (see MmaState), which makes whole trajectories
+invariant to positive rescaling of the objective without losing the step
+damping near optima.
 """
 
 import math
@@ -68,55 +71,112 @@ def _update_asymptotes(x, state):
     return low, upp
 
 
+# |phi'| below this multiple of its terms' magnitude is rounding noise
+_ROUNDOFF = 4.0 * np.finfo(float).eps
+# Newton steps allowed per root-find before plain bisection takes over; the
+# cooling and two-design runs need at most 13
+_NEWTON_STEPS = 64
+
+
 def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
-    """Componentwise minimizer of the separable dual Lagrangian.
+    """Componentwise minimizer x(mu) of the separable dual Lagrangian, and dx/dmu.
 
     phi_j'(x) = p/(U-x)^2 - q/(x-L)^2 + mu V is strictly increasing on
-    (L, U), so a vectorized bisection on [alfa, beta] is exact and branch
-    free.
+    (L, U), with phi_j''(x) = 2p/(U-x)^3 + 2q/(x-L)^3 > 0.  A point x is
+    the root to working precision once |phi_j'(x)| is at roundoff of its own
+    terms, or once the Newton step from x rounds away (the nearest float to
+    the root need not zero phi_j' to roundoff).  A component whose root lies
+    at or beyond an end of [alfa, beta] takes that end and has dx/dmu = 0.
+    The others run Newton's method inside a bracket that every step shrinks,
+    with bisection wherever the Newton point leaves the open bracket.  After
+    _NEWTON_STEPS steps only bisection is left, 64 halvings of what remains
+    of [alfa, beta], so no component ends less exact than under the plain
+    64-step bisection.  Differentiating phi_j'(x(mu)) = 0 gives
+    dx/dmu = -V/phi_j''.
     """
-    lo = alfa.copy()
-    hi = beta.copy()
     c = mu * volumes
 
-    def dphi(x):
-        return p / (upp - x) ** 2 - q / (x - low) ** 2 + c
+    def newton_step(x):
+        """phi_j'(x), the Newton point, and where x is the root to working precision."""
+        a = p / (upp - x) ** 2
+        b = q / (x - low) ** 2
+        g = a - b + c
+        newton = x - g / (2.0 * a / (upp - x) + 2.0 * b / (x - low))
+        return g, newton, (np.abs(g) <= _ROUNDOFF * (a + b + np.abs(c))) | (newton == x)
 
-    take_lo = dphi(lo) >= 0.0
-    take_hi = dphi(hi) <= 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        positive = dphi(mid) > 0.0
-        hi = np.where(positive, mid, hi)
-        lo = np.where(positive, lo, mid)
+    g, _, at_root = newton_step(alfa)
+    take_lo = (g >= 0.0) | at_root
+    g, _, at_root = newton_step(beta)
+    take_hi = (g <= 0.0) | at_root
+    lo, hi = alfa.copy(), beta.copy()
     x = 0.5 * (lo + hi)
+    active = ~(take_lo | take_hi)
+    for step in range(_NEWTON_STEPS + 64):
+        if not active.any():
+            break
+        g, newton, at_root = newton_step(x)
+        active &= ~at_root
+        hi = np.where(active & (g > 0.0), x, hi)
+        lo = np.where(active & (g < 0.0), x, lo)
+        inside = (lo < newton) & (newton < hi) & (step < _NEWTON_STEPS)
+        x_new = np.where(inside, newton, 0.5 * (lo + hi))
+        active &= x_new != x
+        x = np.where(active, x_new, x)
     x[take_lo] = alfa[take_lo]
     x[take_hi] = beta[take_hi]
-    return x
+    curvature = 2.0 * p / (upp - x) ** 3 + 2.0 * q / (x - low) ** 3
+    return x, np.where(take_lo | take_hi, 0.0, -volumes / curvature)
 
 
 def _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound):
-    """The subproblem minimizer at the smallest feasible volume multiplier."""
-    x0 = _subproblem_minimizer(0.0, p, q, low, upp, alfa, beta, volumes)
-    if x0 @ volumes <= volume_bound:
-        return x0
-    mu_lo, mu_hi = 0.0, 1.0
-    while (
-        _subproblem_minimizer(mu_hi, p, q, low, upp, alfa, beta, volumes) @ volumes
-        > volume_bound
-    ):
-        mu_hi *= 2.0
-        if mu_hi > 1e12:
+    """The subproblem minimizer x(mu) at the smallest feasible volume multiplier.
+
+    The volume x(mu) . V falls monotonically in mu, with slope dx/dmu . V.
+    After the unconstrained minimizer (mu = 0) is found infeasible, mu is
+    bracketed by doubling and then located by Newton's method from whichever
+    end of the bracket has the smaller volume excess, or from the other end.
+    A Newton point is taken if it lies inside the bracket, or within half
+    the tolerance of the end it starts from (Newton has converged there);
+    otherwise, and after _NEWTON_STEPS trials, the trial bisects.  Every
+    trial keeps half the tolerance away from both ends, so a converged
+    Newton step lands on the far side of the root and closes the bracket.
+    The bracket ends at a relative width of 1e-12, and the result is x at
+    its upper end, which is feasible by construction.
+    """
+
+    def excess(mu):
+        x, dx_dmu = _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes)
+        return x, x @ volumes - volume_bound, dx_dmu @ volumes
+
+    x, f, df = excess(0.0)
+    if f <= 0.0:
+        return x
+    lo = (0.0, f, df)
+    mu = 1.0
+    x, f, df = excess(mu)
+    while f > 0.0:
+        lo, mu = (mu, f, df), 2.0 * mu
+        if mu > 1e12:
             raise NumericalError("volume multiplier bracket not found")
-    while mu_hi - mu_lo > 1e-12 * max(1.0, mu_hi):
-        mid = 0.5 * (mu_lo + mu_hi)
-        x_mid = _subproblem_minimizer(mid, p, q, low, upp, alfa, beta, volumes)
-        if x_mid @ volumes > volume_bound:
-            mu_lo = mid
+        x, f, df = excess(mu)
+    hi, x_hi = (mu, f, df), x
+    trials = 0
+    while hi[0] - lo[0] > 1e-12 * max(1.0, hi[0]):
+        half_tol = 0.5e-12 * max(1.0, hi[0])
+        trial = 0.5 * (lo[0] + hi[0])
+        for end_mu, end_f, end_df in sorted((lo, hi), key=lambda end: abs(end[1])):
+            newton = end_mu - end_f / end_df if end_df < 0.0 else np.nan
+            if trials < _NEWTON_STEPS and (lo[0] < newton < hi[0] or abs(newton - end_mu) <= half_tol):
+                trial = newton
+                break
+        trials += 1
+        mu = min(max(trial, lo[0] + half_tol), hi[0] - half_tol)
+        x, f, df = excess(mu)
+        if f > 0.0:
+            lo = (mu, f, df)
         else:
-            mu_hi = mid
-    # the upper endpoint is feasible by construction
-    return _subproblem_minimizer(mu_hi, p, q, low, upp, alfa, beta, volumes)
+            hi, x_hi = (mu, f, df), x
+    return x_hi
 
 
 def mma_update(rho, dj, volumes, volume_bound, state):

@@ -23,8 +23,9 @@ def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):
     """The MMA dual solved by nested bisection: 64 halvings of [alfa, beta] per
     component, inside a bisection on the volume multiplier mu.
 
-    The subproblem minimizer at the smallest feasible mu; same contract as
-    ``stheat.mma._solve_dual``.
+    Returns the subproblem minimizer at the upper end of the final mu
+    bracket, as ``stheat.mma._solve_dual`` does, and that mu (0 when the
+    unconstrained minimizer is feasible).
     """
 
     def minimizer(mu):
@@ -48,7 +49,7 @@ def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):
 
     x0 = minimizer(0.0)
     if x0 @ volumes <= volume_bound:
-        return x0
+        return x0, 0.0
     mu_lo, mu_hi = 0.0, 1.0
     while minimizer(mu_hi) @ volumes > volume_bound:
         mu_hi *= 2.0
@@ -59,4 +60,4 @@ def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):
             mu_lo = mid
         else:
             mu_hi = mid
-    return minimizer(mu_hi)
+    return minimizer(mu_hi), mu_hi

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracle import kronecker_dense, to_dense
-from stheat.assembly import Discretization, assemble_global, north_trace, residual
+from stheat.assembly import Discretization, _element_rhs, assemble_global, north_trace, residual
 from stheat.blocksolve import solve_system
 from stheat.problem import MaterialModel, ProblemSpec, choose_sat_coefficients
 from stheat.twodomain import two_domain_solution
@@ -130,6 +130,20 @@ def test_rhs_independent_of_design():
     b1 = assemble_global(disc, np.array([0.2, 0.9])).rhs_vector()
     b2 = assemble_global(disc, np.array([0.77, 0.13])).rhs_vector()
     assert np.array_equal(b1, b2)
+
+
+def test_rhs_cached_read_only_on_first_assembly():
+    spec = two_domain_problem(two_domain_solution(0.4, 0.35), nx=5, nt=5)
+    disc = Discretization(spec)
+    assert "rhs" not in vars(disc)  # set-up builds no rhs
+    b1 = assemble_global(disc, np.array([0.2, 0.9])).rhs_vector()
+    assert "rhs" in vars(disc)
+    b2 = assemble_global(disc, np.array([0.77, 0.13])).rhs_vector()
+    assert b1 is b2 and not b1.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        b1[0] = 1.0
+    fresh = np.concatenate([_element_rhs(k, disc) for k in range(disc.n_elements)])
+    assert np.array_equal(b1.view(np.uint8), fresh.view(np.uint8))
 
 
 def test_residual_shape_and_linearity():

@@ -1,8 +1,10 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,3 +264,47 @@ def test_transposed_solve_property_assembled_systems(case, seed):
     preset, rho = case
     system = assemble_global(preset_discretization(preset), rho)
     assert_solves_exact(system, np.random.default_rng(seed))
+
+
+def _shifted_matrix_cases():
+    rng = np.random.default_rng(8)
+    cooling = Discretization(cooling_benchmark()[0])
+    two_design = Discretization(two_design_benchmark(nx=40, nt=30)[0])  # kappa_min = 0
+    cases = {}
+    for name, disc in (("cooling", cooling), ("two-design", two_design)):
+        K = disc.n_elements
+        cases[f"{name}-random"] = (disc, rng.uniform(0.0, 1.0, K))
+        cases[f"{name}-interior"] = (disc, np.linspace(0.3, 0.7, K))
+        cases[f"{name}-0/1"] = (disc, np.arange(K) % 2.0)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{p}-{d}" for p in ("cooling", "two-design") for d in ("random", "interior", "0/1")]
+    + ["random-M", "singular-M"],
+)
+def test_factor_hands_splu_the_sparse_sum(case):
+    """Every mode's matrix is (r_j W + M).tocsc(), bit for bit and with its nnz.
+
+    At kappa = 0 M stores explicit zeros, which the sparse sum drops; the
+    singular hand-built M cancels a diagonal entry of one mode exactly.
+    """
+    if case == "random-M":
+        system = random_system(np.random.default_rng(4), K=3, nx=3, nt=4)
+    elif case == "singular-M":
+        system = singular_system(mode=2)
+    else:
+        system = assemble_global(*_shifted_matrix_cases()[case])
+    handed = []
+    with mock.patch.object(spla, "splu", side_effect=lambda A: handed.append(A)):
+        factor(system)
+    R, _ = system.disc.schur
+    assert len(handed) == R.shape[0]
+    for r, A in zip(np.diag(R), handed):
+        expected = (r * sp.diags(system.disc.W) + system.M).tocsc()
+        assert A.format == "csc" and A.nnz == expected.nnz
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(A, attr), getattr(expected, attr)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), attr

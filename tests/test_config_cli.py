@@ -80,6 +80,30 @@ def test_cooling_keys_rejected_for_two_design(tmp_path, key):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "solvers, text, key",
+    [("be-fe", "[problem]\nnx = 9\n", "problem.nx"),
+     ("be-fe-aao", "[sat]\ns = 2.0\n", "sat.s"),
+     ("be-fe be-fe-aao", "[problem]\nnt = 7\n", "problem.nt")],
+    ids=["be-fe-nx", "be-fe-aao-sat-s", "both-be-nt"],
+)
+def test_space_time_keys_rejected_without_st_se(tmp_path, solvers, text, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{text}[run]\nsolvers = {solvers}\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(str(path))
+
+
+def test_space_time_keys_accepted_with_st_se_or_as_overrides(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[problem]\nnx = 9\n[sat]\ns = 2.0\n[run]\nsolvers = be-fe st-se\n")
+    cfg = parse_config(str(path))
+    assert cfg.nx == 9 and cfg.sat_s == 2.0
+    # compare's worker cells pass the whole config as overrides
+    cfg = parse_config(overrides={"solvers": ("be-fe",), "nx": 9, "nt": 7, "sat_s": 2.0})
+    assert cfg.nx == 9 and cfg.nt == 7 and cfg.sat_s == 2.0
+
+
 def test_type_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[problem]\nelements = many\n")
@@ -194,7 +218,7 @@ def test_cli_compare_small_table_deterministic(tmp_path):
 def test_cli_compare_parallel_matches_serial(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(
-        "[problem]\nelements = 6\nnx = 2\nnt = 3\n"
+        "[problem]\nelements = 6\n"
         "[optimizer]\ntol_design = 1e-3\nmax_iters = 20\n"
         "[run]\nnt_nodes_sweep = 3\nnt_steps_sweep = 4 8\nrepeats = 1\n"
         "solvers = be-fe\n"
