@@ -47,7 +47,7 @@ def _shift_pattern(M):
     if not M.has_canonical_format:
         M = M.copy()
         M.sum_duplicates()
-    pattern = (abs(M) + sp.identity(n, format="csc")).tocsc()
+    pattern = abs(M) + sp.identity(n, format="csc")
     pattern.sort_indices()
 
     def keys(A):

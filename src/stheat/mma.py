@@ -89,10 +89,10 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
     at or beyond an end of [alfa, beta] takes that end and has dx/dmu = 0.
     The others run Newton's method inside a bracket that every step shrinks,
     with bisection wherever the Newton point leaves the open bracket.  After
-    _NEWTON_STEPS steps only bisection is left, 64 halvings of what remains
-    of [alfa, beta], so no component ends less exact than under the plain
-    64-step bisection.  Differentiating phi_j'(x(mu)) = 0 gives
-    dx/dmu = -V/phi_j''.
+    _NEWTON_STEPS steps only bisection is left, up to 64 halvings of what
+    remains of the bracket, so every component ends at least as exact as 64
+    halvings of [alfa, beta] leave it.  Differentiating phi_j'(x(mu)) = 0
+    gives dx/dmu = -V/phi_j''.
     """
     c = mu * volumes
 

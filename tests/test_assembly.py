@@ -125,14 +125,7 @@ def test_spatial_operator_is_affine_in_kappa():
 
 
 def test_rhs_independent_of_design():
-    spec = two_domain_problem(two_domain_solution(0.4, 0.35), nx=5, nt=5)
-    disc = Discretization(spec)
-    b1 = assemble_global(disc, np.array([0.2, 0.9])).rhs_vector()
-    b2 = assemble_global(disc, np.array([0.77, 0.13])).rhs_vector()
-    assert np.array_equal(b1, b2)
-
-
-def test_rhs_cached_read_only_on_first_assembly():
+    """The rhs is built on the first assembly, kept read-only, and shared by every design."""
     spec = two_domain_problem(two_domain_solution(0.4, 0.35), nx=5, nt=5)
     disc = Discretization(spec)
     assert "rhs" not in vars(disc)  # set-up builds no rhs
