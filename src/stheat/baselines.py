@@ -1,19 +1,19 @@
 """Low-order reference solvers: linear finite elements with backward Euler.
 
-Two drivers share the same algebra: sequential marching (factor the step
-matrix once, then sweep the time levels) and an all-at-once formulation
-that assembles the block lower-bidiagonal space-time system and solves it
-by exact block forward elimination.  Both store the full time history,
-which is what the adjoint march consumes.  The discrete adjoint of the
-marching scheme runs the transposed step matrix backward in time, giving
-gradients of the right-endpoint-quadrature objective
+``be_march`` factors the step matrix M/dt + K once and sweeps the time
+levels, storing the full history that the adjoint march consumes.
+``be_aao_solve`` is the same march reported with the size of the
+all-at-once system it solves: every time level stacked into one block
+lower-bidiagonal system, which eliminated level by level is the march.
+The discrete adjoint runs the transposed step matrix backward in time,
+giving gradients of the right-endpoint-quadrature objective
 
     J = sum_n dt * u_n^T M u_n,   n = 1 .. N_t
 
 that match finite differences to solver precision.
 
-``run_topology_optimization_be`` drives either solver through the MMA loop
-shared with the space-time optimizer in ``optimize``.
+``run_topology_optimization_be`` drives either through the MMA loop shared
+with the space-time optimizer in ``optimize``.
 """
 
 from dataclasses import dataclass
@@ -43,9 +43,6 @@ class FeDiscretization:
     @property
     def element_lengths(self):
         return np.diff(self.nodes)
-
-    def stiffness_for(self, rho):
-        return _stiffness_matrix(self.spec, self.nodes, rho)
 
 
 def _stiffness_matrix(spec, nodes, rho):
@@ -137,56 +134,36 @@ def be_march(fe, spec, n_steps):
         raise ValueError("need at least one time step")
     dt, times, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
     fr, dr = fe.free, fe.dirichlet
-    u = np.zeros((fe.n_nodes, n_steps + 1))
-    u[:, 0] = np.asarray(spec.q(fe.nodes), dtype=float)
     u_d = _dirichlet_values(spec, fe, times)
-    u[dr, :] = u_d
     loads = _load_matrix(spec, fe, times)
-    # constant-per-step pieces solved in one batched call
-    rhs_fixed = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:]
-    correction = sla.lu_solve(lu, rhs_fixed)
-    prop_free = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)])
-    prop_dir = sla.lu_solve(lu, m_dt[np.ix_(fr, dr)])
+    # everything but the free-node propagation, all steps in one batched solve
+    rhs = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:] + m_dt[np.ix_(fr, dr)] @ u_d[:, :-1]
+    prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)])
+    x = np.empty((n_steps + 1, fr.size))  # free nodes, time-major
+    x[0] = np.asarray(spec.q(fe.nodes), dtype=float)[fr]
+    x[1:] = sla.lu_solve(lu, rhs).T
     for n in range(n_steps):
-        u[fr, n + 1] = prop_free @ u[fr, n] + prop_dir @ u_d[:, n] + correction[:, n]
+        x[n + 1] += prop @ x[n]
+    u = np.empty((fe.n_nodes, n_steps + 1))
+    u[fr] = x.T
+    u[dr] = u_d
     return MarchingSolution(times=times, states=u, fe=fe)
 
 
 def be_aao_solve(fe, spec, n_steps):
-    """All-at-once space-time system solved by block forward elimination.
+    """``be_march`` plus the size of the equivalent all-at-once system.
 
-    The system stacks every time level: diagonal blocks M/dt + K,
-    subdiagonal blocks -M/dt.  Forward elimination of a lower-bidiagonal
-    block system is exact, so the result reproduces marching to roundoff;
-    the point of this driver is the accounting of the assembled system
-    size, which grows linearly with the number of steps.
+    Stacking every level gives a block lower-bidiagonal system (diagonal
+    blocks M/dt + K, subdiagonal -M/dt); eliminated level by level it is
+    the march, so only the accounting differs: the unknowns of all levels
+    and the float64 bytes of its right-hand side, the two blocks and the
+    stored history, which grow linearly with the number of steps.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one time step")
-    dt, times, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
-    fr, dr = fe.free, fe.dirichlet
-    n_free = fr.size
-    u_d = _dirichlet_values(spec, fe, times)
-    loads = _load_matrix(spec, fe, times)
-    rhs = np.empty((n_free, n_steps))
-    rhs[:] = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:]
-    q0 = np.asarray(spec.q(fe.nodes), dtype=float)
-    sub_free = m_dt[np.ix_(fr, fr)]
-    sub_dir = m_dt[np.ix_(fr, dr)]
-    u = np.zeros((fe.n_nodes, n_steps + 1))
-    u[:, 0] = q0
-    u[dr, :] = u_d
-    # block forward elimination down the lower-bidiagonal system
-    prev = q0[fr]
-    for n in range(n_steps):
-        b_n = rhs[:, n] + sub_free @ prev + sub_dir @ u_d[:, n]
-        prev = sla.lu_solve(lu, b_n)
-        u[fr, n + 1] = prev
-    unknowns = fe.n_nodes * (n_steps + 1)
-    memory = rhs.nbytes + 2 * step.nbytes + u.nbytes
-    return MarchingSolution(
-        times=times, states=u, fe=fe, aao_unknowns=unknowns, aao_memory_bytes=memory
-    )
+    sol = be_march(fe, spec, n_steps)
+    n_nodes, n_levels = sol.states.shape
+    sol.aao_unknowns = n_nodes * n_levels
+    sol.aao_memory_bytes = 8 * (fe.free.size * n_steps + 2 * n_nodes**2 + n_nodes * n_levels)
+    return sol
 
 
 def be_objective(fe, solution):
@@ -196,24 +173,26 @@ def be_objective(fe, solution):
     return float(dt * np.einsum("in,in->", u, fe.mass @ u))
 
 
-def be_adjoint_and_sensitivity(fe, solution, spec, rho):
-    """Backward adjoint march and the design gradient of be_objective."""
-    n_steps = solution.n_steps
-    dt, _, m_dt, _, lu = _step_pieces(spec, fe, n_steps)
+def _adjoint_march(fe, solution, spec):
+    """Adjoint states of levels 1..N_t, one row per level, free nodes only."""
+    dt, _, m_dt, _, lu = _step_pieces(spec, fe, solution.n_steps)
     fr = fe.free
     prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)].T, trans=1)
     dj_du = 2.0 * dt * (fe.mass @ solution.states)[fr, 1:]
-    source = sla.lu_solve(lu, dj_du, trans=1)  # all levels in one batched solve
-    lam = np.zeros((fe.n_nodes, n_steps + 1))  # level n holds lambda^n, n >= 1
-    nxt = np.zeros(fr.size)
-    for n in range(n_steps, 0, -1):
-        nxt = prop @ nxt + source[:, n - 1]
-        lam[fr, n] = nxt
+    lam = sla.lu_solve(lu, dj_du, trans=1).T.copy()  # all sources in one batched solve
+    for n in range(solution.n_steps - 2, -1, -1):
+        lam[n] += prop @ lam[n + 1]
+    return lam
+
+
+def be_adjoint_and_sensitivity(fe, solution, spec, rho):
+    """Backward adjoint march and the design gradient of be_objective."""
+    lam = np.zeros((fe.n_nodes, solution.n_steps))
+    lam[fe.free] = _adjoint_march(fe, solution, spec).T
     # dJ/drho_k = -sum_n lambda_n^T (dK/drho_k) u_n over the element pair
     u = solution.states[:, 1:]
-    lam_u = lam[:, 1:]
     du = u[:-1, :] - u[1:, :]
-    dl = lam_u[:-1, :] - lam_u[1:, :]
+    dl = lam[:-1, :] - lam[1:, :]
     dkap = dkappa_drho(np.asarray(rho, dtype=float), spec.material)
     h = fe.element_lengths
     return -(dkap / h) * np.sum(dl * du, axis=1)
@@ -229,7 +208,8 @@ def run_topology_optimization_be(
     max_iters=300,
     mma_config=None,
 ):
-    """MMA loop driven by the backward-Euler forward/adjoint pair."""
+    """MMA loop driven by the backward-Euler forward/adjoint pair; ``aao``
+    reports each forward solve with its all-at-once accounting."""
     solver = be_aao_solve if aao else be_march
 
     def forward(rho):

@@ -339,11 +339,12 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
+    overrides = {"jobs": args.jobs, "seed": args.seed, "out_dir": args.out}
     try:
-        cfg = parse_config(
-            args.config,
-            overrides={"jobs": args.jobs, "seed": args.seed, "out_dir": args.out},
-        )
+        cfg = parse_config(args.config, overrides=overrides)
+        if args.command == "optimize":
+            # optimize runs solvers[0] alone: hold the file's keys to that solver
+            parse_config(args.config, overrides={**overrides, "solvers": cfg.solvers[:1]})
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -1,6 +1,10 @@
-"""Dense oracles of the space-time system, for small systems in tests."""
+"""Reference solvers for tests: dense oracles of the space-time system and
+the block elimination of the backward-Euler all-at-once system."""
 
 import numpy as np
+import scipy.linalg as sla
+
+from stheat.baselines import MarchingSolution, _dirichlet_values, _load_matrix, _step_pieces
 
 
 def to_dense(system):
@@ -61,3 +65,42 @@ def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):
         else:
             mu_hi = mid
     return minimizer(mu_hi), mu_hi
+
+
+def be_block_elimination(fe, spec, n_steps):
+    """The backward-Euler all-at-once system solved by block forward elimination.
+
+    The system stacks every time level: diagonal blocks M/dt + K,
+    subdiagonal blocks -M/dt.  Each level is one ``lu_solve`` of the step
+    matrix against the previous level, written independently of the
+    propagator that ``be_march`` forms.
+    """
+    dt, times, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
+    fr, dr = fe.free, fe.dirichlet
+    n_free = fr.size
+    u_d = _dirichlet_values(spec, fe, times)
+    loads = _load_matrix(spec, fe, times)
+    rhs = np.empty((n_free, n_steps))
+    rhs[:] = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:]
+    q0 = np.asarray(spec.q(fe.nodes), dtype=float)
+    sub_free = m_dt[np.ix_(fr, fr)]
+    sub_dir = m_dt[np.ix_(fr, dr)]
+    u = np.zeros((fe.n_nodes, n_steps + 1))
+    u[:, 0] = q0
+    u[dr, :] = u_d
+    # block forward elimination down the lower-bidiagonal system
+    prev = q0[fr]
+    for n in range(n_steps):
+        b_n = rhs[:, n] + sub_free @ prev + sub_dir @ u_d[:, n]
+        prev = sla.lu_solve(lu, b_n)
+        u[fr, n + 1] = prev
+    return MarchingSolution(times=times, states=u, fe=fe)
+
+
+def be_block_system(fe, n_steps):
+    """The all-at-once matrix over the free nodes of levels 1..N_t, dense and
+    level-major: M/dt + K on the diagonal, -M/dt below it."""
+    fr = fe.free
+    m_dt = (fe.mass / (fe.spec.horizon / n_steps))[np.ix_(fr, fr)]
+    step = m_dt + fe.stiffness[np.ix_(fr, fr)]
+    return np.kron(np.eye(n_steps), step) - np.kron(np.eye(n_steps, k=-1), m_dt)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import be_block_elimination, be_block_system
 
 from stheat.baselines import (
+    _adjoint_march,
     be_adjoint_and_sensitivity,
     be_aao_solve,
     be_march,
@@ -134,9 +138,9 @@ def test_aao_matches_marching():
     rng = np.random.default_rng(9)
     fe = fe_assemble(spec, rng.uniform(0.1, 1.0, 14))
     march = be_march(fe, spec, 64)
-    aao = be_aao_solve(fe, spec, 64)
+    ref = be_block_elimination(fe, spec, 64)
     scale = np.max(np.abs(march.states))
-    assert np.max(np.abs(aao.states - march.states)) <= 1e-12 * scale
+    assert np.max(np.abs(ref.states - march.states)) <= 1e-12 * scale
 
 
 def test_aao_accounting():
@@ -145,8 +149,50 @@ def test_aao_accounting():
     aao = be_aao_solve(fe, spec, 16384)
     assert aao.aao_unknowns == 51 * 16385 == 835_635
     half = be_aao_solve(fe, spec, 8192)
-    assert aao.aao_memory_bytes == pytest.approx(2 * half.aao_memory_bytes, rel=0.1)
-    assert aao.aao_unknowns == pytest.approx(2 * half.aao_unknowns, rel=0.01)
+    assert half.aao_unknowns == 51 * 8193
+    # float64 bytes of the stacked rhs, the two blocks and the history, as
+    # the block-elimination driver allocated them
+    assert (half.aao_memory_bytes, aao.aao_memory_bytes) == (6_595_624, 13_149_224)
+    np.testing.assert_array_equal(aao.states, be_march(fe, spec, 16384).states)
+
+
+def data_problem(K, bc_left, bc_right):
+    """Nonzero source, initial and boundary data of either kind on both ends."""
+    return ProblemSpec(
+        domain=(0.0, 1.0), horizon=1.0, n_elements=K, nx=1, nt=1,
+        material=MaterialModel(1e-3, 1.0, 3.0),
+        bc_left=bc_left, bc_right=bc_right,
+        h=lambda t: np.cos(3.0 * np.asarray(t, float)),
+        g=lambda t: 1.0 + np.asarray(t, float) ** 2,
+        q=lambda x: np.sin(5.0 * np.asarray(x, float)),
+        f=lambda x, t: 10.0 + np.sin(10.0 * (x + t)),
+    )
+
+
+@st.composite
+def designs_and_steps(draw):
+    K = draw(st.integers(1, 8))
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    return np.array(draw(st.lists(value, min_size=K, max_size=K))), draw(st.integers(1, 64))
+
+
+@pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("bc_right", ["dirichlet", "neumann"])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(case=designs_and_steps())
+def test_march_and_adjoint_property_against_block_oracle(bc_left, bc_right, case):
+    rho, n_steps = case
+    spec = data_problem(rho.size, bc_left, bc_right)
+    fe = fe_assemble(spec, rho)
+    march = be_march(fe, spec, n_steps)
+    ref = be_block_elimination(fe, spec, n_steps)
+    assert np.max(np.abs(march.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+    # lambda solves the transposed all-at-once system against dJ/du of levels 1..N
+    lam = _adjoint_march(fe, march, spec).ravel()
+    dt = spec.horizon / n_steps
+    dj_du = (2.0 * dt * fe.mass @ march.states[:, 1:])[fe.free].T.ravel()
+    residual = be_block_system(fe, n_steps).T @ lam - dj_du
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(dj_du)
 
 
 def test_be_gradient_matches_fd():

@@ -104,6 +104,23 @@ def test_space_time_keys_accepted_with_st_se_or_as_overrides(tmp_path):
     assert cfg.nx == 9 and cfg.nt == 7 and cfg.sat_s == 2.0
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [("[problem]\nnx = 9\n", "problem.nx"), ("[sat]\nsafety = 2.0\n", "sat.safety")],
+    ids=["problem-nx", "sat-safety"],
+)
+def test_cli_optimize_rejects_space_time_keys_its_solver_ignores(tmp_path, capsys, text, key):
+    # optimize runs only solvers[0]; a later st-se does not make be-fe read the key
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{text}[optimizer]\nmax_iters = 1\n"
+                    "[run]\nsolvers = be-fe st-se\nnt_steps_sweep = 8\n")
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # compare runs st-se as well, so the file itself stays valid
+    assert parse_config(str(path)).solvers == ("be-fe", "st-se")
+
+
 def test_type_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[problem]\nelements = many\n")

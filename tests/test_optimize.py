@@ -109,12 +109,12 @@ def test_capped_run_stops_at_max_iterations(solver):
 def test_marching_and_all_at_once_traces_agree():
     _, _, march = _cooling_run("be-fe", tol_design=1e-3, max_iters=20)
     _, _, aao = _cooling_run("be-fe-aao", tol_design=1e-3, max_iters=20)
+    # the all-at-once driver is the march plus accounting: identical numbers
     assert march.iterations == aao.iterations and march.stop_reason == aao.stop_reason
     for a, b in zip(march.records, aao.records):
-        assert a.objective == pytest.approx(b.objective, rel=1e-12)
-        assert a.design_change == pytest.approx(b.design_change, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(a.rho, b.rho, rtol=1e-12, atol=1e-12)
-    assert march.final_objective == pytest.approx(aao.final_objective, rel=1e-12)
+        assert a.objective == b.objective and a.design_change == b.design_change
+        np.testing.assert_array_equal(a.rho, b.rho)
+    assert march.final_objective == aao.final_objective
 
 
 @pytest.mark.parametrize("solver", ("st-se", "be-fe"))
