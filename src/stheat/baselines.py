@@ -1,22 +1,30 @@
 """Low-order reference solvers: linear finite elements with backward Euler.
 
-``be_march`` factors the step matrix M/dt + K once and sweeps the time
-levels, storing the full history that the adjoint march consumes.
-``be_aao_solve`` is the same march reported with the size of the
-all-at-once system it solves: every time level stacked into one block
-lower-bidiagonal system, which eliminated level by level is the march.
-The discrete adjoint runs the transposed step matrix backward in time,
+``be_march`` factors the step matrix M/dt + K once and solves every level's
+sources in one batched solve, leaving the recurrence x_(n+1) += P x_n with
+the constant propagator P = (M/dt + K)^-1 M/dt.  ``_propagate`` sweeps it
+in blocks of about sqrt(N_t) levels (the two-level time-parallel reduction
+of a block-bidiagonal system): all blocks from a zero start at once, then
+each block's start state carried across blocks by P^L, then P^k times that
+start added to level k of every block in one product, so the interpreter
+takes about 2 sqrt(N_t) steps instead of N_t.  The adjoint march sweeps
+the transposed recurrence backward in time through the same function,
 giving gradients of the right-endpoint-quadrature objective
 
     J = sum_n dt * u_n^T M u_n,   n = 1 .. N_t
 
-that match finite differences to solver precision.
+that match finite differences to solver precision.  ``be_aao_solve`` is
+the march reported with the size of the all-at-once system it solves:
+every time level stacked into one block lower-bidiagonal system.
 
 ``run_topology_optimization_be`` drives either through the MMA loop shared
-with the space-time optimizer in ``optimize``.
+with the space-time optimizer in ``optimize``.  The times, Dirichlet values
+and loads of the march do not depend on the design, so the loop builds
+them on its first march and every later design reuses them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,6 +43,8 @@ class FeDiscretization:
     stiffness: np.ndarray
     free: np.ndarray
     dirichlet: np.ndarray
+    # design-independent march data by step count, shared by the designs of one loop
+    march_cache: dict = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self):
@@ -118,32 +128,72 @@ def _load_matrix(spec, fe, times):
     return loads
 
 
+def _march_data(spec, fe, n_steps):
+    """Times, Dirichlet values and loads of an ``n_steps`` march.
+
+    None depends on the design; a design loop keeps them in
+    ``fe.march_cache``, filled by its first march.
+    """
+    cache = {} if fe.march_cache is None else fe.march_cache
+    if n_steps not in cache:
+        times = np.linspace(0.0, spec.horizon, n_steps + 1)
+        cache[n_steps] = times, _dirichlet_values(spec, fe, times), _load_matrix(spec, fe, times)
+    return cache[n_steps]
+
+
 def _step_pieces(spec, fe, n_steps):
     dt = spec.horizon / n_steps
-    times = np.linspace(0.0, spec.horizon, n_steps + 1)
     fr = fe.free
     m_dt = fe.mass / dt
     step = m_dt + fe.stiffness
     lu = sla.lu_factor(step[np.ix_(fr, fr)])
-    return dt, times, m_dt, step, lu
+    return dt, m_dt, step, lu
+
+
+def _propagate(prop, x):
+    """``x[n + 1] += prop @ x[n]`` for n = 0 .. N - 1 in turn, in place.
+
+    ``x`` is C-contiguous with N + 1 rows.  The levels 1 .. nb L are cut
+    into nb blocks of L = isqrt(N) levels.  The recurrence runs inside all
+    blocks at once from a zero start, while the powers prop^1 .. prop^L
+    are formed; each block's start state is carried to the next by
+    prop^L; then prop^k times its start state is added to the k-th level
+    of every block in one product.  The last N - nb L (< L) levels are
+    stepped directly.
+    """
+    n_steps, n = x.shape[0] - 1, x.shape[1]
+    if n_steps < 1:
+        return
+    size = isqrt(n_steps)
+    n_blocks = n_steps // size
+    blocks = np.reshape(x[1:n_blocks * size + 1], (n_blocks, size, n), copy=False)
+    powers = np.empty((n, size, n))  # powers[:, k] = (prop^(k + 1))^T
+    powers[:, 0] = prop.T
+    for k in range(1, size):
+        blocks[:, k] += blocks[:, k - 1] @ prop.T
+        powers[:, k] = powers[:, k - 1] @ prop.T
+    starts = np.empty((n_blocks, n))  # the level before each block
+    starts[0] = x[0]
+    for j in range(1, n_blocks):
+        starts[j] = blocks[j - 1, -1] + starts[j - 1] @ powers[:, -1]
+    blocks += (starts @ powers.reshape(n, size * n)).reshape(n_blocks, size, n)
+    for level in range(n_blocks * size, n_steps):
+        x[level + 1] += prop @ x[level]
 
 
 def be_march(fe, spec, n_steps):
-    """Sequential backward-Euler time stepping."""
+    """Backward-Euler time stepping, swept in blocks by ``_propagate``."""
     if n_steps < 1:
         raise ValueError("need at least one time step")
-    dt, times, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
+    dt, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
+    times, u_d, loads = _march_data(spec, fe, n_steps)
     fr, dr = fe.free, fe.dirichlet
-    u_d = _dirichlet_values(spec, fe, times)
-    loads = _load_matrix(spec, fe, times)
     # everything but the free-node propagation, all steps in one batched solve
     rhs = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:] + m_dt[np.ix_(fr, dr)] @ u_d[:, :-1]
-    prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)])
     x = np.empty((n_steps + 1, fr.size))  # free nodes, time-major
     x[0] = np.asarray(spec.q(fe.nodes), dtype=float)[fr]
     x[1:] = sla.lu_solve(lu, rhs).T
-    for n in range(n_steps):
-        x[n + 1] += prop @ x[n]
+    _propagate(sla.lu_solve(lu, m_dt[np.ix_(fr, fr)]), x)
     u = np.empty((fe.n_nodes, n_steps + 1))
     u[fr] = x.T
     u[dr] = u_d
@@ -175,14 +225,12 @@ def be_objective(fe, solution):
 
 def _adjoint_march(fe, solution, spec):
     """Adjoint states of levels 1..N_t, one row per level, free nodes only."""
-    dt, _, m_dt, _, lu = _step_pieces(spec, fe, solution.n_steps)
+    dt, m_dt, _, lu = _step_pieces(spec, fe, solution.n_steps)
     fr = fe.free
-    prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)].T, trans=1)
-    dj_du = 2.0 * dt * (fe.mass @ solution.states)[fr, 1:]
-    lam = sla.lu_solve(lu, dj_du, trans=1).T.copy()  # all sources in one batched solve
-    for n in range(solution.n_steps - 2, -1, -1):
-        lam[n] += prop @ lam[n + 1]
-    return lam
+    # every level's dJ/du in one batched solve, levels reversed so the sweep runs forward
+    lam = sla.lu_solve(lu, 2.0 * dt * (fe.mass @ solution.states)[fr, :0:-1], trans=1).T
+    _propagate(sla.lu_solve(lu, m_dt[np.ix_(fr, fr)].T, trans=1), lam)
+    return lam[::-1]
 
 
 def be_adjoint_and_sensitivity(fe, solution, spec, rho):
@@ -211,9 +259,11 @@ def run_topology_optimization_be(
     """MMA loop driven by the backward-Euler forward/adjoint pair; ``aao``
     reports each forward solve with its all-at-once accounting."""
     solver = be_aao_solve if aao else be_march
+    march_cache = {}
 
     def forward(rho):
         fe = fe_assemble(spec, rho)
+        fe.march_cache = march_cache
         sol = solver(fe, spec, n_steps)
         return be_objective(fe, sol), (fe, sol)
 

@@ -22,7 +22,7 @@ from . import __version__
 from .assembly import Discretization, assemble_global, residual
 from .baselines import run_topology_optimization_be
 from .blocksolve import condition_estimate
-from .config import parse_config, problem_from_config
+from .config import _SPACE_TIME_ONLY, parse_config, problem_from_config
 from .errors import ConfigError
 from .optimize import run_topology_optimization
 from .presets import two_design_benchmark
@@ -176,7 +176,7 @@ def _optimize_once(cfg, solver, n_steps=None):
         )
     else:
         trace = run_topology_optimization_be(
-            spec, vstar, n_steps or max(cfg.nt_steps_sweep),
+            spec, vstar, max(cfg.nt_steps_sweep) if n_steps is None else n_steps,
             aao=(solver == "be-fe-aao"),
             tol_design=cfg.tol_design, max_iters=cfg.max_iters,
         )
@@ -263,6 +263,15 @@ def declared_convergence_level(levels, changes, tol):
     return None
 
 
+def _ignored_keys(cfg, solver):
+    """The keys set in the config file that ``solver``'s compare cells never read."""
+    if solver == "st-se":
+        unread = ("problem.nt", "run.nt_steps_sweep")  # each cell sets nt to its level
+    else:
+        unread = _SPACE_TIME_ONLY + ("run.nt_nodes_sweep",)
+    return sorted(k for k in unread if k in cfg.file_keys)
+
+
 def cmd_compare(cfg, out_dir):
     """Timing / design-change table across the three forward solvers.
 
@@ -311,6 +320,7 @@ def cmd_compare(cfg, out_dir):
                 [c["level"] for c in cells], changes, cfg.tol_design
             ),
             "final_design": cells[-1]["rho"] if cells else None,
+            "ignored_keys": _ignored_keys(cfg, solver),
         }
     _write_csv(
         os.path.join(out_dir, "compare.csv"),

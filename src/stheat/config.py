@@ -45,6 +45,8 @@ class RunConfig:
     seed: int = 0
     jobs: int = 1
     out_dir: str = "stheat-out"
+    # not a field: the "section.key" paths that parse_config read from the file
+    file_keys = frozenset()
 
     def validate(self):
         if self.preset not in _PRESETS:
@@ -67,6 +69,9 @@ class RunConfig:
             raise ConfigError("sweep lists must be nonempty")
         if not self.converge_n:
             raise ConfigError("converge sweep must be nonempty")
+        for name in ("nt_nodes_sweep", "nt_steps_sweep", "converge_n"):
+            if min(getattr(self, name)) < 1:
+                raise ConfigError(f"run.{name}: entries must be positive integers")
         return self
 
 
@@ -140,6 +145,7 @@ def parse_config(path=None, overrides=None):
                 attr = _RENAME.get((section, key), key)
                 setattr(cfg, attr, _convert(_SCHEMA[section][key], raw, f"{section}.{key}"))
                 from_file.add(f"{section}.{key}")
+    cfg.file_keys = frozenset(from_file)
     if cfg.preset == "two-design":
         for key in _COOLING_ONLY:
             if f"problem.{key}" in from_file:

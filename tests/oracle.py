@@ -3,6 +3,7 @@ the block elimination of the backward-Euler all-at-once system."""
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from stheat.baselines import MarchingSolution, _dirichlet_values, _load_matrix, _step_pieces
 
@@ -75,7 +76,8 @@ def be_block_elimination(fe, spec, n_steps):
     matrix against the previous level, written independently of the
     propagator that ``be_march`` forms.
     """
-    dt, times, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
+    _, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
+    times = np.linspace(0.0, spec.horizon, n_steps + 1)
     fr, dr = fe.free, fe.dirichlet
     n_free = fr.size
     u_d = _dirichlet_values(spec, fe, times)
@@ -98,9 +100,9 @@ def be_block_elimination(fe, spec, n_steps):
 
 
 def be_block_system(fe, n_steps):
-    """The all-at-once matrix over the free nodes of levels 1..N_t, dense and
+    """The all-at-once matrix over the free nodes of levels 1..N_t, sparse and
     level-major: M/dt + K on the diagonal, -M/dt below it."""
     fr = fe.free
     m_dt = (fe.mass / (fe.spec.horizon / n_steps))[np.ix_(fr, fr)]
     step = m_dt + fe.stiffness[np.ix_(fr, fr)]
-    return np.kron(np.eye(n_steps), step) - np.kron(np.eye(n_steps, k=-1), m_dt)
+    return (sp.kron(sp.eye(n_steps), step) - sp.kron(sp.eye(n_steps, k=-1), m_dt)).tocsr()

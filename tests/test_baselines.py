@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import be_block_elimination, be_block_system
 
+from stheat import baselines
 from stheat.baselines import (
     _adjoint_march,
     be_adjoint_and_sensitivity,
@@ -11,6 +14,7 @@ from stheat.baselines import (
     be_march,
     be_objective,
     fe_assemble,
+    run_topology_optimization_be,
 )
 from stheat.problem import MaterialModel, ProblemSpec
 
@@ -176,13 +180,7 @@ def designs_and_steps(draw):
     return np.array(draw(st.lists(value, min_size=K, max_size=K))), draw(st.integers(1, 64))
 
 
-@pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("bc_right", ["dirichlet", "neumann"])
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(case=designs_and_steps())
-def test_march_and_adjoint_property_against_block_oracle(bc_left, bc_right, case):
-    rho, n_steps = case
-    spec = data_problem(rho.size, bc_left, bc_right)
+def assert_march_and_adjoint_match_block_oracle(spec, rho, n_steps):
     fe = fe_assemble(spec, rho)
     march = be_march(fe, spec, n_steps)
     ref = be_block_elimination(fe, spec, n_steps)
@@ -193,6 +191,27 @@ def test_march_and_adjoint_property_against_block_oracle(bc_left, bc_right, case
     dj_du = (2.0 * dt * fe.mass @ march.states[:, 1:])[fe.free].T.ravel()
     residual = be_block_system(fe, n_steps).T @ lam - dj_du
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(dj_du)
+
+
+@pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("bc_right", ["dirichlet", "neumann"])
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(case=designs_and_steps())
+def test_march_and_adjoint_property_against_block_oracle(bc_left, bc_right, case):
+    rho, n_steps = case
+    assert_march_and_adjoint_match_block_oracle(data_problem(rho.size, bc_left, bc_right),
+                                                rho, n_steps)
+
+
+@pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("bc_right", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 17, 63, 64, 65, 1000, 4099])
+def test_march_and_adjoint_block_edges(bc_left, bc_right, n_steps):
+    # the blocked sweep cuts N levels into isqrt(N)-level blocks plus a tail:
+    # single levels, perfect squares and their neighbours, primes, long tails
+    rho = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.3, 0.0, 1.0, 1.0, 1.0, 0.0])
+    assert_march_and_adjoint_match_block_oracle(data_problem(rho.size, bc_left, bc_right),
+                                                rho, n_steps)
 
 
 def test_be_gradient_matches_fd():
@@ -248,3 +267,49 @@ def test_be_sensitivity_symmetric_profile():
     sol = be_march(fe, spec, 64)
     grad = be_adjoint_and_sensitivity(fe, sol, spec, rho)
     np.testing.assert_allclose(grad, grad[::-1], rtol=1e-10, atol=1e-14)
+
+
+def counting_problem(horizon=1.0, offset=10.0):
+    """data_problem's Neumann/Dirichlet mix whose source counts its calls."""
+    calls = []
+
+    def f(x, t):
+        calls.append(1)
+        return offset + np.sin(10.0 * (x + t))
+
+    spec = ProblemSpec(
+        domain=(0.0, 1.0), horizon=horizon, n_elements=8, nx=1, nt=1,
+        material=MaterialModel(1e-3, 1.0, 3.0), bc_left="neumann",
+        g=lambda t: 1.0 + np.asarray(t, float) ** 2, f=f,
+    )
+    return spec, calls
+
+
+def test_design_loop_builds_march_data_once_and_never_stale(monkeypatch):
+    marches = []
+    original = baselines.be_march
+
+    def recording_march(fe, spec, n_steps):
+        sol = original(fe, spec, n_steps)
+        marches.append((fe, spec, n_steps, sol))
+        return sol
+
+    monkeypatch.setattr(baselines, "be_march", recording_march)
+    spec_a, calls_a = counting_problem()
+    spec_b, calls_b = counting_problem(horizon=0.5, offset=3.0)
+    for spec, calls, n_steps in ((spec_a, calls_a, 16), (spec_a, calls_a, 24), (spec_b, calls_b, 16)):
+        start = len(calls)
+        trace = run_topology_optimization_be(spec, 0.5, n_steps, max_iters=4)
+        assert trace.iterations == 4
+        # one source evaluation per loop, not one per forward solve
+        assert len(calls) - start == 1
+    assert len(marches) == 3 * 5
+    for fe, spec, n_steps, sol in marches:
+        # a fresh discretization carries no cache, so this march rebuilds everything
+        fresh = original(replace(fe), spec, n_steps)
+        np.testing.assert_array_equal(sol.states, fresh.states)
+        np.testing.assert_array_equal(sol.times, fresh.times)
+    # a loop's discretization marched at another step count rebuilds its data
+    fe, spec, _, _ = marches[0]
+    np.testing.assert_array_equal(original(fe, spec, 20).states,
+                                  original(replace(fe), spec, 20).states)

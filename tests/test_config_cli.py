@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stheat.cli import declared_convergence_level, main
+from stheat.cli import _optimize_once, declared_convergence_level, main
 from stheat.config import parse_config, problem_from_config
 from stheat.errors import ConfigError
 
@@ -119,6 +119,27 @@ def test_cli_optimize_rejects_space_time_keys_its_solver_ignores(tmp_path, capsy
     assert not (tmp_path / "out").exists()
     # compare runs st-se as well, so the file itself stays valid
     assert parse_config(str(path)).solvers == ("be-fe", "st-se")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nt_steps_sweep", "0 8"), ("nt_steps_sweep", "8 -4"), ("nt_nodes_sweep", "0 3"),
+     ("converge_n", "4 -2")],
+)
+def test_cli_rejects_nonpositive_sweep_entries(tmp_path, capsys, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text("[problem]\nelements = 4\n[optimizer]\nmax_iters = 1\n"
+                    f"[run]\nsolvers = be-fe\nrepeats = 1\n{key} = {value}\n")
+    command = "converge" if key == "converge_n" else "compare"
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"run.{key}" in capsys.readouterr().err
+
+
+def test_optimize_once_takes_zero_steps_literally():
+    # 0 steps is an error of the caller, not a request for the default sweep maximum
+    cfg = parse_config(overrides={"solvers": ("be-fe",), "elements": 4, "max_iters": 1})
+    with pytest.raises(ValueError, match="at least one time step"):
+        _optimize_once(cfg, "be-fe", n_steps=0)
 
 
 def test_type_mismatch_rejected(tmp_path):
@@ -280,3 +301,19 @@ def test_cli_compare_two_design_dof(tmp_path):
     main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["solvers"]["st-se"]["dof"] == [2 * (nx + 1) * (level + 1) for level in levels]
+
+
+def test_cli_compare_names_keys_each_solver_ignored(tmp_path):
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text(
+        "[problem]\nelements = 4\nnx = 2\nnt = 3\n[sat]\nsafety = 2.0\n"
+        "[optimizer]\nmax_iters = 1\n"
+        "[run]\nsolvers = st-se be-fe\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\nrepeats = 1\n"
+    )
+    main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    solvers = json.loads((tmp_path / "out" / "summary.json").read_text())["solvers"]
+    # st-se sweeps nt itself; the backward-Euler cells read no space-time key
+    assert solvers["st-se"]["ignored_keys"] == ["problem.nt", "run.nt_steps_sweep"]
+    assert solvers["be-fe"]["ignored_keys"] == [
+        "problem.nt", "problem.nx", "run.nt_nodes_sweep", "sat.safety"
+    ]
