@@ -7,15 +7,16 @@ in blocks of about sqrt(N_t) levels (the two-level time-parallel reduction
 of a block-bidiagonal system): all blocks from a zero start at once, then
 each block's start state carried across blocks by P^L, then P^k times that
 start added to level k of every block in one product, so the interpreter
-takes about 2 sqrt(N_t) steps instead of N_t.  The adjoint march sweeps
-the transposed recurrence backward in time through the same function,
-giving gradients of the right-endpoint-quadrature objective
+takes about 2 sqrt(N_t) steps instead of N_t.  The adjoint is the same
+march run backward in time on the forward's step LU and P, which it finds
+in the ``MarchingSolution`` (valid because M and K are symmetric, see
+``_adjoint_march``).  Its gradients of the right-endpoint-quadrature objective
 
     J = sum_n dt * u_n^T M u_n,   n = 1 .. N_t
 
-that match finite differences to solver precision.  ``be_aao_solve`` is
-the march reported with the size of the all-at-once system it solves:
-every time level stacked into one block lower-bidiagonal system.
+match finite differences to solver precision.  ``be_aao_solve`` is the
+march reported with the size of the all-at-once system it solves: every
+time level stacked into one block lower-bidiagonal system.
 
 ``run_topology_optimization_be`` drives either through the MMA loop shared
 with the space-time optimizer in ``optimize``.  The times, Dirichlet values
@@ -50,37 +51,28 @@ class FeDiscretization:
     def n_nodes(self):
         return self.nodes.size
 
-    @property
-    def element_lengths(self):
-        return np.diff(self.nodes)
 
-
-def _stiffness_matrix(spec, nodes, rho):
-    kap = kappa(np.asarray(rho, dtype=float), spec.material)
-    h = np.diff(nodes)
-    n = nodes.size
-    K = np.zeros((n, n))
-    w = kap / h
+def _p1_matrix(diagonal, off_diagonal):
+    """Symmetric tridiagonal sum of 2x2 element matrices [[d, o], [o, d]]."""
+    n = diagonal.size + 1
+    A = np.zeros((n, n))
     idx = np.arange(n - 1)
-    K[idx, idx] += w
-    K[idx + 1, idx + 1] += w
-    K[idx, idx + 1] -= w
-    K[idx + 1, idx] -= w
-    return K
+    A[idx, idx] += diagonal
+    A[idx + 1, idx + 1] += diagonal
+    A[idx, idx + 1] += off_diagonal
+    A[idx + 1, idx] += off_diagonal
+    return A
 
 
 def fe_assemble(spec, rho):
     """Assemble consistent mass and design-dependent stiffness matrices."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (spec.n_elements,):
+        raise ValueError(f"design must have {spec.n_elements} entries, got shape {rho.shape}")
     nodes = spec.element_edges
     n = nodes.size
     h = np.diff(nodes)
-    M = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    M[idx, idx] += h / 3.0
-    M[idx + 1, idx + 1] += h / 3.0
-    M[idx, idx + 1] += h / 6.0
-    M[idx + 1, idx] += h / 6.0
-    K = _stiffness_matrix(spec, nodes, rho)
+    w = kappa(rho, spec.material) / h
     fixed = []
     if spec.bc_left == "dirichlet":
         fixed.append(0)
@@ -89,7 +81,8 @@ def fe_assemble(spec, rho):
     dirichlet = np.array(fixed, dtype=int)
     free = np.setdiff1d(np.arange(n), dirichlet)
     return FeDiscretization(
-        spec=spec, nodes=nodes, mass=M, stiffness=K, free=free, dirichlet=dirichlet
+        spec=spec, nodes=nodes, mass=_p1_matrix(h / 3.0, h / 6.0), stiffness=_p1_matrix(w, -w),
+        free=free, dirichlet=dirichlet,
     )
 
 
@@ -100,6 +93,9 @@ class MarchingSolution:
     times: np.ndarray
     states: np.ndarray  # (n_nodes, n_levels) including the initial level
     fe: FeDiscretization
+    # free-node step LU of M/dt + K and propagator (M/dt + K)^-1 M/dt of the march
+    step_lu: tuple = None
+    propagator: np.ndarray = None
     aao_unknowns: int = None
     aao_memory_bytes: int = None
 
@@ -108,16 +104,17 @@ class MarchingSolution:
         return self.times.size - 1
 
 
-def _dirichlet_values(spec, fe, times):
+def _dirichlet_values(fe, times):
     vals = np.zeros((fe.dirichlet.size, times.size))
     for i, node in enumerate(fe.dirichlet):
-        data = spec.h if node == 0 else spec.g
+        data = fe.spec.h if node == 0 else fe.spec.g
         vals[i] = np.asarray(data(times), dtype=float)
     return vals
 
 
-def _load_matrix(spec, fe, times):
+def _load_matrix(fe, times):
     """Nodal loads M f(t_n) plus Neumann flux data, one column per level."""
+    spec = fe.spec
     X, T = np.broadcast_arrays(fe.nodes[:, None], times[None, :])
     f_nodes = np.asarray(spec.f(X.copy(), T.copy()), dtype=float)
     loads = fe.mass @ f_nodes
@@ -128,7 +125,7 @@ def _load_matrix(spec, fe, times):
     return loads
 
 
-def _march_data(spec, fe, n_steps):
+def _march_data(fe, n_steps):
     """Times, Dirichlet values and loads of an ``n_steps`` march.
 
     None depends on the design; a design loop keeps them in
@@ -136,18 +133,9 @@ def _march_data(spec, fe, n_steps):
     """
     cache = {} if fe.march_cache is None else fe.march_cache
     if n_steps not in cache:
-        times = np.linspace(0.0, spec.horizon, n_steps + 1)
-        cache[n_steps] = times, _dirichlet_values(spec, fe, times), _load_matrix(spec, fe, times)
+        times = np.linspace(0.0, fe.spec.horizon, n_steps + 1)
+        cache[n_steps] = times, _dirichlet_values(fe, times), _load_matrix(fe, times)
     return cache[n_steps]
-
-
-def _step_pieces(spec, fe, n_steps):
-    dt = spec.horizon / n_steps
-    fr = fe.free
-    m_dt = fe.mass / dt
-    step = m_dt + fe.stiffness
-    lu = sla.lu_factor(step[np.ix_(fr, fr)])
-    return dt, m_dt, step, lu
 
 
 def _propagate(prop, x):
@@ -181,26 +169,29 @@ def _propagate(prop, x):
         x[level + 1] += prop @ x[level]
 
 
-def be_march(fe, spec, n_steps):
+def be_march(fe, n_steps):
     """Backward-Euler time stepping, swept in blocks by ``_propagate``."""
     if n_steps < 1:
         raise ValueError("need at least one time step")
-    dt, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
-    times, u_d, loads = _march_data(spec, fe, n_steps)
+    times, u_d, loads = _march_data(fe, n_steps)
     fr, dr = fe.free, fe.dirichlet
+    m_dt = fe.mass / (fe.spec.horizon / n_steps)
+    step = m_dt + fe.stiffness
+    lu = sla.lu_factor(step[np.ix_(fr, fr)])
     # everything but the free-node propagation, all steps in one batched solve
     rhs = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:] + m_dt[np.ix_(fr, dr)] @ u_d[:, :-1]
     x = np.empty((n_steps + 1, fr.size))  # free nodes, time-major
-    x[0] = np.asarray(spec.q(fe.nodes), dtype=float)[fr]
+    x[0] = np.asarray(fe.spec.q(fe.nodes), dtype=float)[fr]
     x[1:] = sla.lu_solve(lu, rhs).T
-    _propagate(sla.lu_solve(lu, m_dt[np.ix_(fr, fr)]), x)
+    prop = sla.lu_solve(lu, m_dt[np.ix_(fr, fr)])
+    _propagate(prop, x)
     u = np.empty((fe.n_nodes, n_steps + 1))
     u[fr] = x.T
     u[dr] = u_d
-    return MarchingSolution(times=times, states=u, fe=fe)
+    return MarchingSolution(times=times, states=u, fe=fe, step_lu=lu, propagator=prop)
 
 
-def be_aao_solve(fe, spec, n_steps):
+def be_aao_solve(fe, n_steps):
     """``be_march`` plus the size of the equivalent all-at-once system.
 
     Stacking every level gives a block lower-bidiagonal system (diagonal
@@ -209,41 +200,44 @@ def be_aao_solve(fe, spec, n_steps):
     and the float64 bytes of its right-hand side, the two blocks and the
     stored history, which grow linearly with the number of steps.
     """
-    sol = be_march(fe, spec, n_steps)
+    sol = be_march(fe, n_steps)
     n_nodes, n_levels = sol.states.shape
     sol.aao_unknowns = n_nodes * n_levels
     sol.aao_memory_bytes = 8 * (fe.free.size * n_steps + 2 * n_nodes**2 + n_nodes * n_levels)
     return sol
 
 
-def be_objective(fe, solution):
+def be_objective(solution):
     """Right-endpoint quadrature of u^T M u over the marched history."""
     u = solution.states[:, 1:]
     dt = solution.times[1] - solution.times[0]
-    return float(dt * np.einsum("in,in->", u, fe.mass @ u))
+    return float(dt * np.einsum("in,in->", u, solution.fe.mass @ u))
 
 
-def _adjoint_march(fe, solution, spec):
+def _adjoint_march(solution):
     """Adjoint states of levels 1..N_t, one row per level, free nodes only."""
-    dt, m_dt, _, lu = _step_pieces(spec, fe, solution.n_steps)
-    fr = fe.free
+    fe = solution.fe
+    # the transposed march, backward in time: M and K are symmetric (by
+    # construction in _p1_matrix), so its step solve and propagator
+    # (M/dt + K)^-T (M/dt)^T = P are the forward's
+    dt = fe.spec.horizon / solution.n_steps
     # every level's dJ/du in one batched solve, levels reversed so the sweep runs forward
-    lam = sla.lu_solve(lu, 2.0 * dt * (fe.mass @ solution.states)[fr, :0:-1], trans=1).T
-    _propagate(sla.lu_solve(lu, m_dt[np.ix_(fr, fr)].T, trans=1), lam)
+    lam = sla.lu_solve(solution.step_lu, 2.0 * dt * (fe.mass @ solution.states)[fe.free, :0:-1]).T
+    _propagate(solution.propagator, lam)
     return lam[::-1]
 
 
-def be_adjoint_and_sensitivity(fe, solution, spec, rho):
+def be_adjoint_and_sensitivity(solution, rho):
     """Backward adjoint march and the design gradient of be_objective."""
+    fe = solution.fe
     lam = np.zeros((fe.n_nodes, solution.n_steps))
-    lam[fe.free] = _adjoint_march(fe, solution, spec).T
+    lam[fe.free] = _adjoint_march(solution).T
     # dJ/drho_k = -sum_n lambda_n^T (dK/drho_k) u_n over the element pair
     u = solution.states[:, 1:]
     du = u[:-1, :] - u[1:, :]
     dl = lam[:-1, :] - lam[1:, :]
-    dkap = dkappa_drho(np.asarray(rho, dtype=float), spec.material)
-    h = fe.element_lengths
-    return -(dkap / h) * np.sum(dl * du, axis=1)
+    dkap = dkappa_drho(np.asarray(rho, dtype=float), fe.spec.material)
+    return -(dkap / np.diff(fe.nodes)) * np.sum(dl * du, axis=1)
 
 
 def run_topology_optimization_be(
@@ -264,11 +258,11 @@ def run_topology_optimization_be(
     def forward(rho):
         fe = fe_assemble(spec, rho)
         fe.march_cache = march_cache
-        sol = solver(fe, spec, n_steps)
-        return be_objective(fe, sol), (fe, sol)
+        sol = solver(fe, n_steps)
+        return be_objective(sol), sol
 
-    def gradient(rho, state):
-        return be_adjoint_and_sensitivity(*state, spec, rho)
+    def gradient(rho, sol):
+        return be_adjoint_and_sensitivity(sol, rho)
 
     return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,
                             initial_rho, tol_design, max_iters, mma_config)

@@ -54,10 +54,13 @@ class RunConfig:
         for name in ("elements", "nx", "nt", "max_iters", "repeats"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        for name in ("horizon", "penalization", "volume_bound", "tol_design",
-                     "sat_s", "sat_safety"):
+        for name in ("horizon", "penalization", "volume_bound", "tol_design", "sat_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.sat_safety < 1:
+            raise ConfigError("sat.safety must be >= 1")
+        if self.sigma_0 <= 0.5:
+            raise ConfigError("sat.sigma_0 must exceed 1/2, where the energy estimate holds")
         if not 0 <= self.kappa_min_ratio < 1:
             raise ConfigError("kappa_min_ratio must lie in [0, 1)")
         if self.jobs < 1:

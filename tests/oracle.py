@@ -5,7 +5,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from stheat.baselines import MarchingSolution, _dirichlet_values, _load_matrix, _step_pieces
+from stheat.baselines import MarchingSolution, _dirichlet_values, _load_matrix
 
 
 def to_dense(system):
@@ -68,20 +68,23 @@ def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):
     return minimizer(mu_hi), mu_hi
 
 
-def be_block_elimination(fe, spec, n_steps):
+def be_block_elimination(fe, n_steps):
     """The backward-Euler all-at-once system solved by block forward elimination.
 
     The system stacks every time level: diagonal blocks M/dt + K,
     subdiagonal blocks -M/dt.  Each level is one ``lu_solve`` of the step
-    matrix against the previous level, written independently of the
-    propagator that ``be_march`` forms.
+    matrix against the previous level; the step matrix is factored here, so
+    the oracle shares neither the factors nor the propagator of ``be_march``.
     """
-    _, m_dt, step, lu = _step_pieces(spec, fe, n_steps)
+    spec = fe.spec
+    m_dt = fe.mass / (spec.horizon / n_steps)
+    step = m_dt + fe.stiffness
     times = np.linspace(0.0, spec.horizon, n_steps + 1)
     fr, dr = fe.free, fe.dirichlet
     n_free = fr.size
-    u_d = _dirichlet_values(spec, fe, times)
-    loads = _load_matrix(spec, fe, times)
+    lu = sla.lu_factor(step[np.ix_(fr, fr)])
+    u_d = _dirichlet_values(fe, times)
+    loads = _load_matrix(fe, times)
     rhs = np.empty((n_free, n_steps))
     rhs[:] = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:]
     q0 = np.asarray(spec.q(fe.nodes), dtype=float)

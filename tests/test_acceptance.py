@@ -223,12 +223,12 @@ def test_criterion_5_gradient_correctness():
             f=lambda x, t: 10.0 + np.sin(10.0 * (x + t)) + np.sin(10.0 * t),
         )
         fe = fe_assemble(spec_be, rho)
-        sol = be_march(fe, spec_be, 64)
-        grad_be = be_adjoint_and_sensitivity(fe, sol, spec_be, rho)
+        sol = be_march(fe, 64)
+        grad_be = be_adjoint_and_sensitivity(sol, rho)
 
         def j_be(r, s=spec_be):
             fe_r = fe_assemble(s, r)
-            return be_objective(fe_r, be_march(fe_r, s, 64))
+            return be_objective(be_march(fe_r, 64))
 
         worst = max(worst, _fd_check(grad_be, j_be, rho))
 
@@ -340,11 +340,11 @@ def test_criterion_7_solver_comparison_trend(comparison):
     spec, _ = cooling_benchmark()
     rho_probe = comparison["be"][16384].final_rho
     fe = fe_assemble(spec, rho_probe)
-    march = be_march(fe, spec, 16384)
-    ref = be_block_elimination(fe, spec, 16384)
+    march = be_march(fe, 16384)
+    ref = be_block_elimination(fe, 16384)
     agree = float(np.max(np.abs(march.states - ref.states)))
     scale = float(np.max(np.abs(march.states)))
-    aao = be_aao_solve(fe, spec, 16384)
+    aao = be_aao_solve(fe, 16384)
     aao_ok = agree <= 1e-12 * scale and aao.aao_unknowns == 835_635
 
     elapsed = comparison["elapsed"] + (time.perf_counter() - t0)

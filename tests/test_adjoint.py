@@ -278,7 +278,7 @@ def designs_with_extremes(draw):
     return preset, np.array(draw(st.lists(value, min_size=K, max_size=K)))
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(case=designs_with_extremes())
 def test_gradient_matches_fd_property(case):
     # fourth-order central differences of J in each interior component;

@@ -24,7 +24,7 @@ from stheat.problem import MaterialModel, ProblemSpec
 
 EPS = np.finfo(float).eps
 # fixed example sequence and no example database, so the suite stays deterministic
-PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+PROPERTY = settings(max_examples=25)
 
 
 @functools.cache

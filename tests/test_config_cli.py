@@ -283,10 +283,21 @@ def test_cli_converge_small(tmp_path):
     assert len(table) == 5
 
 
-def test_cli_bad_config_exit_code(tmp_path):
+@pytest.mark.parametrize(
+    "text, key",
+    [("[problem]\nhorizon = -1\n", "horizon"),
+     # below 1 the boundary penalties undercut the stability bound
+     ("[sat]\nsafety = 0.5\n", "sat.safety"),
+     # the energy estimate divides by 2 sigma_0 - 1
+     ("[sat]\nsigma_0 = 0.2\n", "sat.sigma_0"),
+     ("[sat]\nsigma_0 = 0.5\n", "sat.sigma_0")],
+    ids=["horizon", "sat-safety", "sat-sigma_0", "sat-sigma_0-half"],
+)
+def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[problem]\nhorizon = -1\n")
+    cfg.write_text(text)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cli_compare_two_design_dof(tmp_path):

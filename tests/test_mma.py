@@ -14,7 +14,7 @@ from stheat.optimize import run_topology_optimization
 from stheat.presets import cooling_benchmark
 
 # fixed example sequence and no example database, so the suite stays deterministic
-PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+PROPERTY = settings(max_examples=200)
 
 
 def fresh_state():

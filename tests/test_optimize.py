@@ -40,7 +40,7 @@ def _fresh_objective(solver, spec, rho):
         return objective(u, disc)
     fe = fe_assemble(spec, rho)
     solve = be_aao_solve if solver == "be-fe-aao" else be_march
-    return be_objective(fe, solve(fe, spec, BE_STEPS))
+    return be_objective(solve(fe, BE_STEPS))
 
 
 def test_uniform_feasible_design():
