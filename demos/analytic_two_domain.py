@@ -26,7 +26,7 @@ for n in (4, 8, 12, 16):
     )
     disc = Discretization(spec)
     u, _ = solve_system(assemble_global(disc, np.array([sol.kappa_1, sol.kappa_2])))
-    exact = np.concatenate([sol(*disc.element_coordinates(k)) for k in range(2)])
+    exact = sol(*disc.coordinates())
     p = disc.global_p()
     err = np.sqrt((u - exact) @ (p * (u - exact)))
     print(f"  n={n:2d}: discrete L2 error {err:.3e}")

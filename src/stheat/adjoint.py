@@ -31,7 +31,7 @@ class AdjointSolution:
 
 
 def objective(u, disc):
-    """Space-time quadrature of u^2 summed over elements."""
+    """Space-time quadrature of u^2 over the whole domain."""
     p = disc.global_p()
     u = np.asarray(u, dtype=float)
     return float(u @ (p * u))
@@ -55,8 +55,9 @@ def sensitivities(disc, u, lam, rho):
     ``disc.spatial_terms`` owned by element k.
     """
     rows, cols, values, owner = disc.spatial_terms
-    U = disc.time_major(np.asarray(u, dtype=float))
-    L = disc.time_major(np.asarray(lam, dtype=float))
+    n_t = disc.op_t.n_nodes
+    U = np.asarray(u, dtype=float).reshape(n_t, -1)
+    L = np.asarray(lam, dtype=float).reshape(n_t, -1)
     per_entry = values * np.einsum("j,jn,jn->n", disc.op_t.weights, L[:, rows], U[:, cols])
     # bin 0 collects the entries of M0 (owner -1), which carry no design
     acc = np.bincount(owner + 1, per_entry, minlength=disc.n_elements + 1)[1:]

@@ -15,10 +15,10 @@ k to its neighbours k-1 and k+1 only.  The whole system is premultiplied by
 the quadrature matrix P, which symmetrizes the penalty structure and makes
 the algebraic transpose the natural dual scheme.
 
-States are stacked element-major: element after element, and within an
-element space-fastest, so entry j*(N_x+1) + i of element k holds spatial node
-i at time level j.  ``Discretization.time_major`` and ``element_major``
-convert between the two orders.
+States are stacked in that time-major order: entry j*n_s + s holds spatial
+node s = k*n_x + i (node i of element k) at time level j, so
+``u.reshape(n_t, -1)`` is the (time level, spatial node) view of a state,
+with no copy.  Interface nodes appear once per element.
 """
 
 from dataclasses import dataclass
@@ -40,8 +40,7 @@ class GlobalSystem:
     """The space-time system A = T (x) W + P_t (x) M(kappa) of one design.
 
     Only the sparse spatial operator ``M`` depends on the design; T, W and
-    P_t belong to ``disc``.  ``rhs`` is element-major and independent of the
-    design.
+    P_t belong to ``disc``.  ``rhs`` is independent of the design.
     """
 
     disc: object
@@ -70,10 +69,10 @@ class GlobalSystem:
         return self._apply(self.disc.T.T, self.M.T, v)
 
     def _apply(self, T, M, u):
-        """(T (x) W + P_t (x) M) u for an element-major u."""
+        """(T (x) W + P_t (x) M) u."""
         disc = self.disc
-        U = disc.time_major(np.asarray(u))
-        return disc.element_major((T @ U) * disc.W + disc.op_t.weights[:, None] * (M @ U.T).T)
+        U = np.asarray(u).reshape(disc.op_t.n_nodes, -1)
+        return ((T @ U) * disc.W + disc.op_t.weights[:, None] * (M @ U.T).T).ravel()
 
 
 class Discretization:
@@ -124,19 +123,18 @@ class Discretization:
             )
         return kappa(rho, self.spec.material)
 
-    def element_coordinates(self, k):
-        """Flat (X, T) node coordinates of element k, space-fastest."""
-        X = np.tile(self.ops_x[k].nodes, self.op_t.n_nodes)
-        T = np.repeat(self.op_t.nodes, self.n_x)
-        return X, T
+    def coordinates(self):
+        """Flat (X, T) coordinates of every node, in the order of a state."""
+        x = np.concatenate([op.nodes for op in self.ops_x])
+        return np.tile(x, self.op_t.n_nodes), np.repeat(self.op_t.nodes, x.size)
 
     def global_p(self):
-        """Diagonal of P = P_t (x) P_x of all elements, element-major; read-only."""
+        """Diagonal of P = P_t (x) W; read-only."""
         return self._p
 
     @cached_property
     def _p(self):
-        p = self.element_major(np.outer(self.op_t.weights, self.W))
+        p = np.outer(self.op_t.weights, self.W).ravel()
         p.flags.writeable = False
         return p
 
@@ -159,8 +157,29 @@ class Discretization:
 
     @cached_property
     def rhs(self):
-        """The element-major right-hand side; independent of the design, read-only."""
-        rhs = np.concatenate([_element_rhs(k, self) for k in range(self.n_elements)])
+        """The right-hand side; independent of the design, read-only.
+
+        The source enters on every node, the initial penalty on time level 0
+        and the boundary data on the first and last spatial nodes.
+        """
+        spec, sat = self.spec, self.sat
+        wt = self.op_t.weights
+        n_t, n_s = wt.size, self.W.size
+        X, T = self.coordinates()
+        if getattr(spec.f, "element_aware", False):
+            # sources built from a per-element diffusivity are one-sided at
+            # interface nodes, so they need to know which element each node is in
+            element = np.tile(np.repeat(np.arange(self.n_elements), self.n_x), n_t)
+            f_vals = spec.f(X, T, element=element)
+        else:
+            f_vals = spec.f(X, T)
+        B = (self.global_p() * np.asarray(f_vals, dtype=float)).reshape(n_t, n_s)
+        B[0] += sat.sigma_0 * (self.W * np.asarray(spec.q(X[:n_s]), dtype=float))
+        scale = sat.sigma_w if spec.bc_left == "dirichlet" else 1.0
+        B[:, 0] += scale * (wt * np.asarray(spec.h(self.op_t.nodes), dtype=float))
+        scale = sat.sigma_e if spec.bc_right == "dirichlet" else -1.0
+        B[:, -1] += scale * (wt * np.asarray(spec.g(self.op_t.nodes), dtype=float))
+        rhs = B.ravel()
         rhs.flags.writeable = False
         return rhs
 
@@ -187,16 +206,6 @@ class Discretization:
         scale = np.append(kap, 1.0)[owner]  # owner -1 picks the trailing 1
         n_s = self.W.size
         return sp.csc_matrix((values * scale, (rows, cols)), shape=(n_s, n_s))
-
-    def time_major(self, u):
-        """Element-major state as a (time level, spatial node) array."""
-        n_t, n_x = self.op_t.n_nodes, self.n_x
-        return u.reshape(self.n_elements, n_t, n_x).transpose(1, 0, 2).reshape(n_t, -1)
-
-    def element_major(self, U):
-        """Inverse of ``time_major``: a flat element-major state."""
-        n_t, n_x = U.shape[0], self.n_x
-        return U.reshape(n_t, self.n_elements, n_x).transpose(1, 0, 2).ravel()
 
 
 def _spatial_terms(disc):
@@ -251,37 +260,6 @@ def _spatial_terms(disc):
     return terms
 
 
-def _element_rhs(k, disc):
-    spec, sat = disc.spec, disc.sat
-    op_t, op_x = disc.op_t, disc.ops_x[k]
-    wt, wx = op_t.weights, op_x.weights
-    X, T = disc.element_coordinates(k)
-    if getattr(spec.f, "element_aware", False):
-        # sources built from a per-element diffusivity are one-sided at
-        # interface nodes, so they need to know which element is asking
-        f_vals = spec.f(X, T, element=k)
-    else:
-        f_vals = spec.f(X, T)
-    b = np.kron(wt, wx) * np.asarray(f_vals, dtype=float)
-    q_nodes = np.asarray(spec.q(op_x.nodes), dtype=float)
-    e_s = np.zeros(op_t.n_nodes)
-    e_s[0] = 1.0
-    b += sat.sigma_0 * np.kron(e_s, wx * q_nodes)
-    e_w = np.zeros(disc.n_x)
-    e_w[0] = 1.0
-    e_e = np.zeros(disc.n_x)
-    e_e[-1] = 1.0
-    if k == 0:
-        data = np.asarray(spec.h(op_t.nodes), dtype=float)
-        scale = sat.sigma_w if spec.bc_left == "dirichlet" else 1.0
-        b += scale * np.kron(wt * data, e_w)
-    if k == spec.n_elements - 1:
-        data = np.asarray(spec.g(op_t.nodes), dtype=float)
-        scale = sat.sigma_e if spec.bc_right == "dirichlet" else -1.0
-        b += scale * np.kron(wt * data, e_e)
-    return b
-
-
 def assemble_global(disc, rho):
     """The design's spatial operator M(kappa) and the design-independent rhs."""
     return GlobalSystem(disc=disc, M=disc.spatial_operator(disc.kappa_of(rho)), rhs=disc.rhs)
@@ -299,4 +277,5 @@ def residual(u, system):
 
 def north_trace(disc, u):
     """Terminal-time traces of all elements for a stacked state."""
-    return np.split(disc.time_major(np.asarray(u))[-1], disc.n_elements)
+    last_level = np.asarray(u).reshape(disc.op_t.n_nodes, disc.W.size)[-1]
+    return np.split(last_level, disc.n_elements)

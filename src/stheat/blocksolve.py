@@ -1,8 +1,9 @@
 """Direct solves of the space-time system through a Schur form in time.
 
 In the time-major order of ``assembly`` the system is
-A = T (x) W + P_t (x) M.  With U the (time level, spatial node) array of the
-unknowns and B that of the right-hand side, A u = b reads
+A = T (x) W + P_t (x) M.  With U = u.reshape(n_t, -1) the (time level,
+spatial node) view of the unknowns and B that of the right-hand side,
+A u = b reads
 
     S U W + U M^T = P_t^-1 B,        S = P_t^-1 T = Z R Z^H,
 
@@ -81,34 +82,35 @@ def factor(system):
     return SchurFactorization(system.disc, lus)
 
 
-def _time_major(fact, rhs):
+def _grid(fact, rhs):
+    """The (time level, spatial node) view of a right-hand side."""
     disc = fact.disc
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (disc.n_unknowns,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({disc.n_unknowns},)")
-    return disc.time_major(rhs)
+    return rhs.reshape(disc.op_t.n_nodes, -1)
 
 
 def solve(fact, rhs):
     """Solve A x = b: back substitution on R V W + V M^T = Z^H P_t^-1 B, then X = Z V."""
     disc = fact.disc
     R, Z = disc.schur
-    C = Z.conj().T @ (_time_major(fact, rhs) / disc.op_t.weights[:, None])
+    C = Z.conj().T @ (_grid(fact, rhs) / disc.op_t.weights[:, None])
     V = np.empty_like(C)
     for j in range(len(fact.lus) - 1, -1, -1):
         V[j] = fact.lus[j].solve(C[j] - disc.W * (R[j, j + 1:] @ V[j + 1:]))
-    return disc.element_major((Z @ V).real)
+    return (Z @ V).real.ravel()
 
 
 def solve_transposed(fact, rhs):
     """Solve A^T x = b: forward substitution on R^T V W + V M = Z^T B, then P_t X = conj(Z) V."""
     disc = fact.disc
     R, Z = disc.schur
-    C = Z.T @ _time_major(fact, rhs)
+    C = Z.T @ _grid(fact, rhs)
     V = np.empty_like(C)
     for j in range(len(fact.lus)):
         V[j] = fact.lus[j].solve(C[j] - disc.W * (R[:j, j] @ V[:j]), trans="T")
-    return disc.element_major((Z.conj() @ V).real / disc.op_t.weights[:, None])
+    return ((Z.conj() @ V).real / disc.op_t.weights[:, None]).ravel()
 
 
 def solve_system(system):

@@ -338,6 +338,13 @@ def cmd_compare(cfg, out_dir):
     return 0 if all(r["converged"] for r in results) else 1
 
 
+# the config-file keys that verify and converge read; they reject any other
+_READS = {
+    "verify": frozenset({"run.seed", "run.out_dir"}),
+    "converge": frozenset({"run.converge_n", "run.out_dir"}),
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="stheat",
@@ -355,6 +362,10 @@ def main(argv=None):
         if args.command == "optimize":
             # optimize runs solvers[0] alone: hold the file's keys to that solver
             parse_config(args.config, overrides={**overrides, "solvers": cfg.solvers[:1]})
+        if args.command in _READS:
+            unread = sorted(cfg.file_keys - _READS[args.command])
+            if unread:
+                raise ConfigError(f"{' '.join(unread)}: not used by {args.command}")
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -27,7 +27,8 @@ def mms_source(u_exact, u_t, u_x, u_xx, rho, spec, check_points=20, seed=7):
 
     The returned callable is element aware (it must be: the per-element
     diffusivity jumps at interfaces, so the source has one-sided values at
-    shared interface nodes).  The supplied derivative callables are
+    shared interface nodes): ``element`` is one element index, or an array
+    of one per point as ``Discretization.rhs`` passes it.  The supplied derivative callables are
     cross-checked against finite differences at seeded sample points.
     """
     rng = np.random.default_rng(seed)
@@ -122,9 +123,7 @@ def convergence_study(n_values, n_elements=10, domain=(-2.0, 1.0), horizon=1.0,
         disc = Discretization(spec)
         system = assemble_global(disc, rho_used)
         uh, _ = solve_system(system)
-        exact = np.concatenate(
-            [u(*disc.element_coordinates(k)) for k in range(disc.n_elements)]
-        )
+        exact = u(*disc.coordinates())
         p = disc.global_p()
         err = float(np.sqrt((uh - exact) @ (p * (uh - exact))))
         points.append(

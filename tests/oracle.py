@@ -14,14 +14,9 @@ def to_dense(system):
 
 
 def kronecker_dense(system):
-    """T (x) W + P_t (x) M, permuted from time-major into element-major order."""
+    """T (x) W + P_t (x) M as a dense matrix."""
     disc = system.disc
-    a = np.kron(disc.T, np.diag(disc.W)) + np.kron(np.diag(disc.op_t.weights), system.M.toarray())
-    # entry j*n_s + s of the time-major order is unknown order[j*n_s + s] element-major
-    order = disc.time_major(np.arange(system.n_unknowns)).ravel()
-    dense = np.empty_like(a)
-    dense[np.ix_(order, order)] = a
-    return dense
+    return np.kron(disc.T, np.diag(disc.W)) + np.kron(np.diag(disc.op_t.weights), system.M.toarray())
 
 
 def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):

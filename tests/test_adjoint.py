@@ -85,8 +85,7 @@ def test_objective_converges_to_quadrature_oracle():
             f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
         )
         disc = Discretization(spec)
-        blocks = [sol(*disc.element_coordinates(k)) for k in range(2)]
-        j_h = objective(np.concatenate(blocks), disc)
+        j_h = objective(sol(*disc.coordinates()), disc)
         errs.append(abs(j_h - j_exact))
     assert errs[-1] <= 1e-12
     assert errs[0] > 100 * errs[-1]
@@ -103,13 +102,7 @@ def test_adjoint_of_zero_state_is_zero():
 
 def _reflect(disc, v):
     """Mirror a stacked state across the domain midline."""
-    K = disc.n_elements
-    blocks = v.reshape(K, disc.block_size)
-    out = []
-    for k in range(K - 1, -1, -1):
-        grid = blocks[k].reshape(disc.op_t.n_nodes, disc.n_x)
-        out.append(grid[:, ::-1].ravel())
-    return np.concatenate(out)
+    return v.reshape(disc.op_t.n_nodes, -1)[:, ::-1].ravel()
 
 
 def _symmetric_spec(K, n):
@@ -175,20 +168,12 @@ def test_dual_mms_consistency():
         )
         disc = Discretization(spec)
         system = assemble_global(disc, np.full(3, kap))
-        vh, gh = [], []
-        for k in range(3):
-            X, T = disc.element_coordinates(k)
-            vh.append(v(X, T))
-            gh.append(dual_source(X, T))
-        vh, gh = np.concatenate(vh), np.concatenate(gh)
+        X, T = disc.coordinates()
+        vh, gh = v(X, T), dual_source(X, T)
         p = disc.global_p()
-        r = (system.rmatvec(vh) - p * gh).reshape(3, disc.block_size)
-        mask = np.ones_like(r)
-        for k in range(3):
-            face = mask[k].reshape(disc.op_t.n_nodes, disc.n_x)
-            face[:, 0] = 0.0
-            face[:, -1] = 0.0
-        r = (r * mask).ravel()
+        r = (system.rmatvec(vh) - p * gh).reshape(disc.op_t.n_nodes, 3, disc.n_x)
+        r[:, :, [0, -1]] = 0.0
+        r = r.ravel()
         res.append(np.sqrt(np.sum(r**2 / p)))
         b = p * gh
         lam = solve_transposed(factor(system), b)
@@ -312,7 +297,7 @@ def test_functional_superconverges_relative_to_state():
         )
         disc = Discretization(spec)
         u = forward(disc, np.array([sol.kappa_1, sol.kappa_2]))[0]
-        exact = np.concatenate([sol(*disc.element_coordinates(k)) for k in range(2)])
+        exact = sol(*disc.coordinates())
         p = disc.global_p()
         state = np.sqrt((u - exact) @ (p * (u - exact)))
         j_err = abs(objective(u, disc) - j_exact)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracle import kronecker_dense, to_dense
-from stheat.assembly import Discretization, _element_rhs, assemble_global, north_trace, residual
+from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.blocksolve import solve_system
 from stheat.problem import MaterialModel, ProblemSpec, choose_sat_coefficients
 from stheat.twodomain import two_domain_solution
@@ -37,14 +37,6 @@ def two_domain_problem(sol, nx, nt, material=LINEAR):
         q=sol.initial,
         f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
     )
-
-
-def exact_nodal_state(disc, sol):
-    blocks = []
-    for k in range(disc.n_elements):
-        X, T = disc.element_coordinates(k)
-        blocks.append(sol(X, T))
-    return np.concatenate(blocks)
 
 
 def pnorm_error(disc, u, u_exact):
@@ -135,7 +127,7 @@ def test_rhs_independent_of_design():
     assert b1 is b2 and not b1.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         b1[0] = 1.0
-    fresh = np.concatenate([_element_rhs(k, disc) for k in range(disc.n_elements)])
+    fresh = Discretization(spec).rhs
     assert np.array_equal(b1.view(np.uint8), fresh.view(np.uint8))
 
 
@@ -162,7 +154,7 @@ def test_forward_solve_matches_analytic_heterogeneous():
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([sol.kappa_1, sol.kappa_2]))
     u, _ = solve_system(system)
-    err = pnorm_error(disc, u, exact_nodal_state(disc, sol))
+    err = pnorm_error(disc, u, sol(*disc.coordinates()))
     assert err <= 1e-8
 
 
@@ -173,7 +165,7 @@ def test_forward_solve_spectral_residual_decay():
         spec = two_domain_problem(sol, nx=n, nt=n)
         disc = Discretization(spec)
         system = assemble_global(disc, np.array([sol.kappa_1, sol.kappa_2]))
-        r = residual(exact_nodal_state(disc, sol), system)
+        r = residual(sol(*disc.coordinates()), system)
         errs.append(np.max(np.abs(r)) / np.max(np.abs(system.rhs_vector())))
     assert errs[1] < 1e-2 * errs[0]
     assert errs[3] < 1e-2 * errs[1]
@@ -305,6 +297,6 @@ def test_restrict_consistency_with_solution_blocks():
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.5, 0.25]))
     u, _ = solve_system(system)
-    south = disc.time_major(u)[0, :disc.n_x]
+    south = u[:disc.n_x]
     q_exact = sol.initial(disc.ops_x[0].nodes)
     assert np.max(np.abs(south - q_exact)) <= 1e-6

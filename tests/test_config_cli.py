@@ -294,10 +294,29 @@ def test_cli_converge_small(tmp_path):
     ids=["horizon", "sat-safety", "sat-sigma_0", "sat-sigma_0-half"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
+    # optimize reads every key here, so only RunConfig.validate can refuse them
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [("verify", "[problem]\nnx = 9\n", "problem.nx"),
+     ("verify", "[sat]\ns = 2.0\n", "sat.s"),
+     ("verify", "[run]\nconverge_n = 4 6\n", "run.converge_n"),
+     ("converge", "[problem]\nelements = 4\n[run]\nconverge_n = 4 6\n", "problem.elements"),
+     ("converge", "[run]\nseed = 3\n", "run.seed")],
+    ids=["verify-nx", "verify-sat-s", "verify-converge_n", "converge-elements", "converge-seed"],
+)
+def test_cli_verify_and_converge_reject_keys_they_do_not_read(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: not used by {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_compare_two_design_dof(tmp_path):

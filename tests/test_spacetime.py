@@ -1,8 +1,8 @@
 """The space-time tensor-product layout of ``Discretization``.
 
 Element k is the tensor product of the time operator ``op_t`` and its
-spatial operator ``ops_x[k]``; its nodes are stacked space-fastest and the
-elements one after the other.
+spatial operator ``ops_x[k]``.  States are stacked time-major: entry
+j*n_s + s is spatial node s = k*n_x + i at time level j.
 """
 
 import numpy as np
@@ -35,27 +35,26 @@ def test_minimal_element_constants():
 
 def test_dx_of_coordinate_is_one():
     disc = make_disc(4, 3, interval=(-0.5, 2.0), n_elements=2, breakpoints=(-0.5, 0.1, 2.0))
+    X, _ = disc.coordinates()
+    grid = X.reshape(disc.op_t.n_nodes, 2, disc.n_x)
     for k, op_x in enumerate(disc.ops_x):
-        X, _ = disc.element_coordinates(k)
-        grid = X.reshape(disc.op_t.n_nodes, disc.n_x)
-        np.testing.assert_allclose(grid @ op_x.D.T, 1.0, atol=1e-12)
+        np.testing.assert_allclose(grid[:, k] @ op_x.D.T, 1.0, atol=1e-12)
 
 
 def test_dt_of_time_coordinate_is_one():
     disc = make_disc(3, 6, horizon=2.5, n_elements=2)
-    for k in range(2):
-        _, T = disc.element_coordinates(k)
-        grid = T.reshape(disc.op_t.n_nodes, disc.n_x)
-        np.testing.assert_allclose(disc.op_t.D @ grid, 1.0, atol=1e-12)
+    _, T = disc.coordinates()
+    grid = T.reshape(disc.op_t.n_nodes, -1)
+    np.testing.assert_allclose(disc.op_t.D @ grid, 1.0, atol=1e-12)
 
 
 def test_kronecker_reconstruction():
     # element k of global_p is the diagonal of P_t (x) P_x^k
     disc = make_disc(4, 6, interval=(0.25, 1.5), horizon=0.8, n_elements=3,
                      breakpoints=(0.25, 0.4, 1.1, 1.5))
-    p = disc.global_p().reshape(3, disc.block_size)
+    p = disc.global_p().reshape(disc.op_t.n_nodes, 3, disc.n_x)
     for k, op_x in enumerate(disc.ops_x):
-        np.testing.assert_array_equal(p[k], np.kron(disc.op_t.weights, op_x.weights))
+        np.testing.assert_array_equal(p[:, k].ravel(), np.kron(disc.op_t.weights, op_x.weights))
     np.testing.assert_array_equal(disc.W, np.concatenate([op.weights for op in disc.ops_x]))
 
 
@@ -91,31 +90,34 @@ def test_quadrature_measures_element_area():
 
 def test_restrict_south_of_time_field_is_zero():
     disc = make_disc(4, 5, n_elements=2)
-    T = np.concatenate([disc.element_coordinates(k)[1] for k in range(2)])
-    np.testing.assert_array_equal(disc.time_major(T)[0], 0.0)
+    _, T = disc.coordinates()
+    np.testing.assert_array_equal(T.reshape(disc.op_t.n_nodes, -1)[0], 0.0)
 
 
 def test_restrict_west_of_coordinate_field_is_left_end():
     disc = make_disc(4, 5, interval=(0.7, 1.9), n_elements=2, breakpoints=(0.7, 1.0, 1.9))
+    X, _ = disc.coordinates()
+    grid = X.reshape(disc.op_t.n_nodes, 2, disc.n_x)
     for k, left in enumerate((0.7, 1.0)):
-        X, _ = disc.element_coordinates(k)
-        np.testing.assert_allclose(X.reshape(-1, disc.n_x)[:, 0], left, atol=1e-15)
+        np.testing.assert_allclose(grid[:, k, 0], left, atol=1e-15)
 
 
 def test_restrict_north_is_last_block():
     disc = make_disc(6, 3, n_elements=2)
     u = np.random.default_rng(5).standard_normal(disc.n_unknowns)
-    for block, trace in zip(u.reshape(2, -1), north_trace(disc, u)):
-        np.testing.assert_array_equal(trace, block[-6:])
+    last_level = u[-disc.W.size:]
+    for block, trace in zip(last_level.reshape(2, -1), north_trace(disc, u)):
+        np.testing.assert_array_equal(trace, block)
 
 
 def test_restrict_matches_dense_matrices():
-    # the four faces of each element, sliced from time_major, against dense restrictions
+    # the four faces of each element, sliced from the (level, node) view,
+    # against dense restrictions of its space-fastest block
     disc = make_disc(5, 4, n_elements=3)
     n_x, n_t = disc.n_x, disc.op_t.n_nodes
     u = np.random.default_rng(17).standard_normal(disc.n_unknowns)
-    U = disc.time_major(u)
-    blocks = u.reshape(3, disc.block_size)
+    U = u.reshape(n_t, -1)
+    blocks = U.reshape(n_t, 3, n_x).transpose(1, 0, 2).reshape(3, -1)
     e_x, e_t = np.eye(n_x), np.eye(n_t)
     for k in range(3):
         faces = {
@@ -145,21 +147,22 @@ def test_trace_inequality():
     for _ in range(200):
         z = rng.standard_normal(disc.n_unknowns)
         vol = z @ (p * z)
-        Z = disc.time_major(z)
+        Z = z.reshape(disc.op_t.n_nodes, -1)
         west, east = Z[:, 0], Z[:, -1]
         assert west @ (wt * west) <= vol / op_x.weights[0] + 1e-13
         assert east @ (wt * east) <= vol / op_x.weights[-1] + 1e-13
 
 
 def test_layout_index_bijection():
-    # time_major and element_major are inverse permutations of the unknowns
-    disc = make_disc(4, 3, n_elements=3)
+    # entry j*n_s + s is spatial node s at time level j: the (level, node)
+    # view is a reshape without a copy, and coordinates() follows it
+    disc = make_disc(4, 3, interval=(0.2, 1.4), n_elements=3, breakpoints=(0.2, 0.5, 0.6, 1.4))
     idx = np.arange(disc.n_unknowns)
-    U = disc.time_major(idx)
-    assert U.shape == (3, 12)
-    assert sorted(U.ravel()) == list(idx)
-    np.testing.assert_array_equal(disc.element_major(U), idx)
-    np.testing.assert_array_equal(disc.time_major(disc.element_major(U)), U)
+    U = idx.reshape(disc.op_t.n_nodes, -1)
+    assert U.shape == (3, 12) and np.shares_memory(U, idx)
+    X, T = (c.reshape(U.shape) for c in disc.coordinates())
+    np.testing.assert_array_equal(X, np.tile(np.concatenate([op.nodes for op in disc.ops_x]), (3, 1)))
+    np.testing.assert_array_equal(T, np.repeat(disc.op_t.nodes[:, None], 12, axis=1))
 
 
 def test_node_cap_enforced():

@@ -68,6 +68,9 @@ def test_mms_source_element_sided_at_interface():
     left = f(np.array([-0.5]), np.array([0.3]), element=4)
     right = f(np.array([-0.5]), np.array([0.3]), element=5)
     assert abs(left - right) > 1e-6
+    # the rhs calls it once for the whole grid, with one element index per node
+    both = f(np.array([-0.5, -0.5]), np.array([0.3, 0.3]), element=np.array([4, 5]))
+    np.testing.assert_array_equal(both, np.concatenate([left, right]))
 
 
 def test_forward_convergence_is_spectral_and_plateaus():
