@@ -32,10 +32,9 @@ from .blocksolve import (
     solve_transposed,
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError, SingularSystemError
-from .mma import MmaConfig, MmaState, mma_update, scalar_minimize
+from .mma import MmaState, mma_update, scalar_minimize
 from .optimize import OptimizationTrace, run_topology_optimization, uniform_feasible_design
 from .problem import (
-    DesignField,
     MaterialModel,
     ProblemSpec,
     SatCoefficients,

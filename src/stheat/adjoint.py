@@ -24,10 +24,9 @@ from .problem import dkappa_drho
 
 @dataclass
 class AdjointSolution:
-    """Stacked adjoint state and the objective value it certifies."""
+    """Stacked adjoint state."""
 
     lam: np.ndarray
-    objective: float
 
 
 def objective(u, disc):
@@ -43,8 +42,7 @@ def solve_adjoint(disc, system, u, fact):
     ``system`` is not read; the perfbench tracer takes it to check the residual.
     """
     rhs = 2.0 * disc.global_p() * np.asarray(u, dtype=float)
-    lam = solve_transposed(fact, rhs)
-    return AdjointSolution(lam=lam, objective=objective(u, disc))
+    return AdjointSolution(lam=solve_transposed(fact, rhs))
 
 
 def sensitivities(disc, u, lam, rho):

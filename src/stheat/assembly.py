@@ -13,7 +13,9 @@ M(kappa) = M0 + sum_k kappa_k M_k is a sparse spatial operator holding the
 diffusion term and the boundary and interface penalties.  M couples element
 k to its neighbours k-1 and k+1 only.  The whole system is premultiplied by
 the quadrature matrix P, which symmetrizes the penalty structure and makes
-the algebraic transpose the natural dual scheme.
+the algebraic transpose the natural dual scheme.  The penalty coefficients
+are chosen in one place, ``Discretization``, from the spatial operators of
+the elements they act on.
 
 States are stacked in that time-major order: entry j*n_s + s holds spatial
 node s = k*n_x + i (node i of element k) at time level j, so
@@ -79,13 +81,17 @@ class Discretization:
     """The 1D SBP operators and SAT coefficients of one problem setup.
 
     Element k is the tensor product of the time operator ``op_t`` and its
-    spatial operator ``ops_x[k]`` on ``n_x`` nodes.  The pieces of the
-    Kronecker form (T, W, the Schur form of P_t^-1 T and the kappa-affine
-    terms of M) and the right-hand side are built on first use and kept, so
-    reassembly at a new design only rescales the kappa-dependent entries.
+    spatial operator ``ops_x[k]`` on ``n_x`` nodes.  The penalties ``sat``
+    come from ``choose_sat_coefficients`` with the interface parameter
+    ``s``, the boundary ``safety`` factor and the initial penalty
+    ``sigma_0``; each Dirichlet penalty is sized on the boundary element it
+    acts on.  The pieces of the Kronecker form (T, W, the Schur form of
+    P_t^-1 T and the kappa-affine terms of M) and the right-hand side are
+    built on first use and kept, so reassembly at a new design only
+    rescales the kappa-dependent entries.
     """
 
-    def __init__(self, spec, sat=None):
+    def __init__(self, spec, s=0.5, safety=1.0, sigma_0=1.0):
         self.spec = spec
         self.n_x = spec.nx + 1
         n = self.n_x * (spec.nt + 1)
@@ -99,9 +105,7 @@ class Discretization:
             build_sbp_1d(self.n_x, (edges[k], edges[k + 1]))
             for k in range(spec.n_elements)
         ]
-        self.sat = sat if sat is not None else choose_sat_coefficients(
-            self.ops_x[0], spec.material
-        )
+        self.sat = choose_sat_coefficients(self.ops_x, spec.material, s, safety, sigma_0)
 
     @property
     def n_elements(self):

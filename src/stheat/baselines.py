@@ -248,7 +248,6 @@ def run_topology_optimization_be(
     initial_rho=None,
     tol_design=1e-4,
     max_iters=300,
-    mma_config=None,
 ):
     """MMA loop driven by the backward-Euler forward/adjoint pair; ``aao``
     reports each forward solve with its all-at-once accounting."""
@@ -265,4 +264,4 @@ def run_topology_optimization_be(
         return be_adjoint_and_sensitivity(sol, rho)
 
     return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,
-                            initial_rho, tol_design, max_iters, mma_config)
+                            initial_rho, tol_design, max_iters)

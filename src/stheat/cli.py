@@ -26,8 +26,7 @@ from .config import _SPACE_TIME_ONLY, parse_config, problem_from_config
 from .errors import ConfigError
 from .optimize import run_topology_optimization
 from .presets import two_design_benchmark
-from .problem import MaterialModel, ProblemSpec, choose_sat_coefficients
-from .sbp import build_sbp_1d
+from .problem import MaterialModel, ProblemSpec
 from .verification import (
     convergence_study,
     energy_estimate_sides,
@@ -64,12 +63,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _sat_for(cfg, disc_probe_op, material):
-    return choose_sat_coefficients(
-        disc_probe_op, material, s=cfg.sat_s, safety=cfg.sat_safety, sigma_0=cfg.sigma_0
-    )
 
 
 def cmd_verify(cfg, out_dir):
@@ -167,10 +160,7 @@ def cmd_converge(cfg, out_dir):
 def _optimize_once(cfg, solver, n_steps=None):
     spec, vstar = problem_from_config(cfg)
     if solver == "st-se":
-        edges = spec.element_edges
-        probe_op = build_sbp_1d(spec.nx + 1, (edges[0], edges[1]))
-        sat = _sat_for(cfg, probe_op, spec.material)
-        disc = Discretization(spec, sat=sat)
+        disc = Discretization(spec, s=cfg.sat_s, safety=cfg.sat_safety, sigma_0=cfg.sigma_0)
         trace = run_topology_optimization(
             spec, vstar, tol_design=cfg.tol_design, max_iters=cfg.max_iters, disc=disc
         )

@@ -11,25 +11,28 @@ Newton's method inside a bracket, with bisection as the safeguard, and
 every update is feasible by construction.  Gradients are normalized by the
 first iteration's magnitude (see MmaState), which makes whole trajectories
 invariant to positive rescaling of the objective without losing the step
-damping near optima.
+damping near optima.  The update's constants (asymptote adaptation, move
+limit, curvature floor) are fixed at Svanberg's standard values below.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 
-
-@dataclass
-class MmaConfig:
-    asy_init: float = 0.5
-    asy_incr: float = 1.2
-    asy_decr: float = 0.7
-    move_limit: float = 0.5
-    raa0: float = 1e-5
-    albefa: float = 0.1
+# initial asymptote distance, and its growth and shrink factors when a
+# component keeps moving the same way or oscillates
+_ASY_INIT = 0.5
+_ASY_INCR = 1.2
+_ASY_DECR = 0.7
+# largest change of a component in one update
+_MOVE_LIMIT = 0.5
+# curvature floor of the approximation, relative to the normalized gradient
+_RAA0 = 1e-5
+# fraction of the asymptote distance the subproblem bounds keep clear
+_ALBEFA = 0.1
 
 
 @dataclass
@@ -37,13 +40,12 @@ class MmaState:
     """Iteration memory: previous two designs and the moving asymptotes.
 
     ``gradient_scale`` freezes the normalization at the first iteration's
-    gradient magnitude.  Later gradients then shrink relative to the raa0
+    gradient magnitude.  Later gradients then shrink relative to the _RAA0
     curvature floor as the optimum is approached, which is what damps the
     steps, while uniform rescaling of the objective still leaves the whole
     trajectory unchanged.
     """
 
-    config: MmaConfig = field(default_factory=MmaConfig)
     iteration: int = 0
     x_prev1: np.ndarray = None
     x_prev2: np.ndarray = None
@@ -53,15 +55,14 @@ class MmaState:
 
 
 def _update_asymptotes(x, state):
-    cfg = state.config
     if state.iteration < 2 or state.x_prev2 is None:
-        low = x - cfg.asy_init
-        upp = x + cfg.asy_init
+        low = x - _ASY_INIT
+        upp = x + _ASY_INIT
     else:
         osc = (x - state.x_prev1) * (state.x_prev1 - state.x_prev2)
         factor = np.ones_like(x)
-        factor[osc > 0] = cfg.asy_incr
-        factor[osc < 0] = cfg.asy_decr
+        factor[osc > 0] = _ASY_INCR
+        factor[osc < 0] = _ASY_DECR
         low = x - factor * (state.x_prev1 - state.low)
         upp = x + factor * (state.upp - state.x_prev1)
         # the lower clamp bounds the achievable resolution of an interior
@@ -188,7 +189,6 @@ def mma_update(rho, dj, volumes, volume_bound, state):
         raise ValueError("objective gradient contains non-finite entries")
     if rho @ volumes > volume_bound + 1e-6:
         raise ValueError("current design violates the volume constraint")
-    cfg = state.config
 
     if state.gradient_scale is None:
         scale = np.max(np.abs(dj))
@@ -201,16 +201,16 @@ def mma_update(rho, dj, volumes, volume_bound, state):
 
     low, upp = _update_asymptotes(rho, state)
     alfa = np.maximum.reduce(
-        [np.zeros_like(rho), low + cfg.albefa * (rho - low), rho - cfg.move_limit]
+        [np.zeros_like(rho), low + _ALBEFA * (rho - low), rho - _MOVE_LIMIT]
     )
     beta = np.minimum.reduce(
-        [np.ones_like(rho), upp - cfg.albefa * (upp - rho), rho + cfg.move_limit]
+        [np.ones_like(rho), upp - _ALBEFA * (upp - rho), rho + _MOVE_LIMIT]
     )
 
     dpos = np.maximum(d, 0.0)
     dneg = np.maximum(-d, 0.0)
-    p = (upp - rho) ** 2 * (1.001 * dpos + 0.001 * dneg + cfg.raa0)
-    q = (rho - low) ** 2 * (0.001 * dpos + 1.001 * dneg + cfg.raa0)
+    p = (upp - rho) ** 2 * (1.001 * dpos + 0.001 * dneg + _RAA0)
+    q = (rho - low) ** 2 * (0.001 * dpos + 1.001 * dneg + _RAA0)
 
     new_rho = _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound)
 
@@ -221,9 +221,12 @@ def mma_update(rho, dj, volumes, volume_bound, state):
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# parabolic and golden steps allowed per search; a search that needs more
+# is not converging
+_SCALAR_STEPS = 10_000
 
 
-def scalar_minimize(f, bracket, tol=1e-8, max_iter=10_000, width_history=None):
+def scalar_minimize(f, bracket, tol=1e-8, width_history=None):
     """Brent-style bounded scalar minimization.
 
     Parabolic interpolation through the three best points, with
@@ -247,7 +250,7 @@ def scalar_minimize(f, bracket, tol=1e-8, max_iter=10_000, width_history=None):
     d = e = b - a
     if width_history is not None:
         width_history.append(b - a)
-    for _ in range(max_iter):
+    for _ in range(_SCALAR_STEPS):
         if b - a <= tol:
             break
         m = 0.5 * (a + b)

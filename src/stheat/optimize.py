@@ -18,7 +18,7 @@ import numpy as np
 from .adjoint import objective, sensitivities, solve_adjoint
 from .assembly import Discretization, assemble_global
 from .blocksolve import solve_system
-from .mma import MmaConfig, MmaState, mma_update
+from .mma import MmaState, mma_update
 
 REL_EPS = 1e-12
 
@@ -63,7 +63,7 @@ def uniform_feasible_design(volumes, volume_bound):
 
 
 def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_design,
-                     max_iters, mma_config):
+                     max_iters):
     """The MMA design loop shared by every solver.
 
     ``forward(rho) -> (J, state)`` and ``gradient(rho, state) -> dJ/drho``
@@ -76,7 +76,7 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
     )
     if rho.shape != volumes.shape:
         raise ValueError(f"design must have {volumes.size} entries, got shape {rho.shape}")
-    mma_state = MmaState(config=mma_config or MmaConfig())
+    mma_state = MmaState()
     trace = OptimizationTrace(stop_reason="max_iterations")
     prev_j = None
     for it in range(1, max_iters + 1):
@@ -112,17 +112,17 @@ def run_topology_optimization(
     initial_rho=None,
     tol_design=1e-4,
     max_iters=100,
-    sat=None,
-    mma_config=None,
     disc=None,
 ):
     """Minimize the space-time squared temperature over the design box.
 
-    Returns the per-iteration trace; the final design is re-evaluated once
-    so the reported objective belongs to the returned design.
+    ``disc`` is a prebuilt ``Discretization(spec)``, e.g. with non-default
+    penalties.  Returns the per-iteration trace; the final design is
+    re-evaluated once so the reported objective belongs to the returned
+    design.
     """
     if disc is None:
-        disc = Discretization(spec, sat=sat)
+        disc = Discretization(spec)
 
     def forward(rho):
         system = assemble_global(disc, rho)
@@ -135,4 +135,4 @@ def run_topology_optimization(
         return sensitivities(disc, u, adj.lam, rho)
 
     return _run_design_loop(forward, gradient, spec.element_volumes, volume_bound,
-                            initial_rho, tol_design, max_iters, mma_config)
+                            initial_rho, tol_design, max_iters)

@@ -6,7 +6,9 @@ The temperature field u(x, t) on [a, b] x [0, T] obeys
 
 with Dirichlet or Neumann data at each end, initial data q(x), and a
 per-element design value rho_k in [0, 1] controlling the diffusivity
-through a power-law interpolation between kappa_min and kappa_max.
+through a power-law interpolation between kappa_min and kappa_max.  The
+SAT penalty coefficients of the scheme are derived here from the material
+and the spatial operators of the elements they act on.
 """
 
 from dataclasses import dataclass
@@ -48,22 +50,6 @@ def dkappa_drho(rho_k, material):
     """Derivative of the interpolation law with respect to the design value."""
     rho_k = _clamp_rho(rho_k)
     return material.p * (material.kappa_max - material.kappa_min) * rho_k ** (material.p - 1)
-
-
-@dataclass
-class DesignField:
-    """Per-element design values with their volumes and the volume bound."""
-
-    rho: np.ndarray
-    element_volumes: np.ndarray
-    volume_bound: float
-
-    def volume(self):
-        return float(self.rho @ self.element_volumes)
-
-    def feasible(self, tol=1e-9):
-        inside_box = np.all(self.rho >= -tol) and np.all(self.rho <= 1 + tol)
-        return inside_box and self.volume() <= self.volume_bound + tol
 
 
 def _zero_t(t):
@@ -165,41 +151,27 @@ class SatCoefficients:
         return -self.s
 
 
-def choose_sat_coefficients(op_x, material, s=0.5, safety=1.0, sigma_0=1.0, sigma_1=None):
-    """Stability-compliant SAT coefficients for a given spatial operator.
+def choose_sat_coefficients(ops_x, material, s=0.5, safety=1.0, sigma_0=1.0):
+    """Stability-compliant SAT coefficients for the spatial operators ``ops_x``.
 
-    ``op_x`` should be the boundary element's spatial operator; its endpoint
-    quadrature weights set the lower bounds of the boundary penalties.  The
-    interface penalty defaults to kappa_max over the element width, a
+    Each boundary penalty is sized on the element it acts on: sigma_w on
+    the first quadrature weight of ``ops_x[0]``, sigma_e on the last one of
+    ``ops_x[-1]``, each ``safety`` times its lower bound kappa_max / (2 w).
+    The interface penalty is kappa_max over the width of element 0, a
     diffusive scale (any positive value is admissible).  Note sigma_0 = 1
     exactly cancels the initial-face term produced by transposing the time
     derivative, which keeps the transposed system a clean terminal-value
-    scheme; keep it at 1 unless experimenting.
+    scheme; the energy estimate needs sigma_0 > 1/2.
     """
     if s <= 0:
         raise ValueError("interface parameter s must be positive")
     if safety < 1:
         raise ValueError("safety factor must be >= 1")
-    p_hat_w = op_x.weights[0]
-    p_hat_e = op_x.weights[-1]
-    a, b = op_x.interval
-    if sigma_1 is None:
-        sigma_1 = material.kappa_max / (b - a)
+    a, b = ops_x[0].interval
     return SatCoefficients(
         sigma_0=sigma_0,
-        sigma_w=safety * material.kappa_max / (2.0 * p_hat_w),
-        sigma_e=safety * material.kappa_max / (2.0 * p_hat_e),
-        sigma_1=sigma_1,
+        sigma_w=safety * material.kappa_max / (2.0 * ops_x[0].weights[0]),
+        sigma_e=safety * material.kappa_max / (2.0 * ops_x[-1].weights[-1]),
+        sigma_1=material.kappa_max / (b - a),
         s=s,
-    )
-
-
-def satisfies_stability_conditions(sat, op_x, material):
-    """Check the penalty bounds that guarantee the discrete energy estimate."""
-    return (
-        sat.sigma_0 > 0.5
-        and sat.sigma_w >= material.kappa_max / (2.0 * op_x.weights[0]) - 1e-14
-        and sat.sigma_e >= material.kappa_max / (2.0 * op_x.weights[-1]) - 1e-14
-        and sat.sigma_1 > 0
-        and sat.s > 0
     )

@@ -144,13 +144,14 @@ def monotone_with_plateau(errors, plateau=1e-12, slack=1.5):
     return True
 
 
-def energy_estimate_sides(spec, rho, sat=None):
+def energy_estimate_sides(spec, rho, sigma_0=1.0):
     """Both sides of the terminal-energy bound for a data-free problem.
 
     Solves with the spec's initial data but zero source/boundary data (the
-    spec must be built that way) and returns (terminal energy, bound).
+    spec must be built that way) and initial penalty ``sigma_0``, and
+    returns (terminal energy, bound).  The bound needs sigma_0 > 1/2.
     """
-    disc = Discretization(spec, sat=sat)
+    disc = Discretization(spec, sigma_0=sigma_0)
     system = assemble_global(disc, rho)
     u, _ = solve_system(system)
     lhs = 0.0
@@ -160,7 +161,7 @@ def energy_estimate_sides(spec, rho, sat=None):
     for op_x in disc.ops_x:
         qk = np.asarray(spec.q(op_x.nodes), dtype=float)
         rhs += qk @ (op_x.weights * qk)
-    bound = rhs / (2.0 * disc.sat.sigma_0 - 1.0)
+    bound = rhs / (2.0 * sigma_0 - 1.0)
     return float(lhs), float(bound)
 
 

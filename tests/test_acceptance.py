@@ -26,7 +26,7 @@ from stheat.baselines import (
 from stheat.blocksolve import solve_system
 from stheat.optimize import run_topology_optimization
 from stheat.presets import cooling_benchmark, two_design_benchmark
-from stheat.problem import MaterialModel, ProblemSpec, choose_sat_coefficients
+from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import (
     eigencondition_residual,
     transient_eigenvalue,
@@ -132,7 +132,7 @@ def test_criterion_3_two_domain_solution():
 
 # -- criterion 4: energy stability ------------------------------------------
 
-def _random_initial_spec(K, coeffs, material, sat_sigma0=None):
+def _random_initial_spec(K, coeffs, material):
     def q(x, cs=coeffs):
         x = np.asarray(x, dtype=float)
         return sum(cj * np.cos(j * np.pi * x) for j, cj in enumerate(cs))
@@ -155,9 +155,7 @@ def test_criterion_4_energy_stability():
     # sensitivity check: sigma_0 below 1/2 flips the bound factor negative,
     # so the same estimate must report a violation
     spec = _random_initial_spec(2, rng.standard_normal(6), material)
-    probe = Discretization(spec)
-    bad_sat = choose_sat_coefficients(probe.ops_x[0], material, sigma_0=0.4)
-    lhs_bad, bound_bad = energy_estimate_sides(spec, np.array([0.5, 0.5]), sat=bad_sat)
+    lhs_bad, bound_bad = energy_estimate_sides(spec, np.array([0.5, 0.5]), sigma_0=0.4)
     detected = not (lhs_bad <= bound_bad)
     ok = worst <= 1e-12 and detected
     report(4, ok, f"worst margin {worst:.1e}; violated-SAT detected={detected}")
@@ -338,8 +336,8 @@ def test_criterion_7_solver_comparison_trend(comparison):
     be_ok = first_reached is not None and first_reached >= 2048
 
     spec, _ = cooling_benchmark()
-    rho_probe = comparison["be"][16384].final_rho
-    fe = fe_assemble(spec, rho_probe)
+    rho_final = comparison["be"][16384].final_rho
+    fe = fe_assemble(spec, rho_final)
     march = be_march(fe, 16384)
     ref = be_block_elimination(fe, 16384)
     agree = float(np.max(np.abs(march.states - ref.states)))

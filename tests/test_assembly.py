@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle import kronecker_dense, to_dense
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.blocksolve import solve_system
-from stheat.problem import MaterialModel, ProblemSpec, choose_sat_coefficients
+from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import two_domain_solution
+from stheat.verification import energy_estimate_sides
 
 LINEAR = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
 
@@ -241,20 +244,51 @@ def test_energy_estimate_detects_violated_sat():
         domain=(0.0, 1.0), horizon=0.5, n_elements=2, nx=6, nt=6,
         material=material, q=lambda x: np.cos(np.pi * np.asarray(x, float)),
     )
-    probe = Discretization(spec)
-    bad_sat = choose_sat_coefficients(probe.ops_x[0], material, sigma_0=0.4)
-    disc = Discretization(spec, sat=bad_sat)
-    system = assemble_global(disc, np.array([0.5, 0.5]))
-    u, _ = solve_system(system)
-    lhs = sum(
-        tr @ (disc.ops_x[k].weights * tr)
-        for k, tr in enumerate(north_trace(disc, u))
+    lhs, bound = energy_estimate_sides(spec, np.array([0.5, 0.5]), sigma_0=0.4)
+    assert not lhs <= bound
+
+
+@st.composite
+def spatial_operator_cases(draw):
+    """Non-uniform breakpoints on [0, 1], degree, kappa_min and a design with exact 0/1 values."""
+    K = draw(st.integers(1, 6))
+    widths = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K)))
+    edges = np.concatenate([[0.0], widths[:-1] / widths[-1], [1.0]])
+    nx = draw(st.integers(1, 7))
+    kappa_min = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    rho = draw(st.lists(value, min_size=K, max_size=K))
+    return tuple(edges), nx, kappa_min, rho
+
+
+NEUMANN_SIGN = pytest.mark.xfail(
+    strict=True,
+    reason="open defect: the Neumann flux terms double the SBP boundary term instead of cancelling it",
+)
+
+
+@pytest.mark.parametrize("bcs", [
+    pytest.param(("dirichlet", "dirichlet"), id="dirichlet-dirichlet"),
+    pytest.param(("neumann", "dirichlet"), marks=NEUMANN_SIGN, id="neumann-dirichlet"),
+    pytest.param(("dirichlet", "neumann"), marks=NEUMANN_SIGN, id="dirichlet-neumann"),
+    pytest.param(("neumann", "neumann"), marks=NEUMANN_SIGN, id="neumann-neumann"),
+])
+@settings(max_examples=60)
+# a narrow last element: sizing sigma_e on element 0 gave smallest eigenvalue -507.7
+@example(case=((0.0, 0.45, 0.9, 0.99, 1.0), 5, 0.0, [1.0, 1.0, 1.0, 1.0]))
+@given(case=spatial_operator_cases())
+def test_spatial_operator_symmetric_part_semidefinite(bcs, case):
+    # the energy method needs v^T (M + M^T) v >= 0 for every spatial state v
+    edges, nx, kappa_min, rho = case
+    spec = ProblemSpec(
+        domain=(0.0, 1.0), horizon=1.0, n_elements=len(rho), nx=nx, nt=1,
+        material=MaterialModel(kappa_min=kappa_min, kappa_max=1.0, p=3.0),
+        bc_left=bcs[0], bc_right=bcs[1], breakpoints=edges,
     )
-    qs = [spec.q(disc.ops_x[k].nodes) for k in range(2)]
-    rhs_bound = sum(
-        qk @ (disc.ops_x[k].weights * qk) for k, qk in enumerate(qs)
-    ) / (2 * bad_sat.sigma_0 - 1)
-    assert not lhs <= rhs_bound
+    disc = Discretization(spec)
+    M = disc.spatial_operator(disc.kappa_of(np.array(rho))).toarray()
+    S = 0.5 * (M + M.T)
+    assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.abs(S).max()
 
 
 def test_neumann_constant_state():

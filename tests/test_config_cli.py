@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from stheat.assembly import Discretization
 from stheat.cli import _optimize_once, declared_convergence_level, main
 from stheat.config import parse_config, problem_from_config
 from stheat.errors import ConfigError
+from stheat.optimize import run_topology_optimization
 
 
 def test_default_config_is_cooling_benchmark():
@@ -187,6 +189,24 @@ def test_cli_optimize_writes_design(tmp_path):
     vol = summary["volume"]
     assert vol <= summary["volume_bound"] + 1e-9
     assert summary["converged"] is True
+
+
+@pytest.mark.parametrize("key, value", [("s", 0.25), ("safety", 2.0), ("sigma_0", 2.0)])
+def test_cli_optimize_sat_keys_reach_the_discretization(tmp_path, key, value):
+    # each [sat] key moves st-se's final J, exactly as the Discretization
+    # argument it names does
+    base = "[problem]\nelements = 4\nnx = 3\nnt = 4\n[optimizer]\nmax_iters = 3\n"
+    final_j = []
+    for name, text in (("default", base), (key, f"{base}[sat]\n{key} = {value}\n")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        main(["optimize", "--config", str(path), "--out", str(tmp_path / name)])
+        final_j.append(json.loads((tmp_path / name / "summary.json").read_text())["final_objective"])
+    spec, vstar = problem_from_config(parse_config(overrides={"elements": 4, "nx": 3, "nt": 4}))
+    direct = run_topology_optimization(
+        spec, vstar, tol_design=1e-4, max_iters=3, disc=Discretization(spec, **{key: value}))
+    assert final_j[1] != final_j[0]
+    assert final_j[1] == direct.final_objective
 
 
 def capped_config(tmp_path, run_section=""):
