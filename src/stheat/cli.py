@@ -187,10 +187,11 @@ def cmd_optimize(cfg, out_dir):
                ["element", "x_left", "x_right", "rho"], rows)
     _write_csv(
         os.path.join(out_dir, "trace.csv"),
-        ["iter", "J", "delta_rho_inf", "J_rel", "wall_s"],
+        ["iter", "J", "delta_rho_inf", "J_rel", "wall_s", "forward_s", "gradient_s", "update_s"],
         [
             (r.iteration, f"{r.objective:.16e}", f"{r.design_change:.16e}",
-             f"{r.objective_rel_change:.16e}", f"{r.wall_time:.4f}")
+             f"{r.objective_rel_change:.16e}", f"{r.wall_time:.4f}",
+             f"{r.forward_s:.4f}", f"{r.gradient_s:.4f}", f"{r.update_s:.4f}")
             for r in trace.records
         ],
     )

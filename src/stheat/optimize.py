@@ -31,6 +31,11 @@ class IterationRecord:
     design_change: float
     objective_rel_change: float
     wall_time: float
+    # the parts of wall_time spent in the forward solve, the adjoint and
+    # sensitivities, and the MMA update
+    forward_s: float
+    gradient_s: float
+    update_s: float
 
 
 @dataclass
@@ -82,9 +87,12 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
         j, state = forward(rho)
+        t1 = time.perf_counter()
         grad = gradient(rho, state)
         del state  # else it lives on beside the next forward's system and factors
+        t2 = time.perf_counter()
         new_rho = mma_update(rho, grad, volumes, volume_bound, mma_state)
+        t3 = time.perf_counter()
         change = float(np.max(np.abs(new_rho - rho)))
         j_rel = np.inf if prev_j is None else abs(j - prev_j) / max(abs(prev_j), REL_EPS)
         trace.records.append(
@@ -95,6 +103,9 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
                 design_change=change,
                 objective_rel_change=j_rel,
                 wall_time=time.perf_counter() - t0,
+                forward_s=t1 - t0,
+                gradient_s=t2 - t1,
+                update_s=t3 - t2,
             )
         )
         rho, prev_j = new_rho, j

@@ -78,8 +78,8 @@ def be_block_elimination(fe, n_steps):
     fr, dr = fe.free, fe.dirichlet
     n_free = fr.size
     lu = sla.lu_factor(step[np.ix_(fr, fr)])
-    u_d = _dirichlet_values(fe, times)
-    loads = _load_matrix(fe, times)
+    u_d = _dirichlet_values(fe, times).T
+    loads = _load_matrix(fe, times).T
     rhs = np.empty((n_free, n_steps))
     rhs[:] = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:]
     q0 = np.asarray(spec.q(fe.nodes), dtype=float)
@@ -95,6 +95,23 @@ def be_block_elimination(fe, n_steps):
         prev = sla.lu_solve(lu, b_n)
         u[fr, n + 1] = prev
     return MarchingSolution(times=times, states=u, fe=fe)
+
+
+def be_block_back_substitution(fe, n_steps, rhs):
+    """The transposed all-at-once system solved by block back substitution.
+
+    ``rhs`` holds the free-node right-hand side of levels 1..N_t, one row per
+    level.  Each level is one transposed ``lu_solve`` of a step matrix
+    factored here, against its own row plus (M/dt)^T times the level after.
+    """
+    fr = fe.free
+    m_dt = (fe.mass / (fe.spec.horizon / n_steps))[np.ix_(fr, fr)]
+    lu = sla.lu_factor(m_dt + fe.stiffness[np.ix_(fr, fr)])
+    lam = np.empty((n_steps, fr.size))
+    after = np.zeros(fr.size)
+    for n in range(n_steps - 1, -1, -1):
+        after = lam[n] = sla.lu_solve(lu, rhs[n] + m_dt.T @ after, trans=1)
+    return lam
 
 
 def be_block_system(fe, n_steps):

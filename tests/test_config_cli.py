@@ -184,11 +184,28 @@ def test_cli_optimize_writes_design(tmp_path):
     assert design[0] == "element,x_left,x_right,rho"
     assert len(design) == 11
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,J,delta_rho_inf,J_rel,wall_s"
+    assert trace[0] == "iter,J,delta_rho_inf,J_rel,wall_s,forward_s,gradient_s,update_s"
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     vol = summary["volume"]
     assert vol <= summary["volume_bound"] + 1e-9
     assert summary["converged"] is True
+
+
+def test_cli_optimize_trace_times_each_part(tmp_path):
+    # the backward-Euler solver writes the same trace: the old columns, then
+    # the iteration's forward, gradient and update times inside its wall time
+    cfg = tmp_path / "be.cfg"
+    cfg.write_text(
+        "[problem]\nelements = 6\n[optimizer]\nmax_iters = 3\n"
+        "[run]\nsolvers = be-fe\nnt_steps_sweep = 64\n"
+    )
+    main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    header, *rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert header == "iter,J,delta_rho_inf,J_rel,wall_s,forward_s,gradient_s,update_s"
+    assert len(rows) == 3
+    for row in rows:
+        wall, *parts = (float(v) for v in row.split(",")[4:])
+        assert min(parts) >= 0 and sum(parts) <= wall + 2e-4  # each rounded to 1e-4 s
 
 
 @pytest.mark.parametrize("key, value", [("s", 0.25), ("safety", 2.0), ("sigma_0", 2.0)])

@@ -89,6 +89,10 @@ def test_trace_metrics_definitions(solver):
         assert trace.records[i].objective_rel_change == pytest.approx(expected)
     assert trace.records[0].objective_rel_change == np.inf
     assert all(r.wall_time >= 0 for r in trace.records)
+    # the three parts are timed back to back inside the iteration's wall time
+    for r in trace.records:
+        parts = (r.forward_s, r.gradient_s, r.update_s)
+        assert min(parts) >= 0 and sum(parts) <= r.wall_time
     np.testing.assert_allclose(trace.final_rho, rhos[-1], atol=0)
     assert trace.final_objective == pytest.approx(
         _fresh_objective(solver, spec, trace.final_rho), rel=1e-13, abs=0
