@@ -6,13 +6,14 @@ objective around the current design, with asymptotes adapted by oscillation
 detection.  Because the volume constraint is linear it is kept exact in the
 subproblem rather than approximated (Svanberg 1987), so the dual is a
 monotone one-dimensional root-find on the volume multiplier, and so is each
-component of the subproblem for a fixed multiplier.  Both are solved by
-Newton's method inside a bracket, with bisection as the safeguard, and
-every update is feasible by construction.  Gradients are normalized by the
-first iteration's magnitude (see MmaState), which makes whole trajectories
-invariant to positive rescaling of the objective without losing the step
-damping near optima.  The update's constants (asymptote adaptation, move
-limit, curvature floor) are fixed at Svanberg's standard values below.
+component of the subproblem for a fixed multiplier.  One routine solves
+both, by Newton's method inside a bracket with bisection as the safeguard
+(Brent 1973, ch. 4), and every update is feasible by construction.
+Gradients are normalized by the first iteration's magnitude (see MmaState),
+which makes whole trajectories invariant to positive rescaling of the
+objective without losing the step damping near optima.  The update's
+constants (asymptote adaptation, move limit, curvature floor) are fixed at
+Svanberg's standard values below.
 """
 
 import math
@@ -75,8 +76,40 @@ def _update_asymptotes(x, state):
 # |phi'| below this multiple of its terms' magnitude is rounding noise
 _ROUNDOFF = 4.0 * np.finfo(float).eps
 # Newton steps allowed per root-find before plain bisection takes over; the
-# cooling and two-design runs need at most 13
+# cooling, two-design and BE cooling runs take at most 12 per component, 6 for mu
 _NEWTON_STEPS = 64
+
+
+def _newton_in_bracket(step, lo, hi, active, rtol=0.0, start=np.nan):
+    """Roots of increasing functions, one per component, by Newton inside a bracket.
+
+    ``step(x)`` returns f(x), the Newton point from x, and where x is a root
+    to working precision; x then replaces the bracket end of its sign.  The
+    iterates are ``start``, then Newton points, where they fall inside the
+    open bracket, and midpoints otherwise or after _NEWTON_STEPS steps.  A
+    component stops at a root, when its iterate stops moving, or once its
+    bracket is no wider than rtol * max(1, hi); Newton points keep half that
+    width from the ends, so that Newton's method converging from one side
+    still closes the bracket.  Inactive components return their midpoint.
+    """
+    x = np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
+    active = active.copy()
+    for k in range(_NEWTON_STEPS + 64):
+        if not active.any():
+            break
+        f, newton, at_root = step(x)
+        active &= ~at_root
+        hi = np.where(active & (f > 0.0), x, hi)
+        lo = np.where(active & (f < 0.0), x, lo)
+        inside = (lo < newton) & (newton < hi) & (k < _NEWTON_STEPS)
+        if rtol:  # skipped at rtol = 0, where it would add 40 % to each step
+            width = rtol * np.maximum(1.0, hi)
+            active &= hi - lo > width
+            newton = np.clip(newton, lo + 0.5 * width, hi - 0.5 * width)
+        x_new = np.where(inside, newton, 0.5 * (lo + hi))
+        active &= x_new != x
+        x = np.where(active, x_new, x)
+    return x
 
 
 def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
@@ -88,12 +121,7 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
     terms, or once the Newton step from x rounds away (the nearest float to
     the root need not zero phi_j' to roundoff).  A component whose root lies
     at or beyond an end of [alfa, beta] takes that end and has dx/dmu = 0.
-    The others run Newton's method inside a bracket that every step shrinks,
-    with bisection wherever the Newton point leaves the open bracket.  After
-    _NEWTON_STEPS steps only bisection is left, up to 64 halvings of what
-    remains of the bracket, so every component ends at least as exact as 64
-    halvings of [alfa, beta] leave it.  Differentiating phi_j'(x(mu)) = 0
-    gives dx/dmu = -V/phi_j''.
+    Differentiating phi_j'(x(mu)) = 0 gives dx/dmu = -V/phi_j''.
     """
     c = mu * volumes
 
@@ -109,22 +137,8 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
     take_lo = (g >= 0.0) | at_root
     g, _, at_root = newton_step(beta)
     take_hi = (g <= 0.0) | at_root
-    lo, hi = alfa.copy(), beta.copy()
-    x = 0.5 * (lo + hi)
-    active = ~(take_lo | take_hi)
-    for step in range(_NEWTON_STEPS + 64):
-        if not active.any():
-            break
-        g, newton, at_root = newton_step(x)
-        active &= ~at_root
-        hi = np.where(active & (g > 0.0), x, hi)
-        lo = np.where(active & (g < 0.0), x, lo)
-        inside = (lo < newton) & (newton < hi) & (step < _NEWTON_STEPS)
-        x_new = np.where(inside, newton, 0.5 * (lo + hi))
-        active &= x_new != x
-        x = np.where(active, x_new, x)
-    x[take_lo] = alfa[take_lo]
-    x[take_hi] = beta[take_hi]
+    x = _newton_in_bracket(newton_step, alfa, beta, ~(take_lo | take_hi))
+    x = np.where(take_lo, alfa, np.where(take_hi, beta, x))
     curvature = 2.0 * p / (upp - x) ** 3 + 2.0 * q / (x - low) ** 3
     return x, np.where(take_lo | take_hi, 0.0, -volumes / curvature)
 
@@ -132,52 +146,36 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
 def _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound):
     """The subproblem minimizer x(mu) at the smallest feasible volume multiplier.
 
-    The volume x(mu) . V falls monotonically in mu, with slope dx/dmu . V.
-    After the unconstrained minimizer (mu = 0) is found infeasible, mu is
-    bracketed by doubling and then located by Newton's method from whichever
-    end of the bracket has the smaller volume excess, or from the other end.
-    A Newton point is taken if it lies inside the bracket, or within half
-    the tolerance of the end it starts from (Newton has converged there);
-    otherwise, and after _NEWTON_STEPS trials, the trial bisects.  Every
-    trial keeps half the tolerance away from both ends, so a converged
-    Newton step lands on the far side of the root and closes the bracket.
-    The bracket ends at a relative width of 1e-12, and the result is x at
-    its upper end, which is feasible by construction.
+    The volume x(mu) . V falls monotonically in mu towards alfa . V.  Once
+    mu = 0 is infeasible and alfa . V is not, mu is bracketed by doubling,
+    and the shortfall bound - x(mu) . V is solved to a relative width of
+    1e-12 from the Newton point of the bracket's infeasible end.  The result
+    is the minimizer at the last feasible mu tried: a root or the top end.
     """
+    feasible = []
 
-    def excess(mu):
+    def shortfall(mu):
         x, dx_dmu = _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes)
-        return x, x @ volumes - volume_bound, dx_dmu @ volumes
+        f, slope = volume_bound - x @ volumes, -(dx_dmu @ volumes)
+        if f >= 0.0:
+            feasible.append(x)
+        return f, mu - f / slope if slope > 0.0 else np.nan, f == 0.0
 
-    x, f, df = excess(0.0)
-    if f <= 0.0:
-        return x
-    lo = (0.0, f, df)
-    mu = 1.0
-    x, f, df = excess(mu)
-    while f > 0.0:
-        lo, mu = (mu, f, df), 2.0 * mu
-        if mu > 1e12:
+    f, newton, _ = shortfall(0.0)
+    if f >= 0.0:
+        return feasible[-1]
+    if alfa @ volumes > volume_bound:
+        raise NumericalError(f"the move limits leave no feasible update: their lower "
+                             f"ends hold volume {alfa @ volumes!r} > bound {volume_bound!r}")
+    lo, hi, start = 0.0, 1.0, newton
+    f, newton, _ = shortfall(hi)
+    while f < 0.0:
+        lo, hi, start = hi, 2.0 * hi, newton
+        if hi > 1e12:
             raise NumericalError("volume multiplier bracket not found")
-        x, f, df = excess(mu)
-    hi, x_hi = (mu, f, df), x
-    trials = 0
-    while hi[0] - lo[0] > 1e-12 * max(1.0, hi[0]):
-        half_tol = 0.5e-12 * max(1.0, hi[0])
-        trial = 0.5 * (lo[0] + hi[0])
-        for end_mu, end_f, end_df in sorted((lo, hi), key=lambda end: abs(end[1])):
-            newton = end_mu - end_f / end_df if end_df < 0.0 else np.nan
-            if trials < _NEWTON_STEPS and (lo[0] < newton < hi[0] or abs(newton - end_mu) <= half_tol):
-                trial = newton
-                break
-        trials += 1
-        mu = min(max(trial, lo[0] + half_tol), hi[0] - half_tol)
-        x, f, df = excess(mu)
-        if f > 0.0:
-            lo = (mu, f, df)
-        else:
-            hi, x_hi = (mu, f, df), x
-    return x_hi
+        f, newton, _ = shortfall(hi)
+    _newton_in_bracket(shortfall, lo, hi, np.array(True), rtol=1e-12, start=start)
+    return feasible[-1]
 
 
 def mma_update(rho, dj, volumes, volume_bound, state):

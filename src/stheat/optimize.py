@@ -49,9 +49,6 @@ class OptimizationTrace:
     def iterations(self):
         return len(self.records)
 
-    def design_changes(self):
-        return np.array([r.design_change for r in self.records])
-
     def objectives(self):
         return np.array([r.objective for r in self.records])
 

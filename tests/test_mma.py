@@ -172,6 +172,69 @@ def test_cooling_dual_solve_takes_few_subproblem_solves():
     assert solves.call_count <= 12
 
 
+def test_newton_in_bracket_treats_each_component_on_its_own():
+    """One vector: a Newton root, a bisection fallback, an inactive component, an rtol stop.
+
+    The brackets are [0, 1] (the inactive one [0.25, 0.5], the last
+    [0.25, 1]).  The first iterate is the given start 0.5 of the last
+    component, and the midpoint elsewhere, also where the start 2 lies
+    outside the bracket.  Component 0 solves x^3 = 0.2, whose Newton point
+    from 0.5 is 0.6.  Component 1, arctan(20 (x - 0.95)), sends its first
+    Newton point past 1, so the next iterate bisects to 0.75.  Component 2 is
+    inactive and must keep its midpoint although its function has no root
+    there.  Component 3 offers no Newton point, so it bisects until its
+    bracket is no wider than rtol = 1e-3: ten evaluations.  Newton's method
+    on the concave log(x/0.7) never crosses the root from below, yet the
+    upper end must still close in to rtol (the volume multiplier's feasible
+    end relies on this).
+    """
+    iterates = []
+
+    def step(x):
+        iterates.append(x.copy())
+        z = 20.0 * (x[1] - 0.95)
+        f = np.array(
+            [x[0] ** 3 - 0.2, np.arctan(z), x[2] - 0.9, x[3] - 1.0 / 3.0, np.log(x[4] / 0.7)]
+        )
+        slope = np.array([3.0 * x[0] ** 2, 20.0 / (1.0 + z * z), 1.0, 1.0, 1.0 / x[4]])
+        newton = x - f / slope
+        newton[3] = np.nan
+        return f, newton, (np.abs(f) <= 4.0 * np.finfo(float).eps) | (newton == x)
+
+    lo = np.array([0.0, 0.0, 0.25, 0.0, 0.25])
+    hi = np.array([1.0, 1.0, 0.5, 1.0, 1.0])
+    active = np.array([True, True, False, True, True])
+    start = np.array([np.nan, 2.0, np.nan, np.nan, 0.5])
+    x = mma._newton_in_bracket(step, lo, hi, active, rtol=1e-3, start=start)
+    np.testing.assert_array_equal(iterates[0], [0.5, 0.5, 0.375, 0.5, 0.5])
+    assert iterates[1][0] == 0.6
+    assert iterates[1][1] == 0.75
+    assert x[2] == 0.375 and all(it[2] == 0.375 for it in iterates)
+    assert len(iterates) == 10
+    roots = np.array([0.2 ** (1.0 / 3.0), 0.95, np.nan, 1.0 / 3.0, 0.7])
+    assert np.all(np.abs(x - roots)[active] <= 1e-3)
+    assert min(it[4] for it in iterates if it[4] > 0.7) - 0.7 <= 1e-3
+    np.testing.assert_array_equal(lo, [0.0, 0.0, 0.25, 0.0, 0.25])  # the caller's brackets are kept
+
+
+def test_update_refuses_move_limits_that_leave_no_feasible_update():
+    """The current volume lies 5e-7 above the bound, inside the 1e-6 the update
+    accepts, but the asymptotes at rho -/+ 1e-6 widen only to the 1e-5 floor,
+    so the move limits keep every component above rho - 1e-5 and no update
+    meets the bound.  The update says so after one subproblem solve rather
+    than doubling the multiplier some 40 times first.
+    """
+    rho, volumes = np.array([0.5]), np.array([0.01])
+    state = MmaState(
+        iteration=2, x_prev1=rho.copy(), x_prev2=rho.copy(), low=rho - 1e-6, upp=rho + 1e-6,
+        gradient_scale=1.0,
+    )
+    with mock.patch.object(mma, "_subproblem_minimizer", wraps=mma._subproblem_minimizer) as solves:
+        with pytest.raises(NumericalError, match="move limits leave no feasible update"):
+            mma_update(rho, np.array([-1.0]), volumes, rho @ volumes - 5e-7, state)
+    assert solves.call_count == 1
+
+
 def test_scalar_minimize_quadratic():
     x, fx = scalar_minimize(lambda x: (x - 2.0) ** 2, (0.0, 5.0), tol=1e-8)
     assert abs(x - 2.0) <= 1e-8
