@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ def test_design_loop_builds_march_data_once_and_never_stale(monkeypatch):
 
 @pytest.mark.parametrize("aao", [False, True], ids=["march", "aao"])
 def test_design_loop_factors_each_step_matrix_once(monkeypatch, aao):
-    factored, solved, powers = [], [], []
+    solved, powers = [], []
 
     def counting(record, function, shape_of=None):
         def wrapper(*args, **kwargs):
@@ -366,8 +367,7 @@ def test_design_loop_factors_each_step_matrix_once(monkeypatch, aao):
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sla, "lu_factor", counting(factored, sla.lu_factor))
-    monkeypatch.setattr(sla, "lu_solve", counting(solved, sla.lu_solve, shape_of=1))
+    monkeypatch.setattr(np.linalg, "solve", counting(solved, np.linalg.solve, shape_of=1))
     monkeypatch.setattr(baselines, "_propagator_powers",
                         counting(powers, baselines._propagator_powers))
     spec, _ = counting_problem()
@@ -377,11 +377,41 @@ def test_design_loop_factors_each_step_matrix_once(monkeypatch, aao):
     # one factorization per forward march, the final design's included: the
     # adjoint runs on the forward's step inverse and propagator powers
     forwards = trace.iterations + 1
-    assert len(factored) == forwards
     assert len(powers) == forwards
-    # the only triangular solves form the step inverse and the propagator:
+    # its only solve forms the step inverse and the propagator together:
     # never a 16-column batch of levels
-    assert solved == [(n_free, n_free)] * (2 * forwards)
+    assert solved == [(n_free, 2 * n_free)] * forwards
+
+
+@pytest.mark.parametrize("aao", [False, True], ids=["march", "aao"])
+def test_design_loop_stays_on_numpys_blas(monkeypatch, aao):
+    # NumPy and SciPy wheels each bundle an OpenBLAS with its own thread
+    # pool; a loop that switches between them leaves the other pool's
+    # workers spinning, so the backward-Euler loop calls NumPy's alone.
+    # f2py's BLAS and LAPACK wrappers carry no __module__: match them by
+    # identity, before any is patched below
+    wrappers = {id(value) for module in (sla.blas, sla.lapack) for value in vars(module).values()
+                if type(value).__name__ == "fortran"}
+
+    def from_scipy_linalg(value):
+        if isinstance(value, ModuleType):
+            return value.__name__.startswith("scipy.linalg")
+        origin = getattr(value, "__module__", None) or ""
+        return origin.startswith("scipy.linalg") or id(value) in wrappers
+
+    assert [name for name, value in vars(baselines).items() if from_scipy_linalg(value)] == []
+
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"the backward-Euler loop called scipy.linalg {name}")
+        return wrapper
+
+    for name in ("lu_factor", "lu_solve", "solve", "inv"):
+        monkeypatch.setattr(sla, name, refuse(name))
+    monkeypatch.setattr(sla.blas, "dgemm", refuse("dgemm"))
+    spec, _ = counting_problem()
+    trace = run_topology_optimization_be(spec, 0.5, 16, aao=aao, max_iters=2)
+    assert trace.iterations == 2
 
 
 @pytest.mark.parametrize("rho", [np.float64(0.5), np.array([0.5]), np.full(7, 0.5)],
