@@ -42,10 +42,9 @@ from .problem import (
     dkappa_drho,
     kappa,
 )
-from .sbp import LglRule, SbpOperator1D, build_sbp_1d, lgl_rule, verify_sbp
+from .sbp import SbpOperator1D, build_sbp_1d, lgl_rule, verify_sbp
 from .twodomain import (
     TwoDomainSolution,
-    evaluate_solution,
     steady_coefficients,
     transient_eigenvalue,
     two_domain_solution,

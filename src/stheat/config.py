@@ -8,6 +8,7 @@ benchmark with its published defaults.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -49,6 +50,11 @@ class RunConfig:
     file_keys = frozenset()
 
     def validate(self):
+        for section, keys in _SCHEMA.items():
+            for key, kind in keys.items():
+                value = getattr(self, _RENAME.get((section, key), key))
+                if kind is float and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{key}: must be finite, got {value}")
         if self.preset not in _PRESETS:
             raise ConfigError(f"problem.preset: unknown preset {self.preset!r}")
         for name in ("elements", "nx", "nt", "max_iters", "repeats"):

@@ -9,6 +9,8 @@ degree n - 1 polynomials, and the boundary terms of the discrete
 integration by parts reduce to the endpoint values.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,7 @@ def _legendre_pair(n, x):
     return p, p_prev
 
 
+@functools.cache
 def lgl_rule(n_nodes):
     """Compute the LGL nodes and weights on [-1, 1].
 
@@ -86,6 +89,9 @@ def lgl_rule(n_nodes):
     g'(x) = n P_{n-1}(x) by the Legendre derivative recurrence), starting
     from Chebyshev-Gauss-Lobatto points.  Weights follow the closed form
     w_i = 2 / (n (n-1) P_{n-1}(x_i)^2).
+
+    The rule is computed once per node count and shared by every caller, so
+    its arrays are read-only; ``lgl_rule.__wrapped__`` is the uncached solve.
     """
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
@@ -106,6 +112,8 @@ def lgl_rule(n_nodes):
     x = 0.5 * (x - x[::-1])
     p, _ = _legendre_pair(n, x)
     w = 2.0 / (n * (n - 1) * p**2)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return LglRule(n_nodes=n, nodes=x, weights=w)
 
 
@@ -129,13 +137,18 @@ def _barycentric_diff(x):
 def build_sbp_1d(n_nodes, interval):
     """Construct the LGL SBP operator of ``n_nodes`` points on ``interval``.
 
-    The reference operator is built once on [-1, 1] and mapped affinely, so
+    Every operator is the reference one on [-1, 1] mapped affinely, so
     operators on different intervals are exactly covariant: D scales by
-    2/(b-a) and P by (b-a)/2.
+    2/(b-a) and P by (b-a)/2.  Only the LGL rule, O(n) per node count, is
+    cached: it holds the Newton solve, which dominates the cost.  D is formed
+    from the rule on each call, tens of microseconds of barycentric products,
+    because a cache of n x n matrices would grow with every node count a
+    refinement sweep visits.
     """
     a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    # a finite width b - a also rules out an infinite end; a < b rules out nan
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"interval needs a < b and a finite width b - a, got [{a}, {b}]")
     rule = lgl_rule(n_nodes)
     scale = 0.5 * (b - a)
     nodes = a + scale * (rule.nodes + 1.0)

@@ -66,7 +66,10 @@ class TwoDomainSolution:
         return np.where(x <= self.interface, left, right)
 
     def __call__(self, x, t):
-        return evaluate_solution(self, x, t)
+        """Pointwise u(x, t) = u_s(x) + exp(-lam t) w(x)."""
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        return self.steady(x) + np.exp(-self.lam * t) * self.mode(x)
 
     def initial(self, x):
         return self.steady(x) + self.mode(x)
@@ -188,13 +191,6 @@ def two_domain_solution(kappa_1, kappa_2, interface=0.5, source=1.0, u_right=1.0
         alpha_2=alpha_2,
         amplitude_ratio=ratio,
     )
-
-
-def evaluate_solution(sol, x, t):
-    """Pointwise u(x, t) = u_s(x) + exp(-lam t) w(x)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return sol.steady(x) + np.exp(-sol.lam * t) * sol.mode(x)
 
 
 def eigencondition_residual(sol):

@@ -5,7 +5,7 @@ import pytest
 
 from stheat.assembly import Discretization
 from stheat.cli import _optimize_once, declared_convergence_level, main
-from stheat.config import parse_config, problem_from_config
+from stheat.config import _SCHEMA, parse_config, problem_from_config
 from stheat.errors import ConfigError
 from stheat.optimize import run_topology_optimization
 
@@ -336,6 +336,21 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
     cfg.write_text(text)
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key",
+    [f"{section}.{key}" for section, keys in _SCHEMA.items()
+     for key, kind in keys.items() if kind is float],
+)
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, key, value):
+    section, name = key.split(".")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{name} = {value}\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stheat.assembly import Discretization
+from stheat.presets import cooling_benchmark
 from stheat.sbp import build_sbp_1d, lgl_rule, verify_sbp
 
 
@@ -34,6 +40,37 @@ def test_rule_rejects_single_node():
         lgl_rule(1)
 
 
+def test_rule_is_shared_and_read_only():
+    rule = lgl_rule(7)
+    assert lgl_rule(7) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[3] = 0.5
+    with pytest.raises(ValueError):
+        rule.weights[0] = 1.0
+
+
+def test_discretization_solves_each_rule_once():
+    # the cooling preset has 50 six-node elements and a 16-node time rule
+    lgl_rule.cache_clear()
+    Discretization(cooling_benchmark()[0])
+    assert lgl_rule.cache_info().misses <= 2
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 40),
+    a=st.floats(-1e6, 1e6),
+    width=st.floats(1e-6, 1e6),
+)
+def test_operator_from_cached_rule_is_bitwise_uncached(n, a, width):
+    interval = (a, a + width)
+    op = build_sbp_1d(n, interval)
+    with mock.patch("stheat.sbp.lgl_rule", lgl_rule.__wrapped__):
+        fresh = build_sbp_1d(n, interval)
+    for name in ("nodes", "weights", "D", "Q"):
+        assert getattr(op, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_rule_invariants(n):
     rule = lgl_rule(n)
@@ -49,6 +86,15 @@ def test_rule_invariants(n):
         quad = rule.weights @ u
         exact = poly_integral(coeffs, -1.0, 1.0)
         assert abs(quad - exact) <= 1e-12 * max(1.0, np.linalg.norm(u))
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (-1e308, 1e308)],
+)
+def test_build_rejects_bad_interval(interval):
+    with pytest.raises(ValueError, match="interval"):
+        build_sbp_1d(3, interval)
 
 
 def test_diff_matrix_three_nodes_reference():
