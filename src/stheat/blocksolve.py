@@ -62,21 +62,30 @@ def _shift_pattern(M):
 
 
 def factor(system):
-    """One sparse LU of the spatial factor R_jj W + M per time mode j."""
+    """One sparse LU of the spatial factor R_jj W + M per time mode j.
+
+    One CSC matrix on ``_shift_pattern``'s pattern serves every mode: its
+    diagonal entries are rewritten for each mode before ``splu``, whose
+    factors are new arrays that keep no reference to the matrix.  Only a
+    mode whose diagonal cancels gets a matrix of its own, with that entry
+    dropped.
+    """
     R, _ = system.disc.schur
     W = system.disc.W
     pattern, base, diagonal = _shift_pattern(system.M)
+    A = sp.csc_matrix((base, pattern.indices, pattern.indptr), shape=pattern.shape)
+    base_diagonal = base[diagonal]
     lus = []
     for j, r in enumerate(np.diag(R)):
-        data = base.copy()
-        data[diagonal] += r * W
-        A = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        if not np.all(data[diagonal]):
+        shifted_diagonal = base_diagonal + r * W
+        A.data[diagonal] = shifted_diagonal
+        mode_matrix = A
+        if not np.all(shifted_diagonal):
             # a diagonal entry cancelled: drop it, as the sparse sum does
-            A = A.copy()
-            A.eliminate_zeros()
+            mode_matrix = A.copy()
+            mode_matrix.eliminate_zeros()
         try:
-            lus.append(spla.splu(A))
+            lus.append(spla.splu(mode_matrix))
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(j) from err
     return SchurFactorization(system.disc, lus)

@@ -9,6 +9,12 @@ monotone one-dimensional root-find on the volume multiplier, and so is each
 component of the subproblem for a fixed multiplier.  One routine solves
 both, by Newton's method inside a bracket with bisection as the safeguard
 (Brent 1973, ch. 4), and every update is feasible by construction.
+Successive updates solve nearby duals, so each starts where the last ended:
+the multiplier search opens at the previous update's accepted multiplier
+(see MmaState), and within one update each component's root-find starts at
+its root for the previously tried multiplier.  Only the starting points
+move; the bracket, both stopping rules and the subproblem are those of a
+cold start, so the returned design stays within the dual's 1e-12 width.
 Gradients are normalized by the first iteration's magnitude (see MmaState),
 which makes whole trajectories invariant to positive rescaling of the
 objective without losing the step damping near optima.  The update's
@@ -38,13 +44,21 @@ _ALBEFA = 0.1
 
 @dataclass
 class MmaState:
-    """Iteration memory: previous two designs and the moving asymptotes.
+    """Iteration memory: previous two designs, the moving asymptotes, the gradient
+    normalization and the last volume multiplier.
 
     ``gradient_scale`` freezes the normalization at the first iteration's
     gradient magnitude.  Later gradients then shrink relative to the _RAA0
     curvature floor as the optimum is approached, which is what damps the
     steps, while uniform rescaling of the objective still leaves the whole
     trajectory unchanged.
+
+    ``mu`` is the volume multiplier the last update accepted, in normalized
+    gradient units, and 0 before any update or while the bound is inactive.
+    The next update's dual search only opens there: it still brackets the
+    smallest feasible multiplier and stops at the same relative width, so a
+    carried ``mu`` moves the result by no more than that width, not by the
+    distance between the two duals.
     """
 
     iteration: int = 0
@@ -53,6 +67,7 @@ class MmaState:
     low: np.ndarray = None
     upp: np.ndarray = None
     gradient_scale: float = None
+    mu: float = 0.0
 
 
 def _update_asymptotes(x, state):
@@ -112,7 +127,7 @@ def _newton_in_bracket(step, lo, hi, active, rtol=0.0, start=np.nan):
     return x
 
 
-def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
+def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes, start=np.nan):
     """Componentwise minimizer x(mu) of the separable dual Lagrangian, and dx/dmu.
 
     phi_j'(x) = p/(U-x)^2 - q/(x-L)^2 + mu V is strictly increasing on
@@ -121,7 +136,9 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
     terms, or once the Newton step from x rounds away (the nearest float to
     the root need not zero phi_j' to roundoff).  A component whose root lies
     at or beyond an end of [alfa, beta] takes that end and has dx/dmu = 0.
-    Differentiating phi_j'(x(mu)) = 0 gives dx/dmu = -V/phi_j''.
+    Differentiating phi_j'(x(mu)) = 0 gives dx/dmu = -V/phi_j''.  Each
+    component's Newton iteration opens at ``start`` where that lies inside
+    (alfa, beta), and at the midpoint otherwise.
     """
     c = mu * volumes
 
@@ -137,43 +154,54 @@ def _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes):
     take_lo = (g >= 0.0) | at_root
     g, _, at_root = newton_step(beta)
     take_hi = (g <= 0.0) | at_root
-    x = _newton_in_bracket(newton_step, alfa, beta, ~(take_lo | take_hi))
+    x = _newton_in_bracket(newton_step, alfa, beta, ~(take_lo | take_hi), start=start)
     x = np.where(take_lo, alfa, np.where(take_hi, beta, x))
     curvature = 2.0 * p / (upp - x) ** 3 + 2.0 * q / (x - low) ** 3
     return x, np.where(take_lo | take_hi, 0.0, -volumes / curvature)
 
 
-def _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound):
-    """The subproblem minimizer x(mu) at the smallest feasible volume multiplier.
+def _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound, mu=0.0):
+    """The subproblem minimizer x(mu) at the smallest feasible volume multiplier, and mu.
 
-    The volume x(mu) . V falls monotonically in mu towards alfa . V.  Once
-    mu = 0 is infeasible and alfa . V is not, mu is bracketed by doubling,
-    and the shortfall bound - x(mu) . V is solved to a relative width of
-    1e-12 from the Newton point of the bracket's infeasible end.  The result
-    is the minimizer at the last feasible mu tried: a root or the top end.
+    The volume x(mu) . V falls monotonically in mu towards alfa . V.  The
+    search opens at the given ``mu``, the previous update's multiplier, and
+    brackets the smallest feasible one from there: below a feasible positive
+    ``mu`` by [0, mu], unless 0 is feasible too, and above an infeasible
+    ``mu``, once alfa . V is feasible, by doubling from max(2 mu, 1).  The
+    shortfall bound - x(mu) . V is then solved to a relative width of 1e-12
+    from the Newton point of ``mu`` or of the last infeasible doubling.
+    Returns the minimizer at the last feasible multiplier tried, a root or
+    the top end, and that multiplier.  Each subproblem solve starts at the
+    minimizer of the one before.
     """
     feasible = []
+    previous = np.nan  # the minimizer at the multiplier tried last
 
-    def shortfall(mu):
-        x, dx_dmu = _subproblem_minimizer(mu, p, q, low, upp, alfa, beta, volumes)
+    def shortfall(m):
+        nonlocal previous
+        x, dx_dmu = _subproblem_minimizer(m, p, q, low, upp, alfa, beta, volumes, previous)
+        previous = x
         f, slope = volume_bound - x @ volumes, -(dx_dmu @ volumes)
         if f >= 0.0:
-            feasible.append(x)
-        return f, mu - f / slope if slope > 0.0 else np.nan, f == 0.0
+            feasible.append((x, float(m)))
+        return f, m - f / slope if slope > 0.0 else np.nan, f == 0.0
 
-    f, newton, _ = shortfall(0.0)
+    f, start, _ = shortfall(mu)
     if f >= 0.0:
-        return feasible[-1]
-    if alfa @ volumes > volume_bound:
-        raise NumericalError(f"the move limits leave no feasible update: their lower "
-                             f"ends hold volume {alfa @ volumes!r} > bound {volume_bound!r}")
-    lo, hi, start = 0.0, 1.0, newton
-    f, newton, _ = shortfall(hi)
-    while f < 0.0:
-        lo, hi, start = hi, 2.0 * hi, newton
-        if hi > 1e12:
-            raise NumericalError("volume multiplier bracket not found")
+        if mu == 0.0 or f == 0.0 or shortfall(0.0)[0] >= 0.0:
+            return feasible[-1]
+        lo, hi = 0.0, mu
+    else:
+        if alfa @ volumes > volume_bound:
+            raise NumericalError(f"the move limits leave no feasible update: their lower "
+                                 f"ends hold volume {alfa @ volumes!r} > bound {volume_bound!r}")
+        lo, hi = mu, max(2.0 * mu, 1.0)
         f, newton, _ = shortfall(hi)
+        while f < 0.0:
+            lo, hi, start = hi, 2.0 * hi, newton
+            if hi > 1e12:
+                raise NumericalError("volume multiplier bracket not found")
+            f, newton, _ = shortfall(hi)
     _newton_in_bracket(shortfall, lo, hi, np.array(True), rtol=1e-12, start=start)
     return feasible[-1]
 
@@ -210,7 +238,7 @@ def mma_update(rho, dj, volumes, volume_bound, state):
     p = (upp - rho) ** 2 * (1.001 * dpos + 0.001 * dneg + _RAA0)
     q = (rho - low) ** 2 * (0.001 * dpos + 1.001 * dneg + _RAA0)
 
-    new_rho = _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound)
+    new_rho, state.mu = _solve_dual(p, q, low, upp, alfa, beta, volumes, volume_bound, state.mu)
 
     state.low, state.upp = low, upp
     state.x_prev2, state.x_prev1 = state.x_prev1, rho.copy()

@@ -36,6 +36,10 @@ class IterationRecord:
     forward_s: float
     gradient_s: float
     update_s: float
+    # the volume multiplier the MMA update accepted (0 where the bound is
+    # inactive), and the volume bound minus the updated design's volume
+    mu: float
+    volume_slack: float
 
 
 @dataclass
@@ -103,6 +107,8 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
                 forward_s=t1 - t0,
                 gradient_s=t2 - t1,
                 update_s=t3 - t2,
+                mu=mma_state.mu,
+                volume_slack=volume_bound - float(new_rho @ volumes),
             )
         )
         rho, prev_j = new_rho, j

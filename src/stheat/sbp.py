@@ -152,6 +152,9 @@ def build_sbp_1d(n_nodes, interval):
     rule = lgl_rule(n_nodes)
     scale = 0.5 * (b - a)
     nodes = a + scale * (rule.nodes + 1.0)
+    # LGL nodes lie closest at the ends, so distinct end pairs mean distinct nodes
+    if not (nodes[1] > nodes[0] and nodes[-1] > nodes[-2]):
+        raise ValueError(f"interval [{a}, {b}] is too narrow for {n_nodes} distinct nodes")
     weights = scale * rule.weights
     D = _barycentric_diff(rule.nodes) / scale
     Q = weights[:, None] * D

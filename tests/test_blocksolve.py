@@ -289,6 +289,8 @@ def test_factor_hands_splu_the_sparse_sum(case):
 
     At kappa = 0 M stores explicit zeros, which the sparse sum drops; the
     singular hand-built M cancels a diagonal entry of one mode exactly.
+    ``factor`` rewrites one matrix from mode to mode, so the mock copies
+    each matrix's arrays as ``splu`` receives it.
     """
     if case == "random-M":
         system = random_system(np.random.default_rng(4), K=3, nx=3, nt=4)
@@ -297,14 +299,19 @@ def test_factor_hands_splu_the_sparse_sum(case):
     else:
         system = assemble_global(*_shifted_matrix_cases()[case])
     handed = []
-    with mock.patch.object(spla, "splu", side_effect=lambda A: handed.append(A)):
+
+    def record(A):
+        handed.append((A.format, A.nnz, {attr: getattr(A, attr).copy()
+                                         for attr in ("indptr", "indices", "data")}))
+
+    with mock.patch.object(spla, "splu", side_effect=record):
         factor(system)
     R, _ = system.disc.schur
     assert len(handed) == R.shape[0]
-    for r, A in zip(np.diag(R), handed):
+    for r, (fmt, nnz, arrays) in zip(np.diag(R), handed):
         expected = (r * sp.diags(system.disc.W) + system.M).tocsc()
-        assert A.format == "csc" and A.nnz == expected.nnz
-        for attr in ("indptr", "indices", "data"):
-            got, want = getattr(A, attr), getattr(expected, attr)
+        assert fmt == "csc" and nnz == expected.nnz
+        for attr, got in arrays.items():
+            want = getattr(expected, attr)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), attr

@@ -184,16 +184,20 @@ def test_cli_optimize_writes_design(tmp_path):
     assert design[0] == "element,x_left,x_right,rho"
     assert len(design) == 11
     trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,J,delta_rho_inf,J_rel,wall_s,forward_s,gradient_s,update_s"
+    assert trace[0] == ("iter,J,delta_rho_inf,J_rel,wall_s,forward_s,gradient_s,update_s,"
+                        "mu,volume_slack")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     vol = summary["volume"]
     assert vol <= summary["volume_bound"] + 1e-9
     assert summary["converged"] is True
+    # the last update's slack is that of the design written out
+    assert float(trace[-1].split(",")[9]) == summary["volume_bound"] - vol
 
 
 def test_cli_optimize_trace_times_each_part(tmp_path):
     # the backward-Euler solver writes the same trace: the old columns, then
-    # the iteration's forward, gradient and update times inside its wall time
+    # the iteration's forward, gradient and update times inside its wall time,
+    # then the update's volume multiplier and the volume it leaves unused
     cfg = tmp_path / "be.cfg"
     cfg.write_text(
         "[problem]\nelements = 6\n[optimizer]\nmax_iters = 3\n"
@@ -201,11 +205,18 @@ def test_cli_optimize_trace_times_each_part(tmp_path):
     )
     main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
     header, *rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    assert header == "iter,J,delta_rho_inf,J_rel,wall_s,forward_s,gradient_s,update_s"
+    assert header == ("iter,J,delta_rho_inf,J_rel,wall_s,forward_s,gradient_s,update_s,"
+                      "mu,volume_slack")
     assert len(rows) == 3
     for row in rows:
-        wall, *parts = (float(v) for v in row.split(",")[4:])
+        wall, *parts = (float(v) for v in row.split(",")[4:8])
         assert min(parts) >= 0 and sum(parts) <= wall + 2e-4  # each rounded to 1e-4 s
+    # every update adds material up to the bound: a positive multiplier and a
+    # feasible design at the bound to roundoff
+    mu, slack = (np.array([float(row.split(",")[k]) for row in rows]) for k in (8, 9))
+    assert np.all(mu > 0) and np.all((slack >= 0) & (slack <= 1e-12))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert slack[-1] == summary["volume_bound"] - summary["volume"]
 
 
 @pytest.mark.parametrize("key, value", [("s", 0.25), ("safety", 2.0), ("sigma_0", 2.0)])

@@ -99,7 +99,9 @@ def mma_inputs(draw):
     The bound is the current volume (active whenever the step adds material)
     or lies up to the full box volume (often inactive).  A history of one or
     two earlier iterations fixes the gradient scale, and at two it also
-    fixes the asymptotes that the oscillation rule rescales.
+    fixes the asymptotes that the oscillation rule rescales.  The carried
+    volume multiplier is 0, as before a first update, or any positive value
+    below the 1e12 at which the multiplier search gives up.
     """
     n = draw(st.integers(1, 12))
 
@@ -112,7 +114,7 @@ def mma_inputs(draw):
     volumes = vector(st.floats(1e-2, 2.0))
     slack = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     bound = rho @ volumes + slack * (volumes.sum() - rho @ volumes)
-    state = MmaState()
+    state = MmaState(mu=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e12, exclude_min=True))))
     state.iteration = draw(st.integers(0, 2))
     if state.iteration >= 1:
         state.gradient_scale = draw(st.floats(1e-3, 1e3))
@@ -143,7 +145,9 @@ def test_update_matches_nested_bisection_property(case):
     Both stop with the multiplier mu in [mu*, mu* + 1e-12 max(1, mu*)], so a
     component may differ by that width times |dx_j/dmu| = V_j / phi_j''.
     Where a component's curvature sits at the raa0 floor (zero gradient),
-    |dx_j/dmu| reaches ~1e4 and this term exceeds the flat 1e-11.
+    |dx_j/dmu| reaches ~1e4 and this term exceeds the flat 1e-11.  The
+    multiplier carried in from an earlier update only opens the search, so
+    the same tolerance holds whatever it is.
     """
     rho, dj, volumes, bound, state = case
     with mock.patch.object(mma, "_solve_dual", wraps=mma._solve_dual) as solve_dual:
@@ -152,8 +156,8 @@ def test_update_matches_nested_bisection_property(case):
         return
     args = solve_dual.call_args.args
     p, q, low, upp = args[:4]
-    new = mma._solve_dual(*args)
-    oracle, mu = mma_dual_bisection(*args)
+    new, _ = mma._solve_dual(*args)
+    oracle, mu = mma_dual_bisection(*args[:8])
     curvature = 2 * p / (upp - oracle) ** 3 + 2 * q / (oracle - low) ** 3
     tolerance = 1e-11 + 2e-12 * max(1.0, mu) * volumes / curvature
     assert np.all(np.abs(new - oracle) <= tolerance)
@@ -170,6 +174,20 @@ def test_cooling_dual_solve_takes_few_subproblem_solves():
     with mock.patch.object(mma, "_subproblem_minimizer", wraps=mma._subproblem_minimizer) as solves:
         run_topology_optimization(spec, volume_bound, max_iters=1)
     assert solves.call_count <= 12
+
+
+def test_cooling_loop_dual_solves_start_from_the_last_multiplier():
+    """The default cooling loop solves the subproblem 60 times in 11 updates.
+
+    Each dual search opens at the previous update's multiplier, and each
+    subproblem solve at the previous minimizer.  Searching afresh every
+    update, from mu = 0 by doubling, took 105 solves.
+    """
+    spec, volume_bound = cooling_benchmark()
+    with mock.patch.object(mma, "_subproblem_minimizer", wraps=mma._subproblem_minimizer) as solves:
+        trace = run_topology_optimization(spec, volume_bound)
+    assert trace.iterations == 11
+    assert solves.call_count <= 70
 
 
 def test_newton_in_bracket_treats_each_component_on_its_own():

@@ -90,7 +90,10 @@ def test_rule_invariants(n):
 
 @pytest.mark.parametrize(
     "interval",
-    [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (-1e308, 1e308)],
+    [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (-1e308, 1e308),
+     # a < b, but too narrow to hold three distinct nodes: the half width
+     # rounds to 0, or every node rounds to 1
+     (0.0, 5e-324), (1.0, 1.0 + 2.3e-16)],
 )
 def test_build_rejects_bad_interval(interval):
     with pytest.raises(ValueError, match="interval"):
