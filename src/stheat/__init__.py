@@ -49,4 +49,4 @@ from .twodomain import (
     transient_eigenvalue,
     two_domain_solution,
 )
-from .verification import convergence_study, crossvalidate_optimum, mms_source
+from .verification import convergence_study, mms_source

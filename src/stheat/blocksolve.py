@@ -125,7 +125,7 @@ def solve_transposed(fact, rhs):
 def solve_system(system):
     """Factor once and solve A x = b for the assembled right-hand side."""
     fact = factor(system)
-    return solve(fact, system.rhs_vector()), fact
+    return solve(fact, system.rhs), fact
 
 
 def one_norm(system):

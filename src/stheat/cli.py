@@ -22,7 +22,7 @@ from . import __version__
 from .assembly import Discretization, assemble_global, residual
 from .baselines import run_topology_optimization_be
 from .blocksolve import condition_estimate
-from .config import _SPACE_TIME_ONLY, parse_config, problem_from_config
+from .config import parse_config, problem_from_config
 from .errors import ConfigError
 from .optimize import run_topology_optimization
 from .presets import two_design_benchmark
@@ -167,7 +167,6 @@ def _optimize_once(cfg, solver, n_steps=None):
     else:
         trace = run_topology_optimization_be(
             spec, vstar, max(cfg.nt_steps_sweep) if n_steps is None else n_steps,
-            aao=(solver == "be-fe-aao"),
             tol_design=cfg.tol_design, max_iters=cfg.max_iters,
         )
     return spec, vstar, trace
@@ -209,6 +208,7 @@ def cmd_optimize(cfg, out_dir):
         "final_design": trace.final_rho,
         "volume": float(trace.final_rho @ spec.element_volumes),
         "volume_bound": vstar,
+        "ignored_keys": cfg.unread_keys("optimize", solver),
     })
     print(f"{solver}: J={trace.final_objective:.6f} after {trace.iterations} iterations "
           f"({trace.stop_reason})")
@@ -230,10 +230,8 @@ def _compare_point(payload):
         times.append(time.perf_counter() - t0)
     if solver == "st-se":
         dof = spec.n_elements * (spec.nx + 1) * (spec.nt + 1)
-    elif solver == "be-fe":
-        dof = spec.n_elements + 1
     else:
-        dof = (spec.n_elements + 1) * (level + 1)
+        dof = spec.n_elements + 1
     return {
         "solver": solver,
         "level": level,
@@ -256,17 +254,8 @@ def declared_convergence_level(levels, changes, tol):
     return None
 
 
-def _ignored_keys(cfg, solver):
-    """The keys set in the config file that ``solver``'s compare cells never read."""
-    if solver == "st-se":
-        unread = ("problem.nt", "run.nt_steps_sweep")  # each cell sets nt to its level
-    else:
-        unread = _SPACE_TIME_ONLY + ("run.nt_nodes_sweep",)
-    return sorted(k for k in unread if k in cfg.file_keys)
-
-
 def cmd_compare(cfg, out_dir):
-    """Timing / design-change table across the three forward solvers.
+    """Timing / design-change table across the configured forward solvers.
 
     Exits 1 when any cell stopped at ``max_iters``; the tables are still written.
     """
@@ -313,8 +302,14 @@ def cmd_compare(cfg, out_dir):
                 [c["level"] for c in cells], changes, cfg.tol_design
             ),
             "final_design": cells[-1]["rho"] if cells else None,
-            "ignored_keys": _ignored_keys(cfg, solver),
+            "ignored_keys": cfg.unread_keys("compare", solver),
         }
+        if solver == "be-fe":
+            # the size of the all-at-once system whose level-by-level
+            # elimination the march is: (n_el + 1)(N + 1) unknowns
+            summary_solvers[solver]["aao_unknowns"] = [
+                c["dof"] * (c["level"] + 1) for c in cells
+            ]
     _write_csv(
         os.path.join(out_dir, "compare.csv"),
         ["solver", "Nt", "dof", "wall_s", "delta_rho_inf", "J"],
@@ -329,13 +324,6 @@ def cmd_compare(cfg, out_dir):
     for row in rows:
         print(",".join(str(c) for c in row))
     return 0 if all(r["converged"] for r in results) else 1
-
-
-# the config-file keys that verify and converge read; they reject any other
-_READS = {
-    "verify": frozenset({"run.seed", "run.out_dir"}),
-    "converge": frozenset({"run.converge_n", "run.out_dir"}),
-}
 
 
 def main(argv=None):
@@ -355,8 +343,9 @@ def main(argv=None):
         if args.command == "optimize":
             # optimize runs solvers[0] alone: hold the file's keys to that solver
             parse_config(args.config, overrides={**overrides, "solvers": cfg.solvers[:1]})
-        if args.command in _READS:
-            unread = sorted(cfg.file_keys - _READS[args.command])
+        if args.command in ("verify", "converge"):
+            # they run no solver, so they refuse every key they do not read
+            unread = cfg.unread_keys(args.command)
             if unread:
                 raise ConfigError(f"{' '.join(unread)}: not used by {args.command}")
     except ConfigError as err:

@@ -1,60 +1,70 @@
 """Run configuration: plain-text key=value files with section headers.
 
-Unknown sections or keys fail fast with the offending path, as do keys of
-the cooling preset set under ``preset = two-design`` and keys of the
-space-time solver set when no ``st-se`` solver runs; every value is type
-checked.  A minimal (or absent) file yields the fifty-cell cooling
-benchmark with its published defaults.
+Each ``RunConfig`` field declares, once, its ``section.key`` path in the
+file, the kind of its value, the preset or solver that alone reads it and
+the commands that read it.  Unknown sections or keys fail fast with the
+offending path, as do keys of the problem that no configured preset or
+solver reads: the cooling keys under ``preset = two-design`` and the
+space-time keys when no ``st-se`` solver runs.  A ``run`` key that a
+command or solver skips is reported by the command line, not refused.
+Every value is type checked.  A minimal (or absent) file yields the
+fifty-cell cooling benchmark with its published defaults.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
-_SOLVERS = ("st-se", "be-fe", "be-fe-aao")
+_SOLVERS = ("st-se", "be-fe")
 _PRESETS = ("cooling", "two-design")
+_DESIGN = ("optimize", "compare")  # the commands that run design loops
+
+
+def _key(default, path, kind, only=None, commands=_DESIGN):
+    """A field read from ``path`` of the file, by ``commands`` alone and, when
+    ``only`` names a preset or solver, only where that one runs."""
+    meta = {"path": path, "kind": kind, "only": only, "commands": commands}
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    # problem
-    preset: str = "cooling"
-    elements: int = 50
-    nx: int = 5
-    nt: int = 15
-    horizon: float = 1.0
-    kappa_min_ratio: float = 1e-3
-    penalization: float = 3.0
-    volume_bound: float = 0.5
-    source_offset: float = 10.0
-    # sat overrides (None keeps the stability defaults)
-    sigma_0: float = 1.0
-    sat_s: float = 0.5
-    sat_safety: float = 1.0
-    # optimizer
-    tol_design: float = 1e-4
-    max_iters: int = 300
-    # experiment sweeps
-    solvers: tuple = _SOLVERS
-    nt_nodes_sweep: tuple = (11, 13, 15)
-    nt_steps_sweep: tuple = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
-    converge_n: tuple = tuple(range(4, 21, 2))
-    repeats: int = 3
-    # io
-    seed: int = 0
-    jobs: int = 1
-    out_dir: str = "stheat-out"
+    preset: str = _key("cooling", "problem.preset", str)
+    elements: int = _key(50, "problem.elements", int, only="cooling")
+    nx: int = _key(5, "problem.nx", int, only="st-se")
+    # compare's st-se cells set nt to their level
+    nt: int = _key(15, "problem.nt", int, only="st-se", commands=("optimize",))
+    horizon: float = _key(1.0, "problem.horizon", float)
+    kappa_min_ratio: float = _key(1e-3, "problem.kappa_min_ratio", float, only="cooling")
+    penalization: float = _key(3.0, "problem.penalization", float, only="cooling")
+    volume_bound: float = _key(0.5, "problem.volume_bound", float)
+    source_offset: float = _key(10.0, "problem.source_offset", float, only="cooling")
+    sigma_0: float = _key(1.0, "sat.sigma_0", float, only="st-se")
+    sat_s: float = _key(0.5, "sat.s", float, only="st-se")
+    sat_safety: float = _key(1.0, "sat.safety", float, only="st-se")
+    tol_design: float = _key(1e-4, "optimizer.tol_design", float)
+    max_iters: int = _key(300, "optimizer.max_iters", int)
+    solvers: tuple = _key(_SOLVERS, "run.solvers", "strlist")
+    nt_nodes_sweep: tuple = _key((11, 13, 15), "run.nt_nodes_sweep", "intlist",
+                                 only="st-se", commands=("compare",))
+    nt_steps_sweep: tuple = _key((8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384),
+                                 "run.nt_steps_sweep", "intlist", only="be-fe")
+    converge_n: tuple = _key(tuple(range(4, 21, 2)), "run.converge_n", "intlist",
+                             commands=("converge",))
+    repeats: int = _key(3, "run.repeats", int, commands=("compare",))
+    seed: int = _key(0, "run.seed", int, commands=("verify",))
+    jobs: int = _key(1, "run.jobs", int, commands=("compare",))
+    out_dir: str = _key("stheat-out", "run.out_dir", str, commands=_DESIGN + ("verify", "converge"))
     # not a field: the "section.key" paths that parse_config read from the file
     file_keys = frozenset()
 
     def validate(self):
-        for section, keys in _SCHEMA.items():
-            for key, kind in keys.items():
-                value = getattr(self, _RENAME.get((section, key), key))
-                if kind is float and not math.isfinite(value):
-                    raise ConfigError(f"{section}.{key}: must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["kind"] is float and not math.isfinite(value):
+                raise ConfigError(f"{f.metadata['path']}: must be finite, got {value}")
         if self.preset not in _PRESETS:
             raise ConfigError(f"problem.preset: unknown preset {self.preset!r}")
         for name in ("elements", "nx", "nt", "max_iters", "repeats"):
@@ -83,40 +93,17 @@ class RunConfig:
                 raise ConfigError(f"run.{name}: entries must be positive integers")
         return self
 
+    def unread_keys(self, command, solver=None):
+        """The paths set in the file that ``command`` never reads when it runs ``solver``."""
+        return sorted(
+            f.metadata["path"] for f in fields(self)
+            if f.metadata["path"] in self.file_keys
+            and (command not in f.metadata["commands"]
+                 or f.metadata["only"] not in (None, self.preset, solver))
+        )
 
-_SCHEMA = {
-    "problem": {
-        "preset": str,
-        "elements": int,
-        "nx": int,
-        "nt": int,
-        "horizon": float,
-        "kappa_min_ratio": float,
-        "penalization": float,
-        "volume_bound": float,
-        "source_offset": float,
-    },
-    "sat": {"sigma_0": float, "s": float, "safety": float},
-    "optimizer": {"tol_design": float, "max_iters": int},
-    "run": {
-        "solvers": "strlist",
-        "nt_nodes_sweep": "intlist",
-        "nt_steps_sweep": "intlist",
-        "converge_n": "intlist",
-        "repeats": int,
-        "seed": int,
-        "jobs": int,
-        "out_dir": str,
-    },
-}
 
-_RENAME = {("sat", "s"): "sat_s", ("sat", "safety"): "sat_safety"}
-
-# keys of the cooling preset that the two-design preset has no use for
-_COOLING_ONLY = ("elements", "kappa_min_ratio", "penalization", "source_offset")
-# keys that only the space-time solver reads: the backward-Euler baselines
-# use the element edges, the material and the data alone
-_SPACE_TIME_ONLY = ("problem.nx", "problem.nt", "sat.sigma_0", "sat.s", "sat.safety")
+_FIELDS = {f.metadata["path"]: f for f in fields(RunConfig)}
 
 
 def _convert(kind, raw, path):
@@ -136,6 +123,15 @@ def _convert(kind, raw, path):
     raise AssertionError(kind)
 
 
+def _refuse_unused(from_file, names, used, message):
+    """Refuse a problem key from the file that only a preset or solver in
+    ``names`` but not in ``used`` reads."""
+    for path, f in _FIELDS.items():
+        only = f.metadata["only"]
+        if path in from_file and not path.startswith("run.") and only in names and only not in used:
+            raise ConfigError(f"{path}: {message}")
+
+
 def parse_config(path=None, overrides=None):
     """Load and validate a RunConfig; ``overrides`` wins over the file."""
     cfg = RunConfig()
@@ -146,29 +142,26 @@ def parse_config(path=None, overrides=None):
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if not any(p.startswith(f"{section}.") for p in _FIELDS):
                 raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser[section].items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown key {section}.{key}")
-                attr = _RENAME.get((section, key), key)
-                setattr(cfg, attr, _convert(_SCHEMA[section][key], raw, f"{section}.{key}"))
-                from_file.add(f"{section}.{key}")
+                key_path = f"{section}.{key}"
+                if key_path not in _FIELDS:
+                    raise ConfigError(f"unknown key {key_path}")
+                f = _FIELDS[key_path]
+                setattr(cfg, f.name, _convert(f.metadata["kind"], raw, key_path))
+                from_file.add(key_path)
     cfg.file_keys = frozenset(from_file)
-    if cfg.preset == "two-design":
-        for key in _COOLING_ONLY:
-            if f"problem.{key}" in from_file:
-                raise ConfigError(f"problem.{key}: not used by preset two-design")
+    if cfg.preset in _PRESETS:  # validate names an unknown preset
+        _refuse_unused(from_file, _PRESETS, (cfg.preset,), f"not used by preset {cfg.preset}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if not any(f.name == key for f in fields(RunConfig)):
             raise ConfigError(f"unknown override {key}")
         setattr(cfg, key, value)
-    if "st-se" not in cfg.solvers:
-        for path in _SPACE_TIME_ONLY:
-            if path in from_file:
-                raise ConfigError(f"{path}: not used by solvers {' '.join(cfg.solvers)}")
+    _refuse_unused(from_file, _SOLVERS, cfg.solvers,
+                   f"not used by solvers {' '.join(cfg.solvers)}")
     return cfg.validate()
 
 

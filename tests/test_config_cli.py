@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stheat.assembly import Discretization
 from stheat.cli import _optimize_once, declared_convergence_level, main
-from stheat.config import _SCHEMA, parse_config, problem_from_config
+from stheat.config import RunConfig, parse_config, problem_from_config
 from stheat.errors import ConfigError
 from stheat.optimize import run_topology_optimization
 
@@ -85,9 +86,9 @@ def test_cooling_keys_rejected_for_two_design(tmp_path, key):
 @pytest.mark.parametrize(
     "solvers, text, key",
     [("be-fe", "[problem]\nnx = 9\n", "problem.nx"),
-     ("be-fe-aao", "[sat]\ns = 2.0\n", "sat.s"),
-     ("be-fe be-fe-aao", "[problem]\nnt = 7\n", "problem.nt")],
-    ids=["be-fe-nx", "be-fe-aao-sat-s", "both-be-nt"],
+     ("be-fe", "[sat]\ns = 2.0\n", "sat.s"),
+     ("be-fe", "[problem]\nnt = 7\n", "problem.nt")],
+    ids=["be-fe-nx", "be-fe-sat-s", "be-fe-nt"],
 )
 def test_space_time_keys_rejected_without_st_se(tmp_path, solvers, text, key):
     path = tmp_path / "bad.cfg"
@@ -190,6 +191,7 @@ def test_cli_optimize_writes_design(tmp_path):
     vol = summary["volume"]
     assert vol <= summary["volume_bound"] + 1e-9
     assert summary["converged"] is True
+    assert summary["ignored_keys"] == []  # it reads every key the file sets
     # the last update's slack is that of the design written out
     assert float(trace[-1].split(",")[9]) == summary["volume_bound"] - vol
 
@@ -267,12 +269,12 @@ def test_cli_compare_capped_cells_exit_nonzero(tmp_path):
     code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert set(summary["solvers"]) == {"st-se", "be-fe", "be-fe-aao"}
+    assert set(summary["solvers"]) == {"st-se", "be-fe"}
     for cells in summary["solvers"].values():
         assert cells["converged"] == [False, False]
         assert cells["iterations"] == [1, 1]
     table = (tmp_path / "out" / "compare.csv").read_text().splitlines()
-    assert len(table) == 7
+    assert len(table) == 5
 
 
 def test_cli_compare_small_table_deterministic(tmp_path):
@@ -294,11 +296,11 @@ def test_cli_compare_small_table_deterministic(tmp_path):
     assert t1.splitlines()[0] == "solver,Nt,dof,wall_s,delta_rho_inf,J"
     assert strip_wall(t1) == strip_wall((out2 / "compare.csv").read_text())
     summary = json.loads((out1 / "summary.json").read_text())
-    assert set(summary["solvers"]) == {"st-se", "be-fe", "be-fe-aao"}
-    # marching and all-at-once agree on the final objective
-    j_be = summary["solvers"]["be-fe"]["J"]
-    j_aao = summary["solvers"]["be-fe-aao"]["J"]
-    np.testing.assert_allclose(j_be, j_aao, rtol=1e-12)
+    assert set(summary["solvers"]) == {"st-se", "be-fe"}
+    # be-fe also reports the size of the all-at-once system it eliminates
+    # level by level: (n_el + 1)(N + 1) unknowns per step count N
+    assert summary["solvers"]["be-fe"]["aao_unknowns"] == [9 * 5, 9 * 9]
+    assert "aao_unknowns" not in summary["solvers"]["st-se"]
 
 
 def test_cli_compare_parallel_matches_serial(tmp_path):
@@ -353,8 +355,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "key",
-    [f"{section}.{key}" for section, keys in _SCHEMA.items()
-     for key, kind in keys.items() if kind is float],
+    [f.metadata["path"] for f in fields(RunConfig) if f.metadata["kind"] is float],
 )
 def test_cli_rejects_non_finite_floats(tmp_path, capsys, key, value):
     section, name = key.split(".")
@@ -402,11 +403,50 @@ def test_cli_compare_names_keys_each_solver_ignored(tmp_path):
         "[problem]\nelements = 4\nnx = 2\nnt = 3\n[sat]\nsafety = 2.0\n"
         "[optimizer]\nmax_iters = 1\n"
         "[run]\nsolvers = st-se be-fe\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\nrepeats = 1\n"
+        "seed = 3\nconverge_n = 4 6\n"
     )
     main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
     solvers = json.loads((tmp_path / "out" / "summary.json").read_text())["solvers"]
-    # st-se sweeps nt itself; the backward-Euler cells read no space-time key
-    assert solvers["st-se"]["ignored_keys"] == ["problem.nt", "run.nt_steps_sweep"]
-    assert solvers["be-fe"]["ignored_keys"] == [
-        "problem.nt", "problem.nx", "run.nt_nodes_sweep", "sat.safety"
+    # st-se sweeps nt itself; the backward-Euler cells read no space-time
+    # key; the seed is verify's and converge_n converge's
+    assert solvers["st-se"]["ignored_keys"] == [
+        "problem.nt", "run.converge_n", "run.nt_steps_sweep", "run.seed"
     ]
+    assert solvers["be-fe"]["ignored_keys"] == [
+        "problem.nt", "problem.nx", "run.converge_n", "run.nt_nodes_sweep", "run.seed",
+        "sat.safety"
+    ]
+
+
+@pytest.mark.parametrize(
+    "solvers, space_time, ignored",
+    [("st-se be-fe", "nx = 2\nnt = 3\n",
+      ["run.converge_n", "run.jobs", "run.nt_nodes_sweep", "run.nt_steps_sweep", "run.repeats",
+       "run.seed"]),
+     ("be-fe st-se", "",
+      ["run.converge_n", "run.jobs", "run.nt_nodes_sweep", "run.repeats", "run.seed"])],
+    ids=["st-se", "be-fe"],
+)
+def test_cli_optimize_reports_run_keys_it_does_not_read(tmp_path, solvers, space_time, ignored):
+    # optimize runs solvers[0] once: it reports the run keys it skips, and
+    # accepts them, since the same file also serves compare
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"[problem]\nelements = 4\n{space_time}[optimizer]\nmax_iters = 1\n"
+        f"[run]\nsolvers = {solvers}\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\n"
+        "repeats = 1\nseed = 3\nconverge_n = 4 6\njobs = 2\n"
+    )
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) != 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["ignored_keys"] == ignored
+
+
+@pytest.mark.parametrize("solvers", ["be-fe-aao", "st-se be-fe-aao"])
+def test_cli_rejects_the_retired_all_at_once_solver(tmp_path, capsys, solvers):
+    # be-fe is the only backward-Euler solver; its compare summary carries the
+    # all-at-once unknowns that be-fe-aao used to print
+    cfg = tmp_path / "aao.cfg"
+    cfg.write_text(f"[run]\nsolvers = {solvers}\n")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "run.solvers: unknown solver 'be-fe-aao'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
