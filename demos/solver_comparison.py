@@ -1,38 +1,23 @@
 """Temporal cost-of-accuracy: spectral space-time vs backward Euler.
 
-Runs the cooling design problem with the space-time spectral solver at a
-few collocation counts and with backward-Euler marching over doubling step
-counts, reporting the max design change between consecutive resolution
-levels.  The spectral scheme reaches changes the marching scheme needs
-thousands of steps to match.
+The ``stheat compare`` sweep of the cooling design problem on levels of
+its own: the space-time spectral solver at a few collocation counts and
+backward-Euler marching over quadrupling step counts, with the max design
+change between consecutive levels.  The spectral scheme reaches changes
+the marching scheme needs thousands of steps to match.
 """
 
-import time
+from stheat.cli import compare
+from stheat.config import parse_config
 
-import numpy as np
-
-from stheat.baselines import run_topology_optimization_be
-from stheat.optimize import run_topology_optimization
-from stheat.presets import cooling_benchmark
+cfg = parse_config(overrides={
+    "nt_nodes_sweep": (9, 11, 13),
+    "nt_steps_sweep": (64, 256, 1024, 4096),
+    "repeats": 1,
+})
+cells, _, _ = compare(cfg)
 
 print(f"{'solver':>9} {'Nt':>6} {'J':>12} {'cross-level |d rho|':>20} {'seconds':>8}")
-
-prev = None
-for nt in (9, 11, 13):
-    spec, vstar = cooling_benchmark(nx=5, nt=nt)
-    t0 = time.perf_counter()
-    tr = run_topology_optimization(spec, vstar, tol_design=1e-4, max_iters=300)
-    change = "" if prev is None else f"{np.max(np.abs(tr.final_rho - prev)):.2e}"
-    prev = tr.final_rho
-    print(f"{'st-se':>9} {nt:>6} {tr.final_objective:>12.6f} {change:>20} "
-          f"{time.perf_counter() - t0:>8.2f}")
-
-prev = None
-for steps in (64, 256, 1024, 4096):
-    spec, vstar = cooling_benchmark()
-    t0 = time.perf_counter()
-    tr = run_topology_optimization_be(spec, vstar, steps, tol_design=1e-4, max_iters=300)
-    change = "" if prev is None else f"{np.max(np.abs(tr.final_rho - prev)):.2e}"
-    prev = tr.final_rho
-    print(f"{'be-fe':>9} {steps:>6} {tr.final_objective:>12.6f} {change:>20} "
-          f"{time.perf_counter() - t0:>8.2f}")
+for c in cells:
+    change = "" if c["delta_rho_inf"] is None else f"{c['delta_rho_inf']:.2e}"
+    print(f"{c['solver']:>9} {c['level']:>6} {c['J']:>12.6f} {change:>20} {c['wall_s']:>8.2f}")

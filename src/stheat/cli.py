@@ -14,7 +14,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -157,7 +157,8 @@ def cmd_converge(cfg, out_dir):
     return 0 if ok else 1
 
 
-def _optimize_once(cfg, solver, n_steps=None):
+def _optimize_once(cfg, solver, n_steps):
+    """One design loop of ``solver``; be-fe alone reads ``n_steps``."""
     spec, vstar = problem_from_config(cfg)
     if solver == "st-se":
         disc = Discretization(spec, s=cfg.sat_s, safety=cfg.sat_safety, sigma_0=cfg.sigma_0)
@@ -166,8 +167,7 @@ def _optimize_once(cfg, solver, n_steps=None):
         )
     else:
         trace = run_topology_optimization_be(
-            spec, vstar, max(cfg.nt_steps_sweep) if n_steps is None else n_steps,
-            tol_design=cfg.tol_design, max_iters=cfg.max_iters,
+            spec, vstar, n_steps, tol_design=cfg.tol_design, max_iters=cfg.max_iters,
         )
     return spec, vstar, trace
 
@@ -176,7 +176,7 @@ def cmd_optimize(cfg, out_dir):
     """Run the configured design problem once and dump design and trace;
     exit 1 if it stopped at ``max_iters`` instead of converging."""
     solver = cfg.solvers[0]
-    spec, vstar, trace = _optimize_once(cfg, solver)
+    spec, vstar, trace = _optimize_once(cfg, solver, max(cfg.nt_steps_sweep))
     edges = spec.element_edges
     rows = [
         (k + 1, f"{edges[k]:.16e}", f"{edges[k + 1]:.16e}", f"{r:.16e}")
@@ -217,16 +217,13 @@ def cmd_optimize(cfg, out_dir):
 
 def _compare_point(payload):
     """One (solver, level) cell of the comparison table; top level so it pickles."""
-    cfg_dict, solver, level, repeats = payload
-    cfg = parse_config(overrides=cfg_dict)
+    cfg, solver, level = payload
+    if solver == "st-se":  # its levels are time node counts; be-fe's are step counts
+        cfg = replace(cfg, nt=level)
     times = []
-    for _ in range(repeats):
+    for _ in range(cfg.repeats):
         t0 = time.perf_counter()
-        if solver == "st-se":
-            cfg.nt = level
-            spec, vstar, trace = _optimize_once(cfg, solver)
-        else:
-            spec, vstar, trace = _optimize_once(cfg, solver, n_steps=level)
+        spec, vstar, trace = _optimize_once(cfg, solver, n_steps=level)
         times.append(time.perf_counter() - t0)
     if solver == "st-se":
         dof = spec.n_elements * (spec.nx + 1) * (spec.nt + 1)
@@ -254,62 +251,58 @@ def declared_convergence_level(levels, changes, tol):
     return None
 
 
-def cmd_compare(cfg, out_dir):
-    """Timing / design-change table across the configured forward solvers.
+def compare(cfg):
+    """Run every (solver, level) cell of the configured sweep, in this
+    process or on ``cfg.jobs`` workers, and leave ``cfg`` as it was.
 
-    Exits 1 when any cell stopped at ``max_iters``; the tables are still written.
+    Returns ``(cells, solvers, converged)``: the cells in table order, each
+    with its ``delta_rho_inf`` from the level before (None at the first),
+    the per-solver block of ``summary.json``, and whether every cell
+    converged rather than stopping at ``max_iters``.
     """
-    tasks = []
-    for solver in cfg.solvers:
-        levels = cfg.nt_nodes_sweep if solver == "st-se" else cfg.nt_steps_sweep
-        for level in levels:
-            tasks.append((asdict(cfg), solver, level, cfg.repeats))
+    tasks = [(cfg, solver, level) for solver in cfg.solvers
+             for level in sorted(cfg.nt_nodes_sweep if solver == "st-se" else cfg.nt_steps_sweep)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_compare_point, tasks))
+            cells = list(pool.map(_compare_point, tasks))
     else:
-        results = [_compare_point(t) for t in tasks]
-
-    rows = []
-    summary_solvers = {}
+        cells = [_compare_point(t) for t in tasks]
+    solvers = {}
     for solver in cfg.solvers:
-        cells = [r for r in results if r["solver"] == solver]
-        cells.sort(key=lambda r: r["level"])
-        changes = [None]
-        for prev, cur in zip(cells, cells[1:]):
-            changes.append(
-                float(np.max(np.abs(np.array(cur["rho"]) - np.array(prev["rho"]))))
-            )
-        for cell, change in zip(cells, changes):
-            rows.append(
-                (
-                    solver,
-                    cell["level"],
-                    cell["dof"],
-                    f"{cell['wall_s']:.4f}",
-                    "" if change is None else f"{change:.6e}",
-                    f"{cell['J']:.16e}",
-                )
-            )
-        summary_solvers[solver] = {
-            "levels": [c["level"] for c in cells],
-            "dof": [c["dof"] for c in cells],
+        run = [c for c in cells if c["solver"] == solver]
+        for prev, cur in zip([None] + run, run):
+            cur["delta_rho_inf"] = None if prev is None else float(
+                np.max(np.abs(np.array(cur["rho"]) - np.array(prev["rho"]))))
+        levels, changes = [c["level"] for c in run], [c["delta_rho_inf"] for c in run]
+        solvers[solver] = {
+            "levels": levels,
+            "dof": [c["dof"] for c in run],
             "delta_rho_inf": changes,
-            "J": [c["J"] for c in cells],
-            "iterations": [c["iterations"] for c in cells],
-            "converged": [c["converged"] for c in cells],
-            "declared_converged_at": declared_convergence_level(
-                [c["level"] for c in cells], changes, cfg.tol_design
-            ),
-            "final_design": cells[-1]["rho"] if cells else None,
+            "J": [c["J"] for c in run],
+            "iterations": [c["iterations"] for c in run],
+            "converged": [c["converged"] for c in run],
+            "declared_converged_at": declared_convergence_level(levels, changes, cfg.tol_design),
+            "final_design": run[-1]["rho"],
             "ignored_keys": cfg.unread_keys("compare", solver),
         }
         if solver == "be-fe":
             # the size of the all-at-once system whose level-by-level
             # elimination the march is: (n_el + 1)(N + 1) unknowns
-            summary_solvers[solver]["aao_unknowns"] = [
-                c["dof"] * (c["level"] + 1) for c in cells
-            ]
+            solvers[solver]["aao_unknowns"] = [c["dof"] * (c["level"] + 1) for c in run]
+    return cells, solvers, all(c["converged"] for c in cells)
+
+
+def cmd_compare(cfg, out_dir):
+    """Timing / design-change table across the configured forward solvers.
+
+    Exits 1 when any cell stopped at ``max_iters``; the tables are still written.
+    """
+    cells, solvers, converged = compare(cfg)
+    rows = [
+        (c["solver"], c["level"], c["dof"], f"{c['wall_s']:.4f}",
+         "" if c["delta_rho_inf"] is None else f"{c['delta_rho_inf']:.6e}", f"{c['J']:.16e}")
+        for c in cells
+    ]
     _write_csv(
         os.path.join(out_dir, "compare.csv"),
         ["solver", "Nt", "dof", "wall_s", "delta_rho_inf", "J"],
@@ -319,11 +312,11 @@ def cmd_compare(cfg, out_dir):
         "command": "compare",
         "config": asdict(cfg),
         "environment": _environment(),
-        "solvers": summary_solvers,
+        "solvers": solvers,
     })
     for row in rows:
         print(",".join(str(c) for c in row))
-    return 0 if all(r["converged"] for r in results) else 1
+    return 0 if converged else 1
 
 
 def main(argv=None):

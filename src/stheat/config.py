@@ -91,6 +91,11 @@ class RunConfig:
         for name in ("nt_nodes_sweep", "nt_steps_sweep", "converge_n"):
             if min(getattr(self, name)) < 1:
                 raise ConfigError(f"run.{name}: entries must be positive integers")
+        # a repeat would run the same cell twice and list it twice
+        for name in ("solvers", "nt_nodes_sweep", "nt_steps_sweep", "converge_n"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"run.{name}: entries must not repeat")
         return self
 
     def unread_keys(self, command, solver=None):

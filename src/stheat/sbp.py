@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ResourceLimitError
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
+# products of doubled LGL node differences overflow from 1099 nodes on
+MAX_OPERATOR_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -120,13 +122,14 @@ def lgl_rule(n_nodes):
 def _barycentric_diff(x):
     """Lagrange differentiation matrix via barycentric weights.
 
+    The weights are products of node differences, which on [-1, 1]
+    (logarithmic capacity 1/2) underflow past about 750 nodes, so
+    ``build_sbp_1d`` passes the doubled nodes of [-2, 2] (capacity 1).
     Diagonal entries use the negative-row-sum trick, which enforces exact
     differentiation of constants and is the best-conditioned classical form.
     """
-    n = x.size
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
-    # log-free product; n <= 64 here so overflow is not a concern
     c = np.prod(dx, axis=1)
     D = (c[:, None] / c[None, :]) / dx
     np.fill_diagonal(D, 0.0)
@@ -149,6 +152,9 @@ def build_sbp_1d(n_nodes, interval):
     # a finite width b - a also rules out an infinite end; a < b rules out nan
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"interval needs a < b and a finite width b - a, got [{a}, {b}]")
+    if n_nodes > MAX_OPERATOR_NODES:
+        raise ResourceLimitError(f"{n_nodes} nodes: operators are built for at most "
+                                 f"{MAX_OPERATOR_NODES}, where their products stay finite")
     rule = lgl_rule(n_nodes)
     scale = 0.5 * (b - a)
     nodes = a + scale * (rule.nodes + 1.0)
@@ -156,7 +162,8 @@ def build_sbp_1d(n_nodes, interval):
     if not (nodes[1] > nodes[0] and nodes[-1] > nodes[-2]):
         raise ValueError(f"interval [{a}, {b}] is too narrow for {n_nodes} distinct nodes")
     weights = scale * rule.weights
-    D = _barycentric_diff(rule.nodes) / scale
+    # doubling is exact and halves D exactly: bitwise the D of [-1, 1] / scale
+    D = _barycentric_diff(2.0 * rule.nodes) / (0.5 * scale)
     Q = weights[:, None] * D
     return SbpOperator1D(
         interval=(a, b),

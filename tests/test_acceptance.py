@@ -15,16 +15,10 @@ from oracle import be_block_elimination
 
 from stheat.adjoint import objective, sensitivities, solve_adjoint
 from stheat.assembly import Discretization, assemble_global
-from stheat.baselines import (
-    be_adjoint_and_sensitivity,
-    be_aao_solve,
-    be_march,
-    be_objective,
-    fe_assemble,
-    run_topology_optimization_be,
-)
+from stheat.baselines import be_adjoint_and_sensitivity, be_march, be_objective, fe_assemble
 from stheat.blocksolve import solve_system
-from stheat.optimize import run_topology_optimization
+from stheat.cli import compare
+from stheat.config import parse_config
 from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import (
@@ -294,77 +288,55 @@ def test_criterion_6_optimum_cross_validation(crossval):
 
 @pytest.fixture(scope="module")
 def comparison():
+    # the default config is the stheat compare sweep: st-se at Nt = 11, 13,
+    # 15 time nodes and be-fe at 8 .. 16384 steps on the cooling preset
     t0 = time.perf_counter()
-    stse = {}
-    prev = None
-    stse_changes = {}
-    for nt in (11, 13, 15):
-        spec, vstar = cooling_benchmark(nx=5, nt=nt)
-        tr = run_topology_optimization(spec, vstar, tol_design=1e-4, max_iters=300)
-        if prev is not None:
-            stse_changes[nt] = float(np.max(np.abs(tr.final_rho - prev)))
-        prev = tr.final_rho
-        stse[nt] = tr
-    be = {}
-    be_changes = {}
-    prev = None
-    for steps in (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
-        spec, vstar = cooling_benchmark()
-        tr = run_topology_optimization_be(spec, vstar, steps, tol_design=1e-4, max_iters=300)
-        if prev is not None:
-            be_changes[steps] = float(np.max(np.abs(tr.final_rho - prev)))
-        prev = tr.final_rho
-        be[steps] = tr
-    return {
-        "stse": stse,
-        "stse_changes": stse_changes,
-        "be": be,
-        "be_changes": be_changes,
-        "elapsed": time.perf_counter() - t0,
-    }
+    _, solvers, converged = compare(parse_config(overrides={"repeats": 1}))
+    return {"solvers": solvers, "converged": converged, "elapsed": time.perf_counter() - t0}
 
 
 def test_criterion_7_solver_comparison_trend(comparison):
     t0 = time.perf_counter()
-    stse_ok = min(comparison["stse_changes"].values()) <= 1e-5
+    stse, be = comparison["solvers"]["st-se"], comparison["solvers"]["be-fe"]
+    stse_change = min(stse["delta_rho_inf"][1:])
+    stse_ok = stse_change <= 1e-5
 
-    be_changes = comparison["be_changes"]
-    reached = [n for n, ch in sorted(be_changes.items()) if ch <= 6.1e-5]
+    reached = [n for n, ch in zip(be["levels"][1:], be["delta_rho_inf"][1:]) if ch <= 6.1e-5]
     first_reached = reached[0] if reached else None
     # thousands of backward-Euler steps against <= 16 collocation nodes:
     # the temporal-DoF-at-tolerance ordering of the reference data
     be_ok = first_reached is not None and first_reached >= 2048
 
     spec, _ = cooling_benchmark()
-    rho_final = comparison["be"][16384].final_rho
-    fe = fe_assemble(spec, rho_final)
-    march = be_march(fe, 16384)
-    ref = be_block_elimination(fe, 16384)
+    n_steps = be["levels"][-1]
+    fe = fe_assemble(spec, np.array(be["final_design"]))
+    march = be_march(fe, n_steps)
+    ref = be_block_elimination(fe, n_steps)
     agree = float(np.max(np.abs(march.states - ref.states)))
     scale = float(np.max(np.abs(march.states)))
-    aao = be_aao_solve(fe, 16384)
-    aao_ok = agree <= 1e-12 * scale and aao.aao_unknowns == 835_635
+    unknowns = be["aao_unknowns"][-1]
+    aao_ok = agree <= 1e-12 * scale and unknowns == 835_635
 
     elapsed = comparison["elapsed"] + (time.perf_counter() - t0)
-    ok = stse_ok and be_ok and aao_ok and elapsed < 900.0
+    ok = comparison["converged"] and stse_ok and be_ok and aao_ok and elapsed < 900.0
     report(
         7,
         ok,
-        f"st-se min change {min(comparison['stse_changes'].values()):.1e} at Nt<=15; "
+        f"st-se min change {stse_change:.1e} at Nt<={stse['levels'][-1]}; "
         f"be-fe first<=6.1e-5 at {first_reached}; aao gap {agree / scale:.1e}; "
-        f"unknowns {aao.aao_unknowns}; total {elapsed:.0f}s",
+        f"unknowns {unknowns}; total {elapsed:.0f}s",
     )
 
 
 def test_criterion_8_cooling_design_structure(comparison):
-    tr = comparison["stse"][15]
-    rho = tr.final_rho
+    stse, be = comparison["solvers"]["st-se"], comparison["solvers"]["be-fe"]
+    rho = np.array(stse["final_design"])  # at Nt = 15
     # high-density block hugs the Dirichlet (right) boundary
     right_heavy = rho[-1] >= 0.99 and np.mean(rho[-10:]) > np.mean(rho[:10]) + 0.5
     # conductivity tapers monotonically away from the sink
     monotone = bool(np.all(np.diff(rho) >= -0.02))
-    j_be = comparison["be"][16384].final_objective
-    j_gap = abs(tr.final_objective - j_be) / abs(j_be)
+    j_be = be["J"][-1]  # at 16384 steps
+    j_gap = abs(stse["J"][-1] - j_be) / abs(j_be)
     ok = right_heavy and monotone and j_gap <= 0.02
     report(
         8,

@@ -1,14 +1,16 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from stheat.assembly import Discretization
-from stheat.cli import _optimize_once, declared_convergence_level, main
+from stheat.baselines import run_topology_optimization_be
+from stheat.cli import _optimize_once, compare, declared_convergence_level, main
 from stheat.config import RunConfig, parse_config, problem_from_config
 from stheat.errors import ConfigError
 from stheat.optimize import run_topology_optimization
+from stheat.presets import cooling_benchmark
 
 
 def test_default_config_is_cooling_benchmark():
@@ -102,7 +104,7 @@ def test_space_time_keys_accepted_with_st_se_or_as_overrides(tmp_path):
     path.write_text("[problem]\nnx = 9\n[sat]\ns = 2.0\n[run]\nsolvers = be-fe st-se\n")
     cfg = parse_config(str(path))
     assert cfg.nx == 9 and cfg.sat_s == 2.0
-    # compare's worker cells pass the whole config as overrides
+    # only keys read from the file are held to the configured solvers
     cfg = parse_config(overrides={"solvers": ("be-fe",), "nx": 9, "nt": 7, "sat_s": 2.0})
     assert cfg.nx == 9 and cfg.nt == 7 and cfg.sat_s == 2.0
 
@@ -127,19 +129,22 @@ def test_cli_optimize_rejects_space_time_keys_its_solver_ignores(tmp_path, capsy
 @pytest.mark.parametrize(
     "key, value",
     [("nt_steps_sweep", "0 8"), ("nt_steps_sweep", "8 -4"), ("nt_nodes_sweep", "0 3"),
-     ("converge_n", "4 -2")],
+     ("converge_n", "4 -2"),
+     # a repeated entry would run one cell twice and list it twice
+     ("solvers", "be-fe be-fe"), ("nt_steps_sweep", "4 8 8"), ("nt_nodes_sweep", "3 4 3"),
+     ("converge_n", "4 6 4")],
 )
 def test_cli_rejects_nonpositive_sweep_entries(tmp_path, capsys, key, value):
     path = tmp_path / "run.cfg"
     path.write_text("[problem]\nelements = 4\n[optimizer]\nmax_iters = 1\n"
-                    f"[run]\nsolvers = be-fe\nrepeats = 1\n{key} = {value}\n")
+                    f"[run]\nrepeats = 1\n{key} = {value}\n")
     command = "converge" if key == "converge_n" else "compare"
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"run.{key}" in capsys.readouterr().err
 
 
 def test_optimize_once_takes_zero_steps_literally():
-    # 0 steps is an error of the caller, not a request for the default sweep maximum
+    # 0 steps is an error of the caller, which the backward-Euler loop refuses
     cfg = parse_config(overrides={"solvers": ("be-fe",), "elements": 4, "max_iters": 1})
     with pytest.raises(ValueError, match="at least one time step"):
         _optimize_once(cfg, "be-fe", n_steps=0)
@@ -301,6 +306,29 @@ def test_cli_compare_small_table_deterministic(tmp_path):
     # level by level: (n_el + 1)(N + 1) unknowns per step count N
     assert summary["solvers"]["be-fe"]["aao_unknowns"] == [9 * 5, 9 * 9]
     assert "aao_unknowns" not in summary["solvers"]["st-se"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compare_cells_are_the_direct_runs_and_leave_the_config(jobs):
+    # acceptance criteria 7 and 8 read compare's cells as these direct runs
+    cfg = parse_config(overrides={
+        "elements": 6, "nx": 2, "nt": 5, "tol_design": 1e-3, "max_iters": 60,
+        "nt_nodes_sweep": (4, 3), "nt_steps_sweep": (4, 8), "repeats": 1, "jobs": jobs,
+    })
+    before = asdict(cfg)
+    cells, _, converged = compare(cfg)
+    assert asdict(cfg) == before and converged
+    assert [(c["solver"], c["level"]) for c in cells] == [
+        ("st-se", 3), ("st-se", 4), ("be-fe", 4), ("be-fe", 8)]
+    for c in cells:
+        if c["solver"] == "st-se":
+            spec, vstar = cooling_benchmark(nx=2, nt=c["level"], n_elements=6)
+            trace = run_topology_optimization(spec, vstar, tol_design=1e-3, max_iters=60)
+        else:
+            spec, vstar = cooling_benchmark(n_elements=6)
+            trace = run_topology_optimization_be(spec, vstar, c["level"], tol_design=1e-3,
+                                                 max_iters=60)
+        assert (c["J"], c["rho"]) == (trace.final_objective, trace.final_rho.tolist())
 
 
 def test_cli_compare_parallel_matches_serial(tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stheat.assembly import Discretization
+from stheat.errors import ResourceLimitError
 from stheat.presets import cooling_benchmark
-from stheat.sbp import build_sbp_1d, lgl_rule, verify_sbp
+from stheat.sbp import MAX_OPERATOR_NODES, build_sbp_1d, lgl_rule, verify_sbp
 
 
 def poly_integral(coeffs, a, b):
@@ -159,3 +160,17 @@ def test_verify_sbp_detects_corrupted_q():
 def test_verify_sbp_two_point_linear_exactness():
     report = verify_sbp(build_sbp_1d(2, (-1.0, 1.0)))
     assert report["accuracy"] <= 1e-14
+
+
+@pytest.mark.parametrize("n", [800, MAX_OPERATOR_NODES])
+def test_operator_keeps_its_invariants_up_to_the_node_cap(n):
+    # formed on [-1, 1], the node-difference products would underflow here:
+    # Q + Q^T - E of 4.5e-4 at 800 nodes and a NaN D at 1000
+    report = verify_sbp(build_sbp_1d(n, (-1.0, 1.0)))
+    # accuracy relative to the largest monomial derivative, n - 1
+    assert report["sbp_identity"] <= 1e-10 and report["accuracy"] <= 1e-10 * n
+
+
+def test_operator_past_the_node_cap_raises():
+    with pytest.raises(ResourceLimitError, match="2000 nodes"):
+        build_sbp_1d(2000, (0.0, 1.0))
