@@ -70,9 +70,11 @@ class RunConfig:
         for name in ("elements", "nx", "nt", "max_iters", "repeats"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        for name in ("horizon", "penalization", "volume_bound", "tol_design", "sat_s"):
+        for name in ("horizon", "volume_bound", "tol_design", "sat_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.penalization < 1:  # the power law kappa(rho) needs p >= 1
+            raise ConfigError("problem.penalization must be >= 1")
         if self.sat_safety < 1:
             raise ConfigError("sat.safety must be >= 1")
         if self.sigma_0 <= 0.5:
@@ -143,13 +145,17 @@ def parse_config(path=None, overrides=None):
     from_file = set()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            sections = {section: dict(parser[section]) for section in parser.sections()}
+        except configparser.Error as err:  # a repeated section or key, no header, ...
+            raise ConfigError(f"{path}: malformed config file: {' '.join(str(err).split())}") from err
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        for section in parser.sections():
+        for section, items in sections.items():
             if not any(p.startswith(f"{section}.") for p in _FIELDS):
                 raise ConfigError(f"unknown section [{section}]")
-            for key, raw in parser[section].items():
+            for key, raw in items.items():
                 key_path = f"{section}.{key}"
                 if key_path not in _FIELDS:
                     raise ConfigError(f"unknown key {key_path}")

@@ -212,7 +212,7 @@ def mma_update(rho, dj, volumes, volume_bound, state):
     dj = np.asarray(dj, dtype=float)
     volumes = np.asarray(volumes, dtype=float)
     if not np.all(np.isfinite(dj)):
-        raise ValueError("objective gradient contains non-finite entries")
+        raise NumericalError("objective gradient contains non-finite entries")
     if rho @ volumes > volume_bound + 1e-6:
         raise ValueError("current design violates the volume constraint")
 

@@ -14,31 +14,36 @@ def _const_xt(value):
     return lambda x, t: np.full_like(np.asarray(x, dtype=float), value)
 
 
-def two_design_benchmark(nx=40, nt=30, source=1.0, u_right=1.0, horizon=1.0,
-                         nominal=0.375):
-    """Two-element cooling benchmark with an analytic initial condition.
+def two_domain_problem(sol, nx, nt, horizon=1.0):
+    """The problem the closed-form solution ``sol`` solves, as two elements.
 
-    The domain [0, 1] splits at 0.5 into two design cells with linear
-    material interpolation between kappa = 0 and 1.  The initial state is
-    the closed-form solution at the uniform nominal design, held fixed for
-    every candidate design so that all optimizers minimize the identical
-    function of (rho_1, rho_2).  Volume bound 0.375 makes the constraint
-    equivalent to kappa_1 + kappa_2 <= 0.75.
+    The domain [0, 1] splits at 0.5 (``sol`` must have its interface there)
+    into two design cells with linear material interpolation between
+    kappa = 0 and 1; the boundary value, initial state and source are those
+    of ``sol``, and the design (kappa_1, kappa_2) reproduces ``sol``.
     """
-    sol = two_domain_solution(nominal, nominal, 0.5, source=source, u_right=u_right)
-    material = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
-    spec = ProblemSpec(
+    return ProblemSpec(
         domain=(0.0, 1.0),
         horizon=horizon,
         n_elements=2,
         nx=nx,
         nt=nt,
-        material=material,
-        g=_const_t(u_right),
+        material=MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0),
+        g=_const_t(sol.u_right),
         q=sol.initial,
-        f=_const_xt(source),
+        f=_const_xt(sol.source),
     )
-    return spec, 0.375
+
+
+def two_design_benchmark(nx=40, nt=30, horizon=1.0):
+    """Two-element cooling benchmark with an analytic initial condition.
+
+    The initial state is the closed-form solution at the uniform nominal
+    design kappa = 0.375, held fixed for every candidate design so that all
+    optimizers minimize the identical function of (rho_1, rho_2).  Volume
+    bound 0.375 makes the constraint equivalent to kappa_1 + kappa_2 <= 0.75.
+    """
+    return two_domain_problem(two_domain_solution(0.375, 0.375), nx, nt, horizon), 0.375
 
 
 def cooling_benchmark(nx=5, nt=15, n_elements=50, p=3.0, kappa_min_ratio=1e-3,
@@ -71,7 +76,7 @@ def cooling_benchmark(nx=5, nt=15, n_elements=50, p=3.0, kappa_min_ratio=1e-3,
     return spec, 0.5
 
 
-def manufactured_design(n_elements, seed=20240817):
+def manufactured_design(n_elements):
     """Seeded two-level design whose diffusivity jumps only at mid-domain.
 
     The manufactured state below has zero spatial slope exactly at the
@@ -82,7 +87,7 @@ def manufactured_design(n_elements, seed=20240817):
     """
     if n_elements % 2 != 0:
         raise ValueError("two-level design needs an even element count")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240817)
     left, right = rng.uniform(0.2, 0.95, size=2)
     rho = np.empty(n_elements)
     rho[: n_elements // 2] = left

@@ -102,45 +102,21 @@ def _eigencondition(lam, kappa_1, kappa_2, interface):
     )
 
 
-def transient_eigenvalue(kappa_1, kappa_2, interface, branch=0):
-    """Positive decay rate of the requested transient branch.
+def transient_eigenvalue(kappa_1, kappa_2, interface):
+    """Smallest positive decay rate of the transient mode.
 
-    The condition sqrt(k1) cot(a1 xi) + sqrt(k2) cot(a2 (1 - xi)) = 0 has
-    exactly one root between consecutive poles of the cotangents, and the
-    function decreases monotonically from +inf to -inf across each such
-    interval, so bisection inside the bracketing cell is bulletproof.
-    Branch 0 is the smallest positive root.
+    The condition sqrt(k1) cot(a1 xi) + sqrt(k2) cot(a2 (1 - xi)) = 0
+    decreases monotonically from +inf to -inf between 0 and the first pole
+    of either cotangent, with exactly one root there, so bisection inside
+    that cell is bulletproof.
     """
     if kappa_1 <= 0 or kappa_2 <= 0:
         raise ValueError("diffusivities must be positive")
     if not 0 < interface < 1:
         raise ValueError("interface must lie inside (0, 1)")
     xi = interface
-    lam_max = 400.0 * max(kappa_1, kappa_2)
-    poles = [0.0]
-    m = 1
-    while kappa_1 * (m * np.pi / xi) ** 2 <= lam_max:
-        poles.append(kappa_1 * (m * np.pi / xi) ** 2)
-        m += 1
-    m = 1
-    while kappa_2 * (m * np.pi / (1.0 - xi)) ** 2 <= lam_max:
-        poles.append(kappa_2 * (m * np.pi / (1.0 - xi)) ** 2)
-        m += 1
-    poles = sorted(poles)
-    # merge numerically coincident poles (homogeneous material)
-    cells = []
-    for p in poles:
-        if not cells or p > cells[-1] * (1 + 1e-12) + 1e-300:
-            cells.append(p)
-    cells.append(lam_max)
-    intervals = list(zip(cells[:-1], cells[1:]))
-    if branch >= len(intervals):
-        raise NumericalError(
-            f"branch {branch} not bracketed below lam_max={lam_max:.3g}"
-        )
-    lo, hi = intervals[branch]
-    pad = 1e-9 * (hi - lo)
-    lo, hi = lo + pad, hi - pad
+    pole = min(kappa_1 * (np.pi / xi) ** 2, kappa_2 * (np.pi / (1.0 - xi)) ** 2)
+    lo, hi = 1e-9 * pole, pole - 1e-9 * pole
     g_lo, g_hi = _eigencondition(lo, kappa_1, kappa_2, xi), _eigencondition(
         hi, kappa_1, kappa_2, xi
     )
@@ -170,10 +146,10 @@ def transient_eigenvalue(kappa_1, kappa_2, interface, branch=0):
     return lam
 
 
-def two_domain_solution(kappa_1, kappa_2, interface=0.5, source=1.0, u_right=1.0, branch=0):
+def two_domain_solution(kappa_1, kappa_2, interface=0.5, source=1.0, u_right=1.0):
     """Bundle the steady coefficients and transient mode into one solution."""
     a1, a2, b2 = steady_coefficients(kappa_1, kappa_2, interface, source, u_right)
-    lam = transient_eigenvalue(kappa_1, kappa_2, interface, branch)
+    lam = transient_eigenvalue(kappa_1, kappa_2, interface)
     alpha_1 = np.sqrt(lam / kappa_1)
     alpha_2 = np.sqrt(lam / kappa_2)
     ratio = np.sin(alpha_1 * interface) / np.sin(alpha_2 * (1.0 - interface))

@@ -7,7 +7,7 @@ solutions, high-order quadrature of exact expressions, or a derivative-free
 scalar optimizer) rather than against itself.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -22,19 +22,19 @@ from .problem import MaterialModel, ProblemSpec, kappa
 from .sbp import build_sbp_1d, verify_sbp
 
 
-def mms_source(u_exact, u_t, u_x, u_xx, rho, spec, check_points=20, seed=7):
+def mms_source(u_exact, u_t, u_x, u_xx, rho, spec):
     """Source term making ``u_exact`` solve the heat equation at design rho.
 
     The returned callable is element aware (it must be: the per-element
     diffusivity jumps at interfaces, so the source has one-sided values at
     shared interface nodes): ``element`` is one element index, or an array
     of one per point as ``Discretization.rhs`` passes it.  The supplied derivative callables are
-    cross-checked against finite differences at seeded sample points.
+    cross-checked against finite differences at 20 seeded sample points.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     a, b = spec.domain
-    xs = rng.uniform(a + 0.05 * (b - a), b - 0.05 * (b - a), check_points)
-    ts = rng.uniform(0.0, spec.horizon, check_points)
+    xs = rng.uniform(a + 0.05 * (b - a), b - 0.05 * (b - a), 20)
+    ts = rng.uniform(0.0, spec.horizon, 20)
     h = 1e-5
     fd_t = (u_exact(xs, ts + h) - u_exact(xs, ts - h)) / (2 * h)
     fd_x = (u_exact(xs + h, ts) - u_exact(xs - h, ts)) / (2 * h)
@@ -66,12 +66,14 @@ def mms_source(u_exact, u_t, u_x, u_xx, rho, spec, check_points=20, seed=7):
     return source
 
 
-def _tensor_gauss_objective(u_exact, domain, horizon, edges, n_gauss=100):
-    """Quadrature oracle for the exact space-time squared integral."""
-    xg, wg = roots_legendre(n_gauss)
-    tq = 0.5 * horizon * (xg + 1.0)
-    wt = 0.5 * horizon * wg
+def _tensor_gauss_objective(u_exact, spec):
+    """Quadrature oracle for the exact space-time squared integral, 100
+    Gauss points a direction on each element."""
+    xg, wg = roots_legendre(100)
+    tq = 0.5 * spec.horizon * (xg + 1.0)
+    wt = 0.5 * spec.horizon * wg
     total = 0.0
+    edges = spec.element_edges
     for lo, hi in zip(edges[:-1], edges[1:]):
         xq = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
         wx = 0.5 * (hi - lo) * wg
@@ -87,41 +89,30 @@ class ConvergencePoint:
     objective_error: float
 
 
-def forward_convergence_spec(n, n_elements=10, domain=(-2.0, 1.0), horizon=1.0,
-                             material=None, rho=None):
-    """Manufactured forward problem at per-element degree n in both directions."""
-    material = material or MaterialModel(kappa_min=0.1, kappa_max=1.0, p=3.0)
-    rho = manufactured_design(n_elements) if rho is None else rho
+def forward_convergence_spec(n):
+    """Manufactured forward problem at per-element degree n in both
+    directions: ten elements on [-2, 1] x [0, 1], the seeded two-level
+    design, and the source that makes ``manufactured_state`` exact."""
+    rho = manufactured_design(10)
     u, u_t, u_x, u_xx = manufactured_state()
     spec = ProblemSpec(
-        domain=domain, horizon=horizon, n_elements=n_elements, nx=n, nt=n,
-        material=material,
+        domain=(-2.0, 1.0), horizon=1.0, n_elements=10, nx=n, nt=n,
+        material=MaterialModel(kappa_min=0.1, kappa_max=1.0, p=3.0),
         q=lambda x: u(x, np.zeros_like(np.asarray(x, dtype=float))),
     )
-    f = mms_source(u, u_t, u_x, u_xx, rho, spec)
-    spec = ProblemSpec(
-        domain=domain, horizon=horizon, n_elements=n_elements, nx=n, nt=n,
-        material=material,
-        q=spec.q,
-        f=f,
-    )
-    return spec, rho, u
+    return replace(spec, f=mms_source(u, u_t, u_x, u_xx, rho, spec)), rho, u
 
 
-def convergence_study(n_values, n_elements=10, domain=(-2.0, 1.0), horizon=1.0,
-                      material=None, rho=None):
+def convergence_study(n_values):
     """Fixed-design forward sweep: discrete error and objective error per n."""
     points = []
     j_exact = None
     for n in n_values:
-        spec, rho_used, u = forward_convergence_spec(
-            n, n_elements=n_elements, domain=domain, horizon=horizon,
-            material=material, rho=rho,
-        )
+        spec, rho, u = forward_convergence_spec(n)
         if j_exact is None:
-            j_exact = _tensor_gauss_objective(u, domain, horizon, spec.element_edges)
+            j_exact = _tensor_gauss_objective(u, spec)
         disc = Discretization(spec)
-        system = assemble_global(disc, rho_used)
+        system = assemble_global(disc, rho)
         uh, _ = solve_system(system)
         exact = u(*disc.coordinates())
         p = disc.global_p()
@@ -165,18 +156,19 @@ def energy_estimate_sides(spec, rho, sigma_0=1.0):
     return float(lhs), float(bound)
 
 
-def operator_suite_report(n_max=16, n_random=100, seed=3):
-    """Worst violations of the SBP operator invariants over a size sweep."""
+def operator_suite_report(seed=3):
+    """Worst violations of the SBP operator invariants over 2 to 16 nodes,
+    with six random vector pairs a size for integration by parts."""
     worst = {"sbp_identity": 0.0, "accuracy": 0.0, "spd": 0.0, "ibp_relative": 0.0}
     rng = np.random.default_rng(seed)
-    for n in range(2, n_max + 1):
+    for n in range(2, 17):
         op = build_sbp_1d(n, (0.0, 1.0))
         rep = verify_sbp(op)
         for key in ("sbp_identity", "accuracy", "spd"):
             worst[key] = max(worst[key], rep[key])
         # x-direction operators of the space-time element op (x) op
         Q, E = np.kron(op.P, op.Q), np.kron(op.P, op.E)
-        for _ in range(n_random // (n_max - 1)):
+        for _ in range(6):
             u = rng.standard_normal(n * n)
             v = rng.standard_normal(n * n)
             gap = abs(u @ (Q + Q.T) @ v - u @ E @ v)
@@ -194,7 +186,7 @@ class CrossValidation:
     nt_sweep: list
 
 
-def reference_optimum(nx, nt, tol=1e-8):
+def reference_optimum(nx, nt):
     """The two-design optimum (design, J) at resolution nx x nt, found
     without gradients: ``scalar_minimize`` over kappa_1 on the
     volume-saturated line kappa_1 + kappa_2 = 0.75, one forward solve a point."""
@@ -206,38 +198,32 @@ def reference_optimum(nx, nt, tol=1e-8):
         u, _ = solve_system(system)
         return objective(u, disc)
 
-    k1, j_star = scalar_minimize(j_of_k1, (1e-4, 0.75 - 1e-4), tol=tol)
+    k1, j_star = scalar_minimize(j_of_k1, (1e-4, 0.75 - 1e-4), tol=1e-8)
     return np.array([k1, 0.75 - k1]), j_star
 
 
-def crossvalidate_optimum(nx_sweep=(2, 3, 4, 5, 6, 8, 40), nt_sweep=(2, 3, 4, 5, 6, 8, 30),
-                          fixed_nt=30, fixed_nx=40, reference=(80, 60), tol=1e-8,
-                          max_iters=100):
+def crossvalidate_optimum():
     """Compare the gradient-based optimizer against the scalar reference.
 
-    The reference is a derivative-free bracket search over kappa_1 on the
-    volume-saturated line, evaluated with high-resolution forward solves;
-    the sweeps rerun the full MMA pipeline at each resolution and report
-    relative design and objective errors against the reference.
+    The reference is ``reference_optimum`` at 80 x 60; the sweeps rerun
+    the full MMA pipeline (tol_design 1e-8, at most 100 iterations) over
+    nx at nt = 30 and over nt at nx = 40, and report relative design and
+    objective errors against the reference.
     """
-    ref_rho, ref_j = reference_optimum(*reference, tol=tol)
+    ref_rho, ref_j = reference_optimum(80, 60)
 
     def mma_point(nx, nt):
         spec, vstar = two_design_benchmark(nx=nx, nt=nt)
-        trace = run_topology_optimization(
-            spec, vstar, tol_design=tol, max_iters=max_iters
-        )
+        trace = run_topology_optimization(spec, vstar, tol_design=1e-8, max_iters=100)
         d_err = np.max(np.abs(trace.final_rho - ref_rho)) / np.max(np.abs(ref_rho))
         j_err = abs(trace.final_objective - ref_j) / abs(ref_j)
         return float(d_err), float(j_err)
 
-    nx_rows = [(n, *mma_point(n, fixed_nt)) for n in nx_sweep]
-    nt_rows = [(n, *mma_point(fixed_nx, n)) for n in nt_sweep]
     return CrossValidation(
         reference_rho=ref_rho,
         reference_objective=ref_j,
-        nx_sweep=nx_rows,
-        nt_sweep=nt_rows,
+        nx_sweep=[(n, *mma_point(n, 30)) for n in (2, 3, 4, 5, 6, 8, 40)],
+        nt_sweep=[(n, *mma_point(40, n)) for n in (2, 3, 4, 5, 6, 8, 30)],
     )
 
 

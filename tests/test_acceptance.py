@@ -19,7 +19,7 @@ from stheat.baselines import be_adjoint_and_sensitivity, be_march, be_objective,
 from stheat.blocksolve import solve_system
 from stheat.cli import compare
 from stheat.config import parse_config
-from stheat.presets import cooling_benchmark, two_design_benchmark
+from stheat.presets import cooling_benchmark, two_design_benchmark, two_domain_problem
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import (
     eigencondition_residual,
@@ -46,7 +46,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_operator_suite():
     t0 = time.perf_counter()
-    rep = operator_suite_report(n_max=16, n_random=100)
+    rep = operator_suite_report()
     elapsed = time.perf_counter() - t0
     ok = (
         rep["sbp_identity"] <= 1e-13
@@ -100,17 +100,9 @@ def test_criterion_3_two_domain_solution():
         het_ok &= eigencondition_residual(sol) <= 1e-12 and flux_jump <= 1e-10
 
     sol = two_domain_solution(0.45, 0.30)
-    material = MaterialModel(0.0, 1.0, 1.0)
     errors = []
     for n in (4, 8, 12, 16):
-        spec = ProblemSpec(
-            domain=(0.0, 1.0), horizon=1.0, n_elements=2, nx=n, nt=n,
-            material=material,
-            g=lambda t: np.full_like(np.asarray(t, float), sol.u_right),
-            q=sol.initial,
-            f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
-        )
-        disc = Discretization(spec)
+        disc = Discretization(two_domain_problem(sol, n, n))
         u, _ = solve_system(assemble_global(disc, np.array([sol.kappa_1, sol.kappa_2])))
         exact = sol(*disc.coordinates())
         p = disc.global_p()
@@ -235,13 +227,7 @@ def test_criterion_5_gradient_correctness():
 def crossval():
     # coarse-to-fine sweeps expose the decay; the finest points sit at the
     # optimizer tolerance floor already
-    return crossvalidate_optimum(
-        nx_sweep=(2, 3, 4, 5, 6, 8, 40),
-        nt_sweep=(2, 3, 4, 5, 6, 8, 30),
-        fixed_nt=30,
-        fixed_nx=40,
-        reference=(80, 60),
-    )
+    return crossvalidate_optimum()
 
 
 def test_criterion_6_optimum_cross_validation(crossval):

@@ -10,7 +10,7 @@ from stheat.adjoint import objective, sensitivities, solve_adjoint
 from stheat.assembly import Discretization, assemble_global
 from stheat.blocksolve import condition_estimate, factor, solve_system, solve_transposed
 from stheat.problem import MaterialModel, ProblemSpec
-from stheat.presets import cooling_benchmark, two_design_benchmark
+from stheat.presets import cooling_benchmark, two_design_benchmark, two_domain_problem
 from stheat.twodomain import two_domain_solution
 
 LINEAR = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
@@ -78,13 +78,7 @@ def test_objective_converges_to_quadrature_oracle():
     j_exact = exact_objective_quadrature(sol)
     errs = []
     for n in (4, 6, 8, 12):
-        spec = ProblemSpec(
-            domain=(0.0, 1.0), horizon=1.0, n_elements=2, nx=n, nt=n, material=LINEAR,
-            g=lambda t: np.full_like(np.asarray(t, float), sol.u_right),
-            q=sol.initial,
-            f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
-        )
-        disc = Discretization(spec)
+        disc = Discretization(two_domain_problem(sol, n, n))
         j_h = objective(sol(*disc.coordinates()), disc)
         errs.append(abs(j_h - j_exact))
     assert errs[-1] <= 1e-12
@@ -290,13 +284,7 @@ def test_functional_superconverges_relative_to_state():
     j_exact = exact_objective_quadrature(sol)
     state_errs, j_errs, ns = [], [], []
     for n in (4, 5, 6, 7, 8):
-        spec = ProblemSpec(
-            domain=(0.0, 1.0), horizon=1.0, n_elements=2, nx=n, nt=n, material=LINEAR,
-            g=lambda t: np.full_like(np.asarray(t, float), sol.u_right),
-            q=sol.initial,
-            f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
-        )
-        disc = Discretization(spec)
+        disc = Discretization(two_domain_problem(sol, n, n))
         u = forward(disc, np.array([sol.kappa_1, sol.kappa_2]))[0]
         exact = sol(*disc.coordinates())
         p = disc.global_p()

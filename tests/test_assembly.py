@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracle import kronecker_dense, to_dense
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.blocksolve import solve_system
+from stheat.presets import two_domain_problem
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import two_domain_solution
 from stheat.verification import energy_estimate_sides
@@ -24,21 +25,6 @@ def constant_problem(c=2.5, K=3, nx=4, nt=4):
         h=lambda t: np.full_like(np.asarray(t, float), c),
         g=lambda t: np.full_like(np.asarray(t, float), c),
         q=lambda x: np.full_like(np.asarray(x, float), c),
-    )
-
-
-def two_domain_problem(sol, nx, nt, material=LINEAR):
-    return ProblemSpec(
-        domain=(0.0, 1.0),
-        horizon=1.0,
-        n_elements=2,
-        nx=nx,
-        nt=nt,
-        material=material,
-        h=lambda t: np.zeros_like(np.asarray(t, float)),
-        g=lambda t: np.full_like(np.asarray(t, float), sol.u_right),
-        q=sol.initial,
-        f=lambda x, t: np.full_like(np.asarray(x, float), sol.source),
     )
 
 

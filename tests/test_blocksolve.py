@@ -1,4 +1,5 @@
 import functools
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,8 @@ def test_singular_spatial_factor_names_mode():
     with pytest.raises(SingularSystemError, match="time mode 2") as err:
         factor(singular_system(mode=2))
     assert err.value.mode == 2
+    # a `compare --jobs N` worker sends it back pickled, message and all
+    assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
 
 
 def test_solve_rejects_bad_rhs_length():

@@ -368,16 +368,33 @@ def test_cli_converge_small(tmp_path):
      ("[sat]\nsafety = 0.5\n", "sat.safety"),
      # the energy estimate divides by 2 sigma_0 - 1
      ("[sat]\nsigma_0 = 0.2\n", "sat.sigma_0"),
-     ("[sat]\nsigma_0 = 0.5\n", "sat.sigma_0")],
-    ids=["horizon", "sat-safety", "sat-sigma_0", "sat-sigma_0-half"],
+     ("[sat]\nsigma_0 = 0.5\n", "sat.sigma_0"),
+     # the power law kappa(rho) = k_min + (k_max - k_min) rho^p needs p >= 1
+     ("[problem]\npenalization = 0.5\n", "problem.penalization"),
+     ("[problem]\nnx = 4\n[problem]\nnt = 5\n", "bad.cfg: malformed config file"),
+     ("[problem]\nnx = 4\nnx = 5\n", "bad.cfg: malformed config file"),
+     ("nx = 4\n", "bad.cfg: malformed config file")],
+    ids=["horizon", "sat-safety", "sat-sigma_0", "sat-sigma_0-half", "penalization",
+         "repeated-section", "repeated-key", "no-section-header"],
 )
 def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
-    # optimize reads every key here, so only RunConfig.validate can refuse them
+    # optimize reads every key here, so only RunConfig.validate or, for the
+    # malformed files, the INI parser can refuse them
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_typed_numerical_error_is_one_line_and_exit_3(tmp_path, capsys):
+    # 1001 time nodes exceed the operator cap before anything is allocated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nnt = 1000\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ResourceLimitError: 1001 nodes") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -88,7 +88,7 @@ def test_zero_gradient_returns_same_design():
 
 
 def test_nonfinite_gradient_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         mma_update(np.array([0.5]), np.array([np.nan]), np.ones(1), 1.0, fresh_state())
 
 

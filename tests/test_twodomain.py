@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from stheat.errors import NumericalError
 from stheat.twodomain import (
     eigencondition_residual,
     steady_coefficients,
@@ -69,19 +68,6 @@ def test_heterogeneous_eigenvalue_selfconsistent():
     assert abs(sol.mode(left) - sol.mode(right)) <= 1e-12
 
 
-def test_branches_increase():
-    lams = [transient_eigenvalue(2.0, 0.5, 0.4, branch=b) for b in range(4)]
-    assert all(l2 > l1 for l1, l2 in zip(lams, lams[1:]))
-    assert all(
-        abs(
-            np.sqrt(2.0) / np.tan(np.sqrt(l / 2.0) * 0.4)
-            + np.sqrt(0.5) / np.tan(np.sqrt(l / 0.5) * 0.6)
-        )
-        <= 1e-9 * max(1, l)
-        for l in lams
-    )
-
-
 def test_transient_satisfies_heat_equation_pointwise():
     sol = two_domain_solution(1.7, 0.6, 0.45)
     rng = np.random.default_rng(8)
@@ -117,11 +103,6 @@ def test_interface_jump_of_full_solution():
         flux_minus = sol.steady_flux(left) + decay * sol.mode_flux(left)
         flux_plus = sol.steady_flux(right) + decay * sol.mode_flux(right)
         assert abs(flux_minus - flux_plus) <= 1e-10
-
-
-def test_bad_branch_raises():
-    with pytest.raises(NumericalError):
-        transient_eigenvalue(1.0, 1.0, 0.5, branch=4000)
 
 
 def test_bad_arguments():

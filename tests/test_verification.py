@@ -103,7 +103,7 @@ def test_energy_estimate_sides():
 
 
 def test_operator_suite_report_tight():
-    rep = operator_suite_report(n_max=16)
+    rep = operator_suite_report()
     assert rep["sbp_identity"] <= 1e-13
     assert rep["accuracy"] <= 1e-11
     assert rep["spd"] == 0.0
