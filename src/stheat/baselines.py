@@ -1,27 +1,30 @@
 """Low-order reference solvers: linear finite elements with backward Euler.
 
-``be_march`` solves the step matrix M/dt + K of a design once, against
-[I | M/dt] on the free nodes, for its inverse S and the constant
-propagator P = (M/dt + K)^-1 M/dt.  S is accurate to cond * eps (Higham
-2002, ch. 14), and M/dt keeps the step matrix well conditioned: on the
-50-cell cooling preset its condition number is about 1000 at most at 8
-steps and under 5 at 8192.  Every level's sources then come out of one
-product with S, leaving the recurrence x_(n+1) += P x_n.  ``_propagate``
-sweeps it in blocks of L = isqrt(N_t) levels (the two-level time-parallel
-reduction of a block-bidiagonal system): all blocks from a zero start at
-once, then each block's start state carried across blocks by P^L, then
-P^k times that start added to level k of every block in one product, so
-the interpreter takes about 2 sqrt(N_t) steps instead of N_t.  The powers
-P^1 .. P^L are formed once per design, by the forward.  The adjoint is the
-same march run backward in time on the forward's S and powers, which it
-finds in the ``MarchingSolution`` (valid because M and K are symmetric,
-see ``_adjoint_march``), so no design solves against more than those
-2 n_free columns.  Its gradients of the right-endpoint-quadrature objective
+``be_march`` diagonalizes the backward-Euler step of a design once and
+marches in its eigenbasis.  The free-node pencil (K_ff, M_ff) has an
+M-orthonormal eigenbasis V, V^T M_ff V = I and K_ff V = M_ff V diag(lam)
+(``_modal_basis``), so in the modes y_n of x_n = V y_n every level's step
+is the scalar recurrence
+
+    y_n = mu y_(n-1) + c_n,   mu = 1 / (1 + dt lam),
+
+and the sources c_n of all levels come out of one product with the
+design-independent rows that ``_march_data`` caches.  ``_sweep`` runs the
+recurrence in blocks of L = isqrt(N_t) levels (the two-level time-parallel
+reduction of a bidiagonal system): all blocks from a zero start at once,
+then each block's start carried across blocks by mu^L, then mu^k times that
+start added to level k of every block, so the interpreter takes about
+3 sqrt(N_t) elementwise steps instead of N_t.  The adjoint is the same
+sweep run backward in time on the same mu (M and K are symmetric), and
+neither J nor the gradient of the right-endpoint-quadrature objective
 
     J = sum_n dt * u_n^T M u_n,   n = 1 .. N_t
 
-match finite differences to solver precision; the product M u_n is formed
-once per design and serves J and the adjoint's right-hand side.
+needs the nodal states: with R = M_df V (d the Dirichlet nodes, g_n their
+values) J is dt sum_n (|y_n|^2 + 2 g_n^T R y_n + g_n^T M_dd g_n), and the
+gradient is two small Gram products of the modal adjoint with y and g.  The
+nodal history ``MarchingSolution.states`` is formed only when read.  The
+gradients match finite differences to solver precision.
 ``be_aao_solve`` is the march reported with the size of the all-at-once
 system it solves: every time level stacked into one block lower-bidiagonal
 system.
@@ -31,11 +34,17 @@ with the space-time optimizer in ``optimize``.  The times, Dirichlet values
 and loads of the march do not depend on the design, so the loop builds
 them on its first march and every later design reuses them.
 
-Every solve and product here runs on NumPy's BLAS at its default threads:
-the NumPy and SciPy wheels each bundle an OpenBLAS with its own worker pool,
-and switching between them leaves one pool spinning while the other works.
-On 2 CPUs a cooling loop at 8192 steps took 0.79-0.89 s on both (median of
-5), 0.40-0.45 s with either pool at one thread, and 0.42 s on NumPy's alone.
+Every decomposition and product here runs on NumPy's LAPACK and BLAS at
+their default threads: the NumPy and SciPy wheels each bundle an OpenBLAS
+with its own worker pool, and a loop that switches between them leaves one
+pool spinning while the other works (that doubled the loop's time while the
+march solved against dense step matrices).  The decompositions here are
+only n_free x n_free, and the loop's time goes to two GEMMs and the
+elementwise sweeps: on 2 CPUs a cooling loop at 8192 steps took 0.20-0.26 s
+on NumPy's pool alone, 0.20-0.27 s with the Cholesky factor, inverse and
+SVD on SciPy's, and 0.21-0.31 s with every pool at one thread (medians of 7
+loops in each of three rounds; the shared host drifts by more than they
+differ).
 """
 
 from dataclasses import dataclass, field
@@ -44,8 +53,14 @@ from math import isqrt
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .optimize import _run_design_loop
 from .problem import dkappa_drho, kappa
+
+# cap on the (levels x nodes) values of one march array: 160 MB of float64,
+# of which a march and its adjoint hold about four at once.  The default
+# compare sweep's largest cell, 16384 steps on 51 nodes, has 835 635.
+MAX_MARCH_VALUES = 20_000_000
 
 
 @dataclass
@@ -78,6 +93,11 @@ def _p1_matrix(diagonal, off_diagonal):
     return A
 
 
+def _differences(n_nodes):
+    """The element difference matrix D, (D u)_e = u_(e+1) - u_e, so that K = D^T diag(w) D."""
+    return np.diff(np.eye(n_nodes), axis=0)
+
+
 def fe_assemble(spec, rho):
     """Assemble consistent mass and design-dependent stiffness matrices."""
     rho = np.asarray(rho, dtype=float)
@@ -101,28 +121,53 @@ def fe_assemble(spec, rho):
 
 
 @dataclass
-class MarchingSolution:
-    """Full time history of a backward-Euler run."""
+class _MarchData:
+    """The design-independent data of an ``n_steps`` march (see ``_march_data``)."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_nodes, n_levels) including the initial level
+    initial: np.ndarray  # the free nodes' initial state x_0
+    dirichlet: np.ndarray  # g of every level, one row per level
+    sources: np.ndarray  # rows [b_n | g_n] of levels 1 .. N_t, in sweep order
+    order: np.ndarray  # the level of each row in sweep order, 0 for level 1
+
+
+@dataclass
+class MarchingSolution:
+    """A backward-Euler run, held in the modes it was marched in."""
+
     fe: FeDiscretization
-    # free-node inverse S of the step matrix M/dt + K, and the powers of the
-    # propagator P = (M/dt + K)^-1 M/dt that the march's sweep ran on
-    # (see _propagate)
-    step_inverse: np.ndarray = None
-    powers: np.ndarray = None
+    data: _MarchData
+    modes: np.ndarray  # y_n of levels 1 .. N_t, one row per level in sweep order
+    basis: np.ndarray  # V: the free-node state of level n is V y_n
+    decay: np.ndarray  # mu^1 .. mu^L, one row per power (see _decay_powers)
     aao_unknowns: int = None
     aao_memory_bytes: int = None
+
+    @property
+    def times(self):
+        return self.data.times
 
     @property
     def n_steps(self):
         return self.times.size - 1
 
+    def free_levels(self, modes):
+        """Free-node values V z_n of the modal rows z_n in sweep order, one row
+        per level in time order."""
+        out = np.empty_like(modes)
+        out[self.data.order] = modes @ self.basis.T
+        return out
+
     @cached_property
-    def mass_states(self):
-        """M u_n of levels 1 .. N_t, one column per level: J and dJ/du both need it."""
-        return self.fe.mass @ self.states[:, 1:]
+    def states(self):
+        """Nodal history (n_nodes, N_t + 1) with the initial level; the design
+        loop never reads it."""
+        fe = self.fe
+        u = np.empty((fe.n_nodes, self.n_steps + 1))
+        u[fe.free, 0] = self.data.initial
+        u[fe.free, 1:] = self.free_levels(self.modes).T
+        u[fe.dirichlet] = self.data.dirichlet.T
+        return u
 
 
 def _dirichlet_values(fe, times):
@@ -147,8 +192,22 @@ def _load_matrix(fe, times):
     return loads
 
 
+def _sweep_order(n_steps):
+    """The level of each row of a march in sweep order, counted from 0 for level 1.
+
+    The first nb L levels, cut into nb blocks of L = isqrt(N), are stored
+    level-interleaved: level k of every block side by side, so that
+    ``_sweep`` steps through contiguous (nb, n) slabs.  The last N - nb L
+    levels follow in time order.
+    """
+    size = isqrt(n_steps)
+    n_blocks = n_steps // size
+    blocked = np.arange(n_blocks * size).reshape(n_blocks, size).T.ravel()
+    return np.concatenate([blocked, np.arange(n_blocks * size, n_steps)])
+
+
 def _march_data(fe, n_steps):
-    """Times, Dirichlet values and design-independent sources of an ``n_steps`` march.
+    """Times, initial state, Dirichlet values and sources of an ``n_steps`` march.
 
     Over the free nodes (f; d are the Dirichlet nodes, with values g_n)
     level n's step equation is
@@ -156,10 +215,10 @@ def _march_data(fe, n_steps):
         (M_ff/dt + K_ff) x_n = M_ff/dt x_(n-1) + b_n - K_fd g_n,
         b_n = loads_n - M_fd (g_n - g_(n-1)) / dt,
 
-    where only K depends on the design.  Returned time-major: the times, g
-    of every level, and the rows [b_n | g_n] of levels 1 .. N_t, so that a
-    design's sources are one product with [I; -K_df].  A design loop keeps
-    them in ``fe.march_cache``, filled by its first march.
+    where only K depends on the design.  The rows [b_n | g_n] are kept in
+    sweep order, so that a design's sources are one product with [I; -K_df].
+    A design loop keeps the data in ``fe.march_cache``, filled by its first
+    march.
     """
     cache = {} if fe.march_cache is None else fe.march_cache
     if n_steps not in cache:
@@ -168,72 +227,113 @@ def _march_data(fe, n_steps):
         g = _dirichlet_values(fe, times)
         m_fd = fe.mass[np.ix_(fr, dr)] / (fe.spec.horizon / n_steps)
         b = _load_matrix(fe, times)[1:, fr] - np.diff(g, axis=0) @ m_fd.T
-        cache[n_steps] = times, g, np.hstack([b, g[1:]])
+        order = _sweep_order(n_steps)
+        cache[n_steps] = _MarchData(
+            times=times, initial=np.asarray(fe.spec.q(fe.nodes), dtype=float)[fr], dirichlet=g,
+            sources=np.hstack([b, g[1:]])[order], order=order,
+        )
     return cache[n_steps]
 
 
-def _propagator_powers(prop, size):
-    """``powers[:, k] = (prop^(k + 1))^T`` for k = 0 .. size - 1."""
-    n = prop.shape[0]
-    powers = np.empty((n, size, n))
-    powers[:, 0] = prop.T
-    for k in range(1, size):
-        np.matmul(powers[:, k - 1], prop.T, out=powers[:, k])
-    return powers
+def _modal_basis(fe):
+    """Eigenvalues lam and M-orthonormal eigenvectors V of the free-node pencil (K_ff, M_ff).
 
-
-def _propagate(x, powers):
-    """``x[n + 1] += P @ x[n]`` for n = 0 .. N - 1 in turn, in place.
-
-    ``x`` is C-contiguous with N + 1 rows; ``powers`` holds P^1 .. P^L as
-    ``_propagator_powers`` lays them out, with L <= N.  The levels
-    1 .. nb L are cut into nb blocks of L levels.  The recurrence runs
-    inside all blocks at once from a zero start; each block's start state is
-    carried to the next by P^L; then P^k times its start state is added to
-    the k-th level of every block in one product.  The last N - nb L (< L)
-    levels are stepped directly.
+    With K = D^T diag(w) D, w = kappa / h, and M_ff = L L^T, the pencil's
+    eigenvalues are the squared singular values of diag(sqrt w) D_f L^-T =
+    U S Q^T and V = L^-T Q.  Each eigenvalue then carries an error relative
+    to itself; eigh of L^-1 K_ff L^-T would put eps lam_max into every one,
+    which took a 0/1 design's 8192-step march 2.0e-12 from block elimination.
+    Where the free nodes outnumber the elements (Neumann at both ends) the
+    constants span a null space, and lam is padded with zeros.
     """
-    n_steps, n = x.shape[0] - 1, x.shape[1]
-    if n_steps < 1 or n == 0:
-        return
-    size = powers.shape[1]
-    prop_t = powers[:, 0]
-    n_blocks = n_steps // size
-    blocks = np.reshape(x[1:n_blocks * size + 1], (n_blocks, size, n), copy=False)
-    for k in range(1, size):
-        blocks[:, k] += blocks[:, k - 1] @ prop_t
-    starts = np.empty((n_blocks, n))  # the level before each block
-    starts[0] = x[0]
-    for j in range(1, n_blocks):
-        starts[j] = blocks[j - 1, -1] + starts[j - 1] @ powers[:, -1]
-    # on NumPy's BLAS only (see the module docstring); 3.2 MB at 8192 steps
-    blocks += (starts @ powers.reshape(n, size * n)).reshape(n_blocks, size, n)
-    for level in range(n_blocks * size, n_steps):
-        x[level + 1] += x[level] @ prop_t
+    fr = fe.free
+    w = -np.diagonal(fe.stiffness, 1)  # _p1_matrix stores -w there exactly
+    l_inv_t = np.linalg.inv(np.linalg.cholesky(fe.mass[np.ix_(fr, fr)])).T
+    scaled = (np.sqrt(w)[:, None] * _differences(fe.n_nodes)[:, fr]) @ l_inv_t
+    _, sigma, q_t = np.linalg.svd(scaled, full_matrices=True)
+    lam = np.zeros(fr.size)
+    lam[:sigma.size] = sigma**2
+    return lam, l_inv_t @ q_t.T
+
+
+def _decay_powers(dt, lam, size):
+    """mu^k = (1 + dt lam)^-k for k = 1 .. size, one row per power.
+
+    Formed as exp(-k log1p(dt lam)), whose error is relative to the exponent
+    k log1p(dt lam).  Powers of the rounded mu carry k times its rounding
+    error instead, which the block starts of ``_sweep`` compound over all N
+    levels: 1.6e-12 from block elimination at 16384 steps, against 3.1e-13.
+    """
+    return np.exp(-np.arange(1, size + 1)[:, None] * np.log1p(dt * lam))
+
+
+def _sweep_blocks(slabs, powers, start, reverse):
+    """``slabs[k, j] += mu * (level before)`` over blocks of L levels, in place.
+
+    ``slabs`` is (L, nb, n), with level k of block j at [k, j] in the order
+    of the sweep; the sweep runs through the blocks j = 0 .. nb - 1, or
+    nb - 1 .. 0 with ``reverse``, and ``start`` is the level before the
+    first.  ``powers`` holds mu^1 .. mu^L.  Every block is swept from a zero
+    start at once; each block's start is carried to the next by mu^L; then
+    mu^(k+1) times its start is added to level k of every block.  Returns
+    the final level, as it was stored.
+    """
+    for k in range(1, slabs.shape[0]):
+        slabs[k] += powers[0] * slabs[k - 1]
+    starts = np.empty(slabs.shape[1:])  # the level before each block
+    blocks = range(starts.shape[0])
+    for j in reversed(blocks) if reverse else blocks:
+        starts[j] = start
+        start = slabs[-1, j] + powers[-1] * start
+    for k in range(slabs.shape[0]):
+        slabs[k] += powers[k] * starts
+    return start
+
+
+def _sweep_levels(levels, mu, start):
+    """``levels[i] += mu * (level before)`` one level at a time, in place; returns the last."""
+    for row in levels:
+        row += mu * start
+        start = row
+    return start
+
+
+def _sweep(x, powers, start, reverse=False):
+    """The recurrence x_n += mu x_(n-1) over levels 1 .. N in sweep order, in place.
+
+    ``start`` is x_0.  With ``reverse`` the recurrence runs from level N down
+    to level 1, x_n += mu x_(n+1), and ``start`` is x_(N+1): the tail first,
+    then the blocks from the last, each from its last level.
+    """
+    size = powers.shape[0]
+    n_blocks = x.shape[0] // size
+    slabs = x[:n_blocks * size].reshape(size, n_blocks, x.shape[1])
+    tail = x[n_blocks * size:]
+    if reverse:
+        _sweep_blocks(slabs[::-1], powers, _sweep_levels(tail[::-1], powers[0], start), True)
+    else:
+        _sweep_levels(tail, powers[0], _sweep_blocks(slabs, powers, start, False))
 
 
 def be_march(fe, n_steps):
-    """Backward-Euler time stepping, swept in blocks by ``_propagate``."""
+    """Backward-Euler time stepping in the step's eigenbasis, swept in blocks by ``_sweep``."""
     if n_steps < 1:
         raise ValueError("need at least one time step")
-    times, u_d, sources = _march_data(fe, n_steps)
+    values = (n_steps + 1) * fe.n_nodes
+    if values > MAX_MARCH_VALUES:
+        raise ResourceLimitError(f"{n_steps} steps on {fe.n_nodes} nodes: {values} values per "
+                                 f"history, above the cap of {MAX_MARCH_VALUES}")
+    data = _march_data(fe, n_steps)
     fr, dr = fe.free, fe.dirichlet
-    m_dt = fe.mass[np.ix_(fr, fr)] / (fe.spec.horizon / n_steps)
-    # S and P from one solve: P as S M/dt took the 16384-step oracle gap 5.1e-13 -> 7.9e-13
-    inv, prop = np.hsplit(np.linalg.solve(m_dt + fe.stiffness[np.ix_(fr, fr)],
-                                          np.hstack([np.eye(fr.size), m_dt])), 2)
-    x = np.empty((n_steps + 1, fr.size))  # free nodes, time-major
-    x[0] = np.asarray(fe.spec.q(fe.nodes), dtype=float)[fr]
-    # every level's S (b_n - K_fd g_n) in one product: rows [b_n | g_n] [I; -K_df] S^T
-    lift = np.vstack([np.eye(fr.size), -fe.stiffness[np.ix_(dr, fr)]])
-    np.matmul(sources, lift @ inv.T, out=x[1:])
-    # block size isqrt(N) serves both sweeps: N levels forward, N - 1 back
-    powers = _propagator_powers(prop, isqrt(n_steps))
-    _propagate(x, powers)
-    u = np.empty((fe.n_nodes, n_steps + 1))
-    u[fr] = x.T
-    u[dr] = u_d.T
-    return MarchingSolution(times=times, states=u, fe=fe, step_inverse=inv, powers=powers)
+    dt = fe.spec.horizon / n_steps
+    lam, basis = _modal_basis(fe)
+    # block size isqrt(N) serves both sweeps: N levels forward and back
+    decay = _decay_powers(dt, lam, isqrt(n_steps))
+    # every level's dt mu V^T (b_n - K_fd g_n) in one product: rows [b_n | g_n] [I; -K_df] V dt mu
+    lift = np.vstack([basis, -fe.stiffness[np.ix_(dr, fr)] @ basis]) * (dt * decay[0])
+    modes = data.sources @ lift
+    _sweep(modes, decay, basis.T @ (fe.mass[np.ix_(fr, fr)] @ data.initial))
+    return MarchingSolution(fe=fe, data=data, modes=modes, basis=basis, decay=decay)
 
 
 def be_aao_solve(fe, n_steps):
@@ -246,49 +346,65 @@ def be_aao_solve(fe, n_steps):
     stored history, which grow linearly with the number of steps.
     """
     sol = be_march(fe, n_steps)
-    n_nodes, n_levels = sol.states.shape
+    n_nodes, n_levels = fe.n_nodes, n_steps + 1
     sol.aao_unknowns = n_nodes * n_levels
     sol.aao_memory_bytes = 8 * (fe.free.size * n_steps + 2 * n_nodes**2 + n_nodes * n_levels)
     return sol
 
 
-def be_objective(solution):
-    """Right-endpoint quadrature of u^T M u over the marched history."""
-    dt = solution.times[1] - solution.times[0]
-    return float(dt * np.einsum("in,in->", solution.states[:, 1:], solution.mass_states))
-
-
-def _adjoint_march(solution):
-    """Adjoint states of levels 1..N_t, one row per level, free nodes only."""
+def _dirichlet_coupling(solution):
+    """g_n of levels 1 .. N_t in sweep order, and R = M_df V."""
     fe = solution.fe
-    # the transposed march, backward in time: M and K are symmetric (by
-    # construction in _p1_matrix), so its propagator (M/dt + K)^-T (M/dt)^T
-    # is the forward's P, and the forward's powers of P serve its sweep
-    dt = fe.spec.horizon / solution.n_steps
-    # every level's S^T dJ/du in one product, levels reversed so the sweep runs forward
-    lam = solution.mass_states[fe.free, ::-1].T @ ((2.0 * dt) * solution.step_inverse)
-    _propagate(lam, solution.powers)
-    return lam[::-1]
+    g = solution.data.sources[:, fe.free.size:]
+    return g, fe.mass[np.ix_(fe.dirichlet, fe.free)] @ solution.basis
+
+
+def be_objective(solution):
+    """Right-endpoint quadrature of u^T M u over the marched history.
+
+    With u_n = [V y_n; g_n] and V^T M_ff V = I, u_n^T M u_n is
+    |y_n|^2 + 2 g_n^T R y_n + g_n^T M_dd g_n.
+    """
+    fe, y = solution.fe, solution.modes
+    dt = solution.times[1] - solution.times[0]
+    g, r = _dirichlet_coupling(solution)
+    m_dd = fe.mass[np.ix_(fe.dirichlet, fe.dirichlet)]
+    return float(dt * (np.vdot(y, y) + 2.0 * np.vdot(r, g.T @ y) + np.vdot(g @ m_dd, g)))
+
+
+def _adjoint_modes(solution):
+    """Modal adjoint states zeta_n of levels 1 .. N_t, in sweep order.
+
+    The transposed march, backward in time: with lambda_n = V zeta_n its
+    level n is zeta_n = mu zeta_(n+1) + 2 dt^2 mu (y_n + R^T g_n), the
+    forward's mu because M and K are symmetric (by construction in
+    ``_p1_matrix``), and 2 dt (M u_n)_f = dJ/dx_n on the right.
+    """
+    dt = solution.fe.spec.horizon / solution.n_steps
+    g, r = _dirichlet_coupling(solution)
+    zeta = g @ r
+    zeta += solution.modes
+    zeta *= (2.0 * dt * dt) * solution.decay[0]
+    _sweep(zeta, solution.decay, np.zeros(zeta.shape[1]), reverse=True)
+    return zeta
 
 
 def be_adjoint_and_sensitivity(solution, rho):
-    """Backward adjoint march and the design gradient of be_objective."""
+    """Backward adjoint march and the design gradient of be_objective.
+
+    dJ/drho_k = -(dkappa_k / h_k) sum_n (D lambda_n)_k (D u_n)_k, with lambda
+    zero on the Dirichlet nodes.  With A = D_f V, D lambda_n = A zeta_n and
+    D u_n = A y_n + D_d g_n, so the sum over levels is the diagonal of
+    A H_1 A^T + A H_2 D_d^T, with H_1 = sum_n zeta_n y_n^T and
+    H_2 = sum_n zeta_n g_n^T.
+    """
     fe = solution.fe
-    lam = _adjoint_march(solution)
-    u = solution.states[:, 1:]
-    du = u[:-1] - u[1:]  # per element, one column per level
-    # dJ/drho_k = -(dkappa_k / h_k) sum_n (lambda_n[k] - lambda_n[k + 1]) du_n[k],
-    # with lambda zero on the Dirichlet nodes.  lam's columns are the free
-    # nodes lo .. hi - 1, and node i is the left node of element i (i < n_el)
-    # and the right node of element i - 1 (i > 0).
-    n_el = du.shape[0]
-    lo = int(fe.spec.bc_left == "dirichlet")
-    hi = lo + fe.free.size
-    pairs = np.zeros(n_el)
-    left_end, right_start = min(hi, n_el), max(lo, 1)
-    pairs[lo:left_end] = np.einsum("nj,jn->j", lam[:, :left_end - lo], du[lo:left_end])
-    pairs[right_start - 1:hi - 1] -= np.einsum(
-        "nj,jn->j", lam[:, right_start - lo:], du[right_start - 1:hi - 1])
+    zeta = _adjoint_modes(solution)
+    g, _ = _dirichlet_coupling(solution)
+    diff = _differences(fe.n_nodes)
+    a = diff[:, fe.free] @ solution.basis
+    pairs = np.sum((a @ (zeta.T @ solution.modes)) * a, axis=1)
+    pairs += np.sum((a @ (zeta.T @ g)) * diff[:, fe.dirichlet], axis=1)
     dkap = dkappa_drho(np.asarray(rho, dtype=float), fe.spec.material)
     return -(dkap / np.diff(fe.nodes)) * pairs
 

@@ -18,6 +18,7 @@ import numpy as np
 from .adjoint import objective, sensitivities, solve_adjoint
 from .assembly import Discretization, assemble_global
 from .blocksolve import solve_system
+from .errors import NumericalError
 from .mma import MmaState, mma_update
 
 REL_EPS = 1e-12
@@ -68,12 +69,24 @@ def uniform_feasible_design(volumes, volume_bound):
     return np.full(volumes.size, min(1.0, volume_bound / volumes.sum()))
 
 
+def _finite_forward(forward, rho, where):
+    """``forward(rho)``, refused with a ``NumericalError`` naming ``where`` when
+    its J is not finite.  An overflow inside the forward surfaces in that J, so
+    it is not also warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        j, state = forward(rho)
+    if not np.isfinite(j):
+        raise NumericalError(f"{where}: the objective J = {j} is not finite")
+    return j, state
+
+
 def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_design,
                      max_iters):
     """The MMA design loop shared by every solver.
 
     ``forward(rho) -> (J, state)`` and ``gradient(rho, state) -> dJ/drho``
     supply the physics; the final design is re-evaluated by ``forward`` alone.
+    A non-finite J stops the loop before its gradient is taken.
     """
     rho = (
         uniform_feasible_design(volumes, volume_bound)
@@ -87,7 +100,7 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
     prev_j = None
     for it in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        j, state = forward(rho)
+        j, state = _finite_forward(forward, rho, f"iteration {it}")
         t1 = time.perf_counter()
         grad = gradient(rho, state)
         del state  # else it lives on beside the next forward's system and factors
@@ -116,7 +129,7 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
             trace.stop_reason = "design_change"
             break
     trace.final_rho = rho.copy()
-    trace.final_objective = forward(rho)[0]
+    trace.final_objective = _finite_forward(forward, rho, "final design")[0]
     return trace
 
 

@@ -1,11 +1,15 @@
 """Reference solvers for tests: dense oracles of the space-time system and
 the block elimination of the backward-Euler all-at-once system."""
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from stheat.baselines import MarchingSolution, _dirichlet_values, _load_matrix
+from stheat.baselines import _dirichlet_values, _load_matrix
+
+BlockSolution = namedtuple("BlockSolution", "times states")
 
 
 def to_dense(system):
@@ -69,7 +73,7 @@ def be_block_elimination(fe, n_steps):
     The system stacks every time level: diagonal blocks M/dt + K,
     subdiagonal blocks -M/dt.  Each level is one ``lu_solve`` of the step
     matrix against the previous level; the step matrix is factored here, so
-    the oracle shares neither the factors nor the propagator of ``be_march``.
+    the oracle shares neither the modal basis nor the sweep of ``be_march``.
     """
     spec = fe.spec
     m_dt = fe.mass / (spec.horizon / n_steps)
@@ -94,7 +98,7 @@ def be_block_elimination(fe, n_steps):
         b_n = rhs[:, n] + sub_free @ prev + sub_dir @ u_d[:, n]
         prev = sla.lu_solve(lu, b_n)
         u[fr, n + 1] = prev
-    return MarchingSolution(times=times, states=u, fe=fe)
+    return BlockSolution(times=times, states=u)
 
 
 def be_block_back_substitution(fe, n_steps, rhs):

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from types import ModuleType
 
 import numpy as np
@@ -11,7 +12,9 @@ from oracle import be_block_back_substitution, be_block_elimination, be_block_sy
 
 from stheat import baselines
 from stheat.baselines import (
-    _adjoint_march,
+    _adjoint_modes,
+    _decay_powers,
+    _modal_basis,
     be_adjoint_and_sensitivity,
     be_aao_solve,
     be_march,
@@ -19,6 +22,7 @@ from stheat.baselines import (
     fe_assemble,
     run_topology_optimization_be,
 )
+from stheat.errors import ResourceLimitError
 from stheat.presets import cooling_benchmark
 from stheat.problem import MaterialModel, ProblemSpec, dkappa_drho
 
@@ -186,15 +190,15 @@ def designs_and_steps(draw):
 
 def assert_march_and_adjoint_match_block_oracle(spec, rho, n_steps):
     fe = fe_assemble(spec, rho)
-    # the adjoint reuses the forward's step inverse and propagator powers,
-    # which is valid only because both matrices are exactly symmetric
+    # the adjoint reuses the forward's modal basis and decay, which is valid
+    # only because both matrices are exactly symmetric
     np.testing.assert_array_equal(fe.mass, fe.mass.T)
     np.testing.assert_array_equal(fe.stiffness, fe.stiffness.T)
     march = be_march(fe, n_steps)
     ref = be_block_elimination(fe, n_steps)
     assert np.max(np.abs(march.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
     # lambda solves the transposed all-at-once system against dJ/du of levels 1..N
-    lam = _adjoint_march(march).ravel()
+    lam = march.free_levels(_adjoint_modes(march)).ravel()
     dt = spec.horizon / n_steps
     dj_du = (2.0 * dt * fe.mass @ march.states[:, 1:])[fe.free].T.ravel()
     residual = be_block_system(fe, n_steps).T @ lam - dj_du
@@ -224,7 +228,7 @@ def test_march_and_adjoint_block_edges(bc_left, bc_right, n_steps):
 
 @pytest.mark.parametrize("design", ["half", "alternating"])
 def test_march_and_adjoint_match_block_oracle_at_benchmark_size(design):
-    # the step inverse at the size the cooling-be benchmark runs: 50 cells,
+    # the modal march at the size the cooling-be benchmark runs: 50 cells,
     # 8192 steps, a uniform and a 0/1 design.  The all-at-once residual of
     # the check above cannot resolve 1e-12 here: eps |A| |lambda| / |dJ/du|
     # is 1.3e-12 to 1.6e-12, so the adjoint is compared with a level-by-level
@@ -237,7 +241,8 @@ def test_march_and_adjoint_match_block_oracle_at_benchmark_size(design):
     assert np.max(np.abs(march.states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
     dj_du = (2.0 * (spec.horizon / 8192) * fe.mass @ march.states[:, 1:])[fe.free].T
     lam_ref = be_block_back_substitution(fe, 8192, dj_du)
-    assert np.max(np.abs(_adjoint_march(march) - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
+    lam = march.free_levels(_adjoint_modes(march))
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
 
 
 def test_be_gradient_matches_fd():
@@ -280,7 +285,7 @@ def test_be_sensitivity_contraction_against_padded_adjoint(bc_left, bc_right, K)
     fe = fe_assemble(data_problem(K, bc_left, bc_right), rho)
     sol = be_march(fe, 37)
     lam = np.zeros((fe.n_nodes, sol.n_steps))
-    lam[fe.free] = _adjoint_march(sol).T
+    lam[fe.free] = sol.free_levels(_adjoint_modes(sol)).T
     dl, du = -np.diff(lam, axis=0), -np.diff(sol.states[:, 1:], axis=0)
     dkap = dkappa_drho(rho, fe.spec.material)
     expected = -(dkap / np.diff(fe.nodes)) * np.sum(dl * du, axis=1)
@@ -359,28 +364,78 @@ def test_design_loop_builds_march_data_once_and_never_stale(monkeypatch):
 
 @pytest.mark.parametrize("aao", [False, True], ids=["march", "aao"])
 def test_design_loop_factors_each_step_matrix_once(monkeypatch, aao):
-    solved, powers = [], []
+    bases, solved = [], []
+    original = baselines._modal_basis
 
-    def counting(record, function, shape_of=None):
-        def wrapper(*args, **kwargs):
-            record.append(None if shape_of is None else np.shape(args[shape_of]))
-            return function(*args, **kwargs)
-        return wrapper
+    def counting_basis(fe):
+        bases.append(fe)
+        return original(fe)
 
-    monkeypatch.setattr(np.linalg, "solve", counting(solved, np.linalg.solve, shape_of=1))
-    monkeypatch.setattr(baselines, "_propagator_powers",
-                        counting(powers, baselines._propagator_powers))
+    def recording_solve(*args, **kwargs):
+        solved.append(args)
+        return np.linalg.solve(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "_modal_basis", counting_basis)
+    monkeypatch.setattr(baselines.np.linalg, "solve", recording_solve)
     spec, _ = counting_problem()
-    n_free = fe_assemble(spec, np.full(8, 0.5)).free.size
     trace = run_topology_optimization_be(spec, 0.5, 16, aao=aao, max_iters=4)
     assert trace.iterations == 4
-    # one factorization per forward march, the final design's included: the
-    # adjoint runs on the forward's step inverse and propagator powers
-    forwards = trace.iterations + 1
-    assert len(powers) == forwards
-    # its only solve forms the step inverse and the propagator together:
-    # never a 16-column batch of levels
-    assert solved == [(n_free, 2 * n_free)] * forwards
+    # one modal decomposition per forward march, the final design's included:
+    # the adjoint runs on the forward's basis and decay, and nothing solves
+    assert len(bases) == trace.iterations + 1
+    assert solved == []
+
+
+@pytest.mark.parametrize("bc_left", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("bc_right", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("rho", [np.linspace(0.1, 1.0, 9), np.arange(9) % 2.0,
+                                 np.array([1.0, 0.0, 0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 1.0])],
+                         ids=["graded", "alternating", "zero-cells"])
+def test_modal_basis_is_m_orthonormal_eigenbasis(bc_left, bc_right, rho):
+    # kappa_min = 0 makes the rho = 0 cells non-conducting: with Neumann ends
+    # they split the rod into pieces, each with a constant null vector
+    spec = ProblemSpec(domain=(0.0, 1.0), horizon=1.0, n_elements=9, nx=1, nt=1,
+                       material=MaterialModel(0.0, 1.0, 3.0), bc_left=bc_left, bc_right=bc_right)
+    fe = fe_assemble(spec, rho)
+    fr = fe.free
+    m_ff, k_ff = fe.mass[np.ix_(fr, fr)], fe.stiffness[np.ix_(fr, fr)]
+    lam, basis = _modal_basis(fe)
+    assert lam.shape == (fr.size,) and np.all(lam >= 0.0)
+    np.testing.assert_allclose(basis.T @ m_ff @ basis, np.eye(fr.size), rtol=0, atol=1e-12)
+    scale = np.max(np.abs(k_ff)) * np.max(np.abs(basis))
+    assert np.max(np.abs(k_ff @ basis - m_ff @ basis * lam)) <= 1e-12 * scale
+    if bc_left == bc_right == "neumann":
+        # one null vector per piece: nodes minus conducting cells
+        assert np.sum(lam <= 1e-12 * lam.max()) == fe.n_nodes - np.count_nonzero(rho)
+
+
+def test_decay_powers_are_not_powers_of_the_rounded_decay():
+    # mu^k = (1 + dt lam)^-k for the block length of a 16384-step march: the
+    # rounding error of mu, raised to the k-th power, grows to k ulps, where
+    # exp(-k log1p(dt lam)) stays within a few ulps of k log1p(dt lam) + 1
+    dt, size = 1.0 / 16384, 128
+    lam = np.geomspace(1e-3, 1e5, 101)
+    powers = _decay_powers(dt, lam, size)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        decay = [1 / (1 + Decimal(dt) * Decimal(x)) for x in lam]
+        exact = np.array([[float(mu**k) for mu in decay] for k in range(1, size + 1)])
+    rel = np.abs(powers - exact) / exact
+    exponent = np.arange(1, size + 1)[:, None] * np.log1p(dt * lam)
+    assert np.all(rel <= 4 * np.finfo(float).eps * (1 + exponent))
+
+
+def test_march_refuses_histories_above_the_cap(monkeypatch):
+    spec, _ = smooth_problem(K=50)
+    fe = fe_assemble(spec, np.full(50, 0.5))
+    # 10^12 levels of 51 nodes: refused before anything that size is allocated
+    with pytest.raises(ResourceLimitError, match="above the cap of 20000000"):
+        be_march(fe, 10**12)
+    assert 16385 * fe.n_nodes < baselines.MAX_MARCH_VALUES // 20
+    monkeypatch.setattr(baselines, "MAX_MARCH_VALUES", 17 * fe.n_nodes)
+    assert be_march(fe, 16).states.shape == (fe.n_nodes, 17)
+    with pytest.raises(ResourceLimitError, match=f"17 steps on {fe.n_nodes} nodes"):
+        be_march(fe, 17)
 
 
 @pytest.mark.parametrize("aao", [False, True], ids=["march", "aao"])

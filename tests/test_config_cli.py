@@ -397,6 +397,29 @@ def test_cli_typed_numerical_error_is_one_line_and_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("solver, sweep", [("st-se", ""), ("be-fe", "nt_steps_sweep = 16\n")],
+                         ids=["st-se", "be-fe"])
+def test_cli_non_finite_objective_is_one_line_and_exit_3(tmp_path, capsys, solver, sweep):
+    # a source of 1e300 overflows J in the first forward solve: refused there,
+    # before any gradient, and without a RuntimeWarning on the way (pyproject
+    # turns every warning into an error)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\nsource_offset = 1e300\n[run]\nsolvers = {solver}\n{sweep}")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "NumericalError: iteration 1: the objective J = inf is not finite\n"
+
+
+def test_cli_march_above_the_history_cap_is_exit_3(tmp_path, capsys):
+    # 10^12 steps on 51 nodes are refused before their arrays are allocated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nsolvers = be-fe\nnt_steps_sweep = 1000000000000\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ResourceLimitError: 1000000000000 steps on 51 nodes")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "key",

@@ -12,6 +12,7 @@ from stheat.baselines import (
     run_topology_optimization_be,
 )
 from stheat.blocksolve import solve_system
+from stheat.errors import NumericalError
 from stheat.optimize import run_topology_optimization, uniform_feasible_design
 from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
@@ -139,3 +140,21 @@ def test_feasibility_throughout():
     for rec in trace.records:
         assert rec.rho @ volumes <= vstar + 1e-9
         assert np.all(rec.rho >= -1e-12) and np.all(rec.rho <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize("j", [np.inf, np.nan])
+def test_non_finite_objective_refused_before_its_gradient(j):
+    objectives = iter([1.0, j])
+
+    def forward(rho):
+        return next(objectives), None
+
+    gradients = []
+
+    def gradient(rho, state):
+        gradients.append(rho)
+        return np.ones_like(rho)
+
+    with pytest.raises(NumericalError, match=f"iteration 2: the objective J = {j} is not finite"):
+        optimize._run_design_loop(forward, gradient, np.full(4, 0.25), 0.5, None, 0.0, 5)
+    assert len(gradients) == 1
