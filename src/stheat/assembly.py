@@ -32,9 +32,14 @@ import scipy.sparse as sp
 
 from .errors import ResourceLimitError
 from .problem import choose_sat_coefficients, kappa
-from .sbp import build_sbp_1d
+from .sbp import build_sbp_1d, build_sbp_elements
 
 NODE_CAP = 100_000
+# cap on the values of one run's largest arrays: a state holds K n_x n_t of
+# them and the element operators D and Q, like the entries of M, K n_x^2.
+# The largest run of the presets, the tests and the default sweeps, the
+# criterion-6 reference at 80 x 60, has 2 x 81 x 81 = 13 122.
+MAX_RUN_VALUES = 1_000_000
 
 
 @dataclass
@@ -99,12 +104,14 @@ class Discretization:
             raise ResourceLimitError(
                 f"element would hold {n} nodes, above the cap of {NODE_CAP}"
             )
-        edges = spec.element_edges
+        values = spec.n_elements * self.n_x * max(self.n_x, spec.nt + 1)
+        if values > MAX_RUN_VALUES:
+            raise ResourceLimitError(
+                f"{spec.n_elements} elements of {self.n_x} x {spec.nt + 1} nodes: {values} "
+                f"values per state or operator array, above the cap of {MAX_RUN_VALUES}"
+            )
         self.op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
-        self.ops_x = [
-            build_sbp_1d(self.n_x, (edges[k], edges[k + 1]))
-            for k in range(spec.n_elements)
-        ]
+        self.ops_x = build_sbp_elements(self.n_x, spec.element_edges)
         self.sat = choose_sat_coefficients(self.ops_x, spec.material, s, safety, sigma_0)
 
     @property

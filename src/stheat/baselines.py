@@ -182,9 +182,10 @@ def _dirichlet_values(fe, times):
 def _load_matrix(fe, times):
     """Nodal loads M f(t_n) plus Neumann flux data, one row per level."""
     spec = fe.spec
-    T, X = np.broadcast_arrays(times[:, None], fe.nodes[None, :])
-    f_nodes = np.asarray(spec.f(X.copy(), T.copy()), dtype=float)
-    loads = f_nodes @ fe.mass  # M is symmetric
+    # the source broadcasts a row of nodes against a column of times, so a
+    # term in t alone is evaluated once per level, not once per node
+    f_nodes = np.asarray(spec.f(fe.nodes[None, :], times[:, None]), dtype=float)
+    loads = np.broadcast_to(f_nodes, (times.size, fe.n_nodes)) @ fe.mass  # M is symmetric
     if spec.bc_left == "neumann":
         loads[:, 0] -= np.asarray(spec.h(times), dtype=float)
     if spec.bc_right == "neumann":

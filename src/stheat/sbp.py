@@ -7,10 +7,14 @@ collocation on LGL nodes produces such operators for free: the LGL rule is
 exact for polynomials of degree 2n - 3, which covers u * v' for any pair of
 degree n - 1 polynomials, and the boundary terms of the discrete
 integration by parts reduce to the endpoint values.
+
+Operators on the elements of a partition share one node count, and each is
+the reference operator on [-1, 1] mapped affinely, so
+``build_sbp_elements`` forms the reference D once and scales it to every
+element in one array pass; ``build_sbp_1d`` is its one-interval case.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +128,7 @@ def _barycentric_diff(x):
 
     The weights are products of node differences, which on [-1, 1]
     (logarithmic capacity 1/2) underflow past about 750 nodes, so
-    ``build_sbp_1d`` passes the doubled nodes of [-2, 2] (capacity 1).
+    ``build_sbp_elements`` passes the doubled nodes of [-2, 2] (capacity 1).
     Diagonal entries use the negative-row-sum trick, which enforces exact
     differentiation of constants and is the best-conditioned classical form.
     """
@@ -137,42 +141,56 @@ def _barycentric_diff(x):
     return D
 
 
-def build_sbp_1d(n_nodes, interval):
-    """Construct the LGL SBP operator of ``n_nodes`` points on ``interval``.
+def build_sbp_elements(n_nodes, edges):
+    """The LGL SBP operators of ``n_nodes`` points on the intervals between ``edges``.
 
     Every operator is the reference one on [-1, 1] mapped affinely, so
     operators on different intervals are exactly covariant: D scales by
-    2/(b-a) and P by (b-a)/2.  Only the LGL rule, O(n) per node count, is
-    cached: it holds the Newton solve, which dominates the cost.  D is formed
-    from the rule on each call, tens of microseconds of barycentric products,
-    because a cache of n x n matrices would grow with every node count a
-    refinement sweep visits.
+    2/(b-a) and P by (b-a)/2.  The reference D is formed once and mapped to
+    all K intervals in one array pass, the same elementwise arithmetic as a
+    single interval's, so each operator is bitwise the one built alone; the
+    K operators hold views of one (K, n, n) array for D and one for Q.
+    Only the LGL rule, O(n) per node count, is cached: it holds the Newton
+    solve.  The reference D is not, because a cache of n x n matrices would
+    grow with every node count a refinement sweep visits.
     """
-    a, b = float(interval[0]), float(interval[1])
-    # a finite width b - a also rules out an infinite end; a < b rules out nan
-    if not (a < b and math.isfinite(b - a)):
-        raise ValueError(f"interval needs a < b and a finite width b - a, got [{a}, {b}]")
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        width = b - a
+        # a finite width b - a also rules out an infinite end; a < b rules out nan
+        bad = ~((a < b) & np.isfinite(width))
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(f"interval needs a < b and a finite width b - a, "
+                         f"got [{float(a[k])}, {float(b[k])}]")
     if n_nodes > MAX_OPERATOR_NODES:
         raise ResourceLimitError(f"{n_nodes} nodes: operators are built for at most "
                                  f"{MAX_OPERATOR_NODES}, where their products stay finite")
     rule = lgl_rule(n_nodes)
-    scale = 0.5 * (b - a)
-    nodes = a + scale * (rule.nodes + 1.0)
+    scale = 0.5 * width
+    nodes = a[:, None] + scale[:, None] * (rule.nodes + 1.0)
     # LGL nodes lie closest at the ends, so distinct end pairs mean distinct nodes
-    if not (nodes[1] > nodes[0] and nodes[-1] > nodes[-2]):
-        raise ValueError(f"interval [{a}, {b}] is too narrow for {n_nodes} distinct nodes")
-    weights = scale * rule.weights
+    narrow = ~((nodes[:, 1] > nodes[:, 0]) & (nodes[:, -1] > nodes[:, -2]))
+    if narrow.any():
+        k = np.argmax(narrow)
+        raise ValueError(f"interval [{float(a[k])}, {float(b[k])}] is too narrow "
+                         f"for {n_nodes} distinct nodes")
+    weights = scale[:, None] * rule.weights
     # doubling is exact and halves D exactly: bitwise the D of [-1, 1] / scale
-    D = _barycentric_diff(2.0 * rule.nodes) / (0.5 * scale)
-    Q = weights[:, None] * D
-    return SbpOperator1D(
-        interval=(a, b),
-        nodes=nodes,
-        weights=weights,
-        D=D,
-        Q=Q,
-        degree=n_nodes - 1,
-    )
+    D = _barycentric_diff(2.0 * rule.nodes) / (0.5 * scale)[:, None, None]
+    Q = weights[:, :, None] * D
+    return [
+        SbpOperator1D(interval=(float(a[k]), float(b[k])), nodes=nodes[k], weights=weights[k],
+                      D=D[k], Q=Q[k], degree=n_nodes - 1)
+        for k in range(edges.size - 1)
+    ]
+
+
+def build_sbp_1d(n_nodes, interval):
+    """The LGL SBP operator of ``n_nodes`` points on ``interval``: the
+    one-interval case of ``build_sbp_elements``."""
+    return build_sbp_elements(n_nodes, (interval[0], interval[1]))[0]
 
 
 def verify_sbp(op):

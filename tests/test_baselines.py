@@ -23,8 +23,9 @@ from stheat.baselines import (
     run_topology_optimization_be,
 )
 from stheat.errors import ResourceLimitError
-from stheat.presets import cooling_benchmark
+from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec, dkappa_drho
+from stheat.verification import forward_convergence_spec
 
 UNIT = MaterialModel(kappa_min=1.0, kappa_max=1.0, p=1.0)
 
@@ -436,6 +437,26 @@ def test_march_refuses_histories_above_the_cap(monkeypatch):
     assert be_march(fe, 16).states.shape == (fe.n_nodes, 17)
     with pytest.raises(ResourceLimitError, match=f"17 steps on {fe.n_nodes} nodes"):
         be_march(fe, 17)
+
+
+@pytest.mark.parametrize("spec", [
+    cooling_benchmark()[0],  # 10 + sin(10 (x + t)) + sin(10 t)
+    two_design_benchmark()[0],  # a constant
+    replace(cooling_benchmark(n_elements=6)[0], f=ProblemSpec.f),  # the default zero source
+    forward_convergence_spec(3)[0],  # the manufactured source, by element
+], ids=["cooling", "two-design", "zero", "manufactured"])
+def test_loads_are_bitwise_the_full_grid_ones(spec):
+    # the source is called on a row of nodes and a column of times; on the
+    # full (levels x nodes) grid it gives the same values
+    fe = fe_assemble(spec, np.full(spec.n_elements, 0.5))
+    times = np.linspace(0.0, spec.horizon, 1025)
+    T, X = np.broadcast_arrays(times[:, None], fe.nodes[None, :])
+    full = np.asarray(spec.f(X.copy(), T.copy()), dtype=float) @ fe.mass
+    if spec.bc_left == "neumann":
+        full[:, 0] -= np.asarray(spec.h(times), dtype=float)
+    if spec.bc_right == "neumann":
+        full[:, -1] += np.asarray(spec.g(times), dtype=float)
+    assert baselines._load_matrix(fe, times).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("aao", [False, True], ids=["march", "aao"])

@@ -303,7 +303,8 @@ def test_factor_hands_splu_the_sparse_sum(case):
         system = assemble_global(*_shifted_matrix_cases()[case])
     handed = []
 
-    def record(A):
+    def record(A, **kwargs):
+        assert kwargs == {"permc_spec": "NATURAL"}
         handed.append((A.format, A.nnz, {attr: getattr(A, attr).copy()
                                          for attr in ("indptr", "indices", "data")}))
 
@@ -318,3 +319,31 @@ def test_factor_hands_splu_the_sparse_sum(case):
             want = getattr(expected, attr)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), attr
+
+
+def test_natural_order_is_bitwise_colamd_on_two_design():
+    """On two conducting elements COLAMD returns the identity, so the natural
+    order factors every mode to the same bits, and the solution follows.
+
+    The designs span the scalar reference's bracket [1e-4, 0.75 - 1e-4] on
+    the volume line.  A cell at kappa = 0 stores explicit zeros, which the
+    sparse matrix drops, and there COLAMD does permute.
+    """
+    disc = Discretization(two_design_benchmark(nx=40, nt=30)[0])
+    splu = spla.splu
+
+    def colamd(A, **kwargs):
+        return splu(A, permc_spec="COLAMD")
+
+    for rho in ([1e-4, 0.75 - 1e-4], [0.5, 0.25], [0.75 - 1e-4, 1e-4], [0.9, 0.1]):
+        system = assemble_global(disc, np.array(rho))
+        natural = factor(system)
+        u, _ = solve_system(system)
+        with mock.patch.object(spla, "splu", side_effect=colamd):
+            reference = factor(system)
+            u_reference, _ = solve_system(system)
+        for lu, ref in zip(natural.lus, reference.lus, strict=True):
+            for got, want in ((lu.L.data, ref.L.data), (lu.U.data, ref.U.data),
+                              (lu.perm_r, ref.perm_r)):
+                assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == u_reference.tobytes()

@@ -410,6 +410,16 @@ def test_cli_non_finite_objective_is_one_line_and_exit_3(tmp_path, capsys, solve
     assert err == "NumericalError: iteration 1: the objective J = inf is not finite\n"
 
 
+def test_cli_run_above_the_size_cap_is_exit_3(tmp_path, capsys):
+    # 10^9 elements are refused before their edges or operators are built
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nelements = 1000000000\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ResourceLimitError: 1000000000 elements of 6 x 16 nodes")
+    assert err.count("\n") == 1
+
+
 def test_cli_march_above_the_history_cap_is_exit_3(tmp_path, capsys):
     # 10^12 steps on 51 nodes are refused before their arrays are allocated
     cfg = tmp_path / "run.cfg"

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stheat import sbp
 from stheat.assembly import Discretization
 from stheat.errors import ResourceLimitError
-from stheat.presets import cooling_benchmark
+from stheat.presets import cooling_benchmark, two_design_benchmark
+from stheat.problem import MaterialModel, ProblemSpec
 from stheat.sbp import MAX_OPERATOR_NODES, build_sbp_1d, lgl_rule, verify_sbp
 
 
@@ -55,6 +57,54 @@ def test_discretization_solves_each_rule_once():
     lgl_rule.cache_clear()
     Discretization(cooling_benchmark()[0])
     assert lgl_rule.cache_info().misses <= 2
+
+
+def test_discretization_forms_one_reference_d_per_node_count():
+    # 50 spatial operators of six nodes share one reference D; the time rule has its own
+    with mock.patch("stheat.sbp._barycentric_diff", wraps=sbp._barycentric_diff) as diff:
+        Discretization(cooling_benchmark()[0])
+    assert diff.call_count == 2
+
+
+def per_element_operator(n, a, b):
+    """The operator of one interval, formed alone with scalar end points."""
+    rule = lgl_rule(n)
+    scale = 0.5 * (b - a)
+    weights = scale * rule.weights
+    D = sbp._barycentric_diff(2.0 * rule.nodes) / (0.5 * scale)
+    return a + scale * (rule.nodes + 1.0), weights, D, weights[:, None] * D
+
+
+def assert_element_operators_bitwise_alone(spec):
+    disc = Discretization(spec)
+    edges = spec.element_edges
+    assert len(disc.ops_x) == spec.n_elements
+    for k, op in enumerate(disc.ops_x):
+        a, b = float(edges[k]), float(edges[k + 1])
+        alone = build_sbp_1d(disc.n_x, (a, b))
+        assert op.interval == alone.interval == (a, b)
+        assert op.degree == alone.degree == disc.n_x - 1
+        for name, want in zip(("nodes", "weights", "D", "Q"), per_element_operator(disc.n_x, a, b)):
+            assert getattr(op, name).tobytes() == want.tobytes() == getattr(alone, name).tobytes()
+
+
+@pytest.mark.parametrize("spec", [cooling_benchmark()[0], two_design_benchmark()[0]],
+                         ids=["cooling", "two-design"])
+def test_element_operators_are_bitwise_the_per_element_ones(spec):
+    assert_element_operators_bitwise_alone(spec)
+
+
+@settings(max_examples=40)
+@given(
+    nx=st.integers(1, 12),
+    start=st.floats(-1e3, 1e3),
+    widths=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
+)
+def test_element_operators_on_drawn_breakpoints_are_bitwise_the_per_element_ones(nx, start, widths):
+    edges = start + np.cumsum([0.0, *widths])
+    spec = ProblemSpec(domain=(edges[0], edges[-1]), horizon=1.0, n_elements=len(widths),
+                       nx=nx, nt=2, material=MaterialModel(0.0, 1.0), breakpoints=tuple(edges))
+    assert_element_operators_bitwise_alone(spec)
 
 
 @settings(max_examples=60)

@@ -5,9 +5,12 @@ spatial operator ``ops_x[k]``.  States are stacked time-major: entry
 j*n_s + s is spatial node s = k*n_x + i at time level j.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from stheat import assembly
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.errors import ResourceLimitError
 from stheat.problem import MaterialModel, ProblemSpec
@@ -168,3 +171,19 @@ def test_layout_index_bijection():
 def test_node_cap_enforced():
     with pytest.raises(ResourceLimitError, match="above the cap of 100000"):
         make_disc(400, 300)
+
+
+@pytest.mark.parametrize(
+    "n_elements, nx_nodes, nt_nodes, values",
+    [(10**9, 6, 16, 96 * 10**9), (2000, 1000, 2, 2 * 10**9), (5000, 6, 40, 1_200_000)],
+    ids=["elements", "operators", "state"],
+)
+def test_run_size_cap_refuses_before_building_anything(n_elements, nx_nodes, nt_nodes, values):
+    # each element is within NODE_CAP; the run's states or element operators are not
+    refuse = mock.Mock(side_effect=AssertionError("built before the size check"))
+    with mock.patch.object(ProblemSpec, "element_edges", new_callable=mock.PropertyMock,
+                           side_effect=refuse), \
+            mock.patch.object(assembly, "build_sbp_1d", refuse), \
+            mock.patch.object(assembly, "build_sbp_elements", refuse), \
+            pytest.raises(ResourceLimitError, match=f"{values} values .* above the cap of 1000000"):
+        make_disc(nx_nodes, nt_nodes, n_elements=n_elements)
