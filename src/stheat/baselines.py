@@ -57,9 +57,10 @@ from .errors import ResourceLimitError
 from .optimize import _run_design_loop
 from .problem import dkappa_drho, kappa
 
-# cap on the (levels x nodes) values of one march array: 160 MB of float64,
-# of which a march and its adjoint hold about four at once.  The default
-# compare sweep's largest cell, 16384 steps on 51 nodes, has 835 635.
+# cap on the (levels x nodes) values of one march array, and on the (nodes x
+# nodes) values of one dense FE matrix: 160 MB of float64, of which a march
+# and its adjoint hold about four at once.  The default compare sweep's
+# largest cell, 16384 steps on 51 nodes, has 835 635.
 MAX_MARCH_VALUES = 20_000_000
 
 
@@ -316,14 +317,18 @@ def _sweep(x, powers, start, reverse=False):
         _sweep_levels(tail, powers[0], _sweep_blocks(slabs, powers, start, False))
 
 
+def _check_history(n_steps, n_nodes):
+    values = (n_steps + 1) * n_nodes
+    if values > MAX_MARCH_VALUES:
+        raise ResourceLimitError(f"{n_steps} steps on {n_nodes} nodes: {values} values per "
+                                 f"history, above the cap of {MAX_MARCH_VALUES}")
+
+
 def be_march(fe, n_steps):
     """Backward-Euler time stepping in the step's eigenbasis, swept in blocks by ``_sweep``."""
     if n_steps < 1:
         raise ValueError("need at least one time step")
-    values = (n_steps + 1) * fe.n_nodes
-    if values > MAX_MARCH_VALUES:
-        raise ResourceLimitError(f"{n_steps} steps on {fe.n_nodes} nodes: {values} values per "
-                                 f"history, above the cap of {MAX_MARCH_VALUES}")
+    _check_history(n_steps, fe.n_nodes)
     data = _march_data(fe, n_steps)
     fr, dr = fe.free, fe.dirichlet
     dt = fe.spec.horizon / n_steps
@@ -421,6 +426,12 @@ def run_topology_optimization_be(
 ):
     """MMA loop driven by the backward-Euler forward/adjoint pair; ``aao``
     reports each forward solve with its all-at-once accounting."""
+    # refused before the element edges, the dense (K+1) x (K+1) matrices or a history is built
+    n_nodes = spec.n_elements + 1
+    _check_history(n_steps, n_nodes)
+    if n_nodes * n_nodes > MAX_MARCH_VALUES:
+        raise ResourceLimitError(f"{spec.n_elements} elements: {n_nodes * n_nodes} values per "
+                                 f"mass or stiffness matrix, above the cap of {MAX_MARCH_VALUES}")
     solver = be_aao_solve if aao else be_march
     march_cache = {}
 

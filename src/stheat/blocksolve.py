@@ -17,10 +17,12 @@ Transposed systems A^T x = b reuse the same factors: with Y = P_t X and
 V = Z^T Y they read R^T V W + V M = Z^T B, solved by forward substitution
 with the transposed spatial factors.
 
-SuperLU factors each R_jj W + M in its natural column order, with no
-fill-reducing permutation: M couples an element only to its neighbours, so
-in the element-by-element node order of ``assembly`` the matrix is already
-banded, with lower and upper bandwidth n_x.
+Each R_jj W + M is banded: M couples an element only to its neighbours, so
+in the element-by-element node order of ``assembly`` its lower and upper
+bandwidths are n_x.  Where LAPACK's band storage (2 kl + ku + 1 rows) is
+smaller than the matrix, as on the fifty-element cooling preset, ``zgbtrf``
+factors each mode in that storage.  Where the band spans the matrix, as on
+two elements, SuperLU factors it in its natural column order.
 """
 
 from dataclasses import dataclass
@@ -28,20 +30,37 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .errors import SingularSystemError
+from .errors import NumericalError, SingularSystemError
 
 
 @dataclass
 class SchurFactorization:
-    """Sparse LU factors of R_jj W + M for every time mode j of ``disc.schur``."""
+    """LU factors of R_jj W + M for every time mode j of ``disc.schur``."""
 
     disc: object
     lus: list
 
 
+@dataclass
+class BandLU:
+    """``zgbtrf``'s LU factors of one banded matrix, solved as a SuperLU object is."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    kl: int
+    ku: int
+
+    def solve(self, rhs, trans="N"):
+        x, info = zgbtrs(self.lu, self.kl, self.ku, rhs, self.piv, trans={"N": 0, "T": 1}[trans])
+        if info != 0:
+            raise ValueError(f"zgbtrs rejected its argument {-info}")
+        return x
+
+
 def _shift_pattern(M):
-    """The CSC pattern of |M| + I, M's entries on it, and where its diagonal sits.
+    """The CSC pattern of |M| + I (M canonical CSC), M's entries on it, and where its diagonal sits.
 
     The data of r W + M on this pattern is the returned base data plus r W
     at the diagonal positions.  The sparse sum r W + M drops exact zeros,
@@ -49,10 +68,6 @@ def _shift_pattern(M):
     pattern holds M's nonzero entries only.
     """
     n = M.shape[0]
-    M = sp.csc_matrix(M)
-    if not M.has_canonical_format:
-        M = M.copy()
-        M.sum_duplicates()
     pattern = abs(M) + sp.identity(n, format="csc")
     pattern.sort_indices()
 
@@ -67,27 +82,76 @@ def _shift_pattern(M):
 
 
 def factor(system):
-    """One sparse LU of the spatial factor R_jj W + M per time mode j.
+    """One LU of the spatial factor R_jj W + M per time mode j.
 
-    SuperLU factors each matrix in the natural column order: the element
-    layout is already a band order, so a COLAMD ordering (SuperLU's default)
-    buys nothing.  On two elements it returns the identity and on the
-    cooling preset's fifty it gives more fill than the natural order.  Row
-    pivoting stays SuperLU's threshold partial pivoting.
+    The lower and upper bandwidths kl and ku are read here, and only here,
+    from M's stored entries; ``assembly``'s element order makes both n_x.
+    Which path runs depends on the band alone:
 
-    One CSC matrix on ``_shift_pattern``'s pattern serves every mode: its
-    diagonal entries are rewritten for each mode before ``splu``, whose
-    factors are new arrays that keep no reference to the matrix.  Only a
-    mode whose diagonal cancels gets a matrix of its own, with that entry
-    dropped.
+    - The band LU, where LAPACK's band storage of 2 kl + ku + 1 rows is
+      smaller than the order n of M (the cooling preset's 300 x 300 modes
+      take 19 rows).  M is written once into a complex band array; each
+      mode copies it, adds R_jj W to the diagonal row and factors it with
+      ``zgbtrf``, several times faster than SuperLU on the same matrix.
+    - SuperLU otherwise (two elements, whose band would take 124 rows for
+      82 columns).  It factors each matrix in the natural column order: the
+      element layout is already a band order, so a COLAMD ordering
+      (SuperLU's default) buys nothing.  One CSC matrix on
+      ``_shift_pattern``'s pattern serves every mode: its diagonal entries
+      are rewritten for each mode before ``splu``, whose factors are new
+      arrays that keep no reference to the matrix.  Only a mode whose
+      diagonal cancels gets a matrix of its own, with that entry dropped.
+
+    SuperLU stays only while the two-design bracket search counts roundoff
+    (ROADMAP item 2): a band LU there moves its evaluation count.  Once that
+    search is pinned by the gradient, the band LU serves every problem and
+    the SuperLU branch goes, together with ``_shift_pattern`` (item 3).
+
+    A non-finite entry of M is refused with ``NumericalError`` before any
+    LU (LAPACK does not flag NaN), and an exactly singular mode j with
+    ``SingularSystemError(j)``.
     """
+    M = sp.csc_matrix(system.M)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    if not np.all(np.isfinite(M.data)):
+        raise NumericalError("the spatial operator M has non-finite entries")
     R, _ = system.disc.schur
-    W = system.disc.W
-    pattern, base, diagonal = _shift_pattern(system.M)
+    n = M.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(M.indptr))
+    offsets = M.indices - cols  # i - j of every stored entry
+    kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    if 2 * kl + ku + 1 < n:
+        lus = _band_factors(M, offsets, cols, kl, ku, np.diag(R), system.disc.W)
+    else:
+        lus = _superlu_factors(M, np.diag(R), system.disc.W)
+    return SchurFactorization(system.disc, lus)
+
+
+def _band_factors(M, offsets, cols, kl, ku, shifts, W):
+    """``zgbtrf`` of r W + M for every r in ``shifts``, in LAPACK band storage:
+    entry (i, j) at row kl + ku + i - j, below kl rows of room for the fill."""
+    band = np.zeros((2 * kl + ku + 1, M.shape[0]), dtype=complex, order="F")
+    band[kl + ku + offsets, cols] = M.data
+    lus = []
+    for j, r in enumerate(shifts):
+        ab = band.copy(order="F")
+        ab[kl + ku] += r * W
+        lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise SingularSystemError(j)
+        lus.append(BandLU(lu, piv, kl, ku))
+    return lus
+
+
+def _superlu_factors(M, shifts, W):
+    """SuperLU's ``splu`` of r W + M for every r in ``shifts``, natural column order."""
+    pattern, base, diagonal = _shift_pattern(M)
     A = sp.csc_matrix((base, pattern.indices, pattern.indptr), shape=pattern.shape)
     base_diagonal = base[diagonal]
     lus = []
-    for j, r in enumerate(np.diag(R)):
+    for j, r in enumerate(shifts):
         shifted_diagonal = base_diagonal + r * W
         A.data[diagonal] = shifted_diagonal
         mode_matrix = A
@@ -99,7 +163,7 @@ def factor(system):
             lus.append(spla.splu(mode_matrix, permc_spec="NATURAL"))
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(j) from err
-    return SchurFactorization(system.disc, lus)
+    return lus
 
 
 def _grid(fact, rhs):

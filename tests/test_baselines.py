@@ -439,6 +439,36 @@ def test_march_refuses_histories_above_the_cap(monkeypatch):
         be_march(fe, 17)
 
 
+@pytest.mark.parametrize("elements, n_steps, message", [
+    (10**9, 16384, "16384 steps on 1000000001 nodes: 16385000016385 values per history"),
+    (5 * 10**6, 1, "5000000 elements: 25000010000001 values per mass or stiffness matrix"),
+], ids=["history", "matrix"])
+def test_design_loop_refuses_sizes_above_the_cap_before_building(monkeypatch, elements, n_steps,
+                                                                 message):
+    spec, bound = cooling_benchmark(n_elements=elements)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(ProblemSpec, "element_edges", property(unreachable))
+    monkeypatch.setattr(ProblemSpec, "element_volumes", property(unreachable))
+    monkeypatch.setattr(baselines, "fe_assemble", unreachable)
+    with pytest.raises(ResourceLimitError, match=f"^{message}, above the cap of 20000000$"):
+        run_topology_optimization_be(spec, bound, n_steps)
+
+
+def test_design_loop_size_cap_is_inclusive(monkeypatch):
+    # K + 1 = 51 nodes: 51^2 values per matrix and (50 + 1) 51 per history fit a cap of 51^2
+    monkeypatch.setattr(baselines, "MAX_MARCH_VALUES", 51 * 51)
+    spec, bound = cooling_benchmark(n_elements=50)
+    assert run_topology_optimization_be(spec, bound, 50, max_iters=1).iterations == 1
+    with pytest.raises(ResourceLimitError, match="51 steps on 51 nodes"):
+        run_topology_optimization_be(spec, bound, 51, max_iters=1)
+    spec, bound = cooling_benchmark(n_elements=51)
+    with pytest.raises(ResourceLimitError, match="51 elements: 2704 values"):
+        run_topology_optimization_be(spec, bound, 1, max_iters=1)
+
+
 @pytest.mark.parametrize("spec", [
     cooling_benchmark()[0],  # 10 + sin(10 (x + t)) + sin(10 t)
     two_design_benchmark()[0],  # a constant

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import to_dense
+from stheat import blocksolve
 from stheat.assembly import Discretization, GlobalSystem, assemble_global
 from stheat.blocksolve import (
     condition_estimate,
@@ -19,7 +20,7 @@ from stheat.blocksolve import (
     solve_system,
     solve_transposed,
 )
-from stheat.errors import SingularSystemError
+from stheat.errors import NumericalError, SingularSystemError
 from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
 
@@ -283,22 +284,17 @@ def _shifted_matrix_cases():
 
 
 @pytest.mark.parametrize(
-    "case",
-    [f"{p}-{d}" for p in ("cooling", "two-design") for d in ("random", "interior", "0/1")]
-    + ["random-M", "singular-M"],
+    "case", [f"two-design-{d}" for d in ("random", "interior", "0/1")] + ["random-M"]
 )
 def test_factor_hands_splu_the_sparse_sum(case):
     """Every mode's matrix is (r_j W + M).tocsc(), bit for bit and with its nnz.
 
-    At kappa = 0 M stores explicit zeros, which the sparse sum drops; the
-    singular hand-built M cancels a diagonal entry of one mode exactly.
+    At kappa = 0 M stores explicit zeros, which the sparse sum drops.
     ``factor`` rewrites one matrix from mode to mode, so the mock copies
     each matrix's arrays as ``splu`` receives it.
     """
     if case == "random-M":
         system = random_system(np.random.default_rng(4), K=3, nx=3, nt=4)
-    elif case == "singular-M":
-        system = singular_system(mode=2)
     else:
         system = assemble_global(*_shifted_matrix_cases()[case])
     handed = []
@@ -319,6 +315,114 @@ def test_factor_hands_splu_the_sparse_sum(case):
             want = getattr(expected, attr)
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), attr
+
+
+def band_storage(A, kl, ku):
+    """A dense matrix in LAPACK's ``gbtrf`` layout: A[i, j] at row kl + ku + i - j."""
+    n = A.shape[0]
+    band = np.zeros((2 * kl + ku + 1, n), dtype=A.dtype)
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            band[kl + ku + i - j, j] = A[i, j]
+    return band
+
+
+def record_zgbtrf():
+    """Patch ``zgbtrf`` to keep a copy of each band it is handed, then factor it."""
+    handed = []
+    zgbtrf = blocksolve.zgbtrf
+
+    def record(ab, kl, ku, **kwargs):
+        handed.append((ab.copy(), kl, ku))
+        return zgbtrf(ab, kl, ku, **kwargs)
+
+    return mock.patch.object(blocksolve, "zgbtrf", side_effect=record), handed
+
+
+@pytest.mark.parametrize("case", [f"cooling-{d}" for d in ("random", "interior", "0/1")])
+def test_factor_hands_zgbtrf_the_band(case):
+    """Every mode's band array is r_j W + M in band storage, bit for bit,
+    with kl = ku = n_x from the element order and no SuperLU call."""
+    system = assemble_global(*_shifted_matrix_cases()[case])
+    n_x = system.disc.n_x
+    patch, handed = record_zgbtrf()
+    with patch, mock.patch.object(spla, "splu", side_effect=AssertionError("splu called")):
+        factor(system)
+    R, _ = system.disc.schur
+    assert len(handed) == R.shape[0]
+    for r, (ab, kl, ku) in zip(np.diag(R), handed):
+        assert (kl, ku) == (n_x, n_x)
+        want = band_storage((r * sp.diags(system.disc.W) + system.M).toarray(), kl, ku)
+        assert ab.dtype == want.dtype and ab.shape == want.shape
+        assert np.array_equal(ab.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("mode", [0, 2, 3])
+def test_singular_band_mode_names_mode(mode):
+    """A diagonal M is banded (kl = ku = 0): zgbtrf finds the cancelled pivot of mode j."""
+    system = singular_system(mode=mode)
+    patch, handed = record_zgbtrf()
+    with patch, mock.patch.object(spla, "splu", side_effect=AssertionError("splu called")):
+        with pytest.raises(SingularSystemError, match=f"time mode {mode}$") as err:
+            factor(system)
+    assert err.value.mode == mode
+    assert len(handed) == mode + 1
+    ab, kl, ku = handed[-1]
+    assert (kl, ku) == (0, 0) and ab[0, 0] == 0
+
+
+def banded_system(rng, K, nx, nt):
+    """``random_system`` with M cut to the element coupling band |i - j| <= n_x."""
+    system = random_system(rng, K, nx, nt)
+    n_x = system.disc.n_x
+    dense = system.M.toarray()
+    offsets = np.subtract.outer(np.arange(dense.shape[0]), np.arange(dense.shape[0]))
+    system.M = sp.csc_matrix(np.where(np.abs(offsets) <= n_x, dense, 0.0))
+    return system
+
+
+@PROPERTY
+@given(
+    K=st.integers(4, 8), nx=st.integers(1, 4), nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1)
+)
+def test_banded_solves_property_random_systems(K, nx, nt, seed):
+    """With K >= 4 the band is narrower than the matrix: the band LU solves
+    both ways to the dense oracle's accuracy."""
+    rng = np.random.default_rng(seed)
+    system = banded_system(rng, K, nx, nt)
+    with mock.patch.object(spla, "splu", side_effect=AssertionError("splu called")):
+        assert_solves_exact(system, rng)
+
+
+@pytest.mark.parametrize("case", ["two-design-40x30", "K=1", "K=2", "K=3", "cooling"])
+def test_factor_path_follows_the_band(case):
+    """SuperLU factors every mode where band storage would span the matrix
+    (two elements, or K <= 3 with an n_x-wide band); zgbtrf every other."""
+    if case == "two-design-40x30":
+        system = assemble_global(*_shifted_matrix_cases()["two-design-random"])
+    elif case == "cooling":
+        system = assemble_global(*_shifted_matrix_cases()["cooling-random"])
+    else:
+        system = banded_system(np.random.default_rng(6), K=int(case[2:]), nx=3, nt=4)
+    n_modes = system.disc.schur[0].shape[0]
+    patch, handed = record_zgbtrf()
+    with patch, mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+        factor(system)
+    band = case == "cooling"
+    assert (splu.call_count, len(handed)) == ((0, n_modes) if band else (n_modes, 0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("case", ["cooling", "two-design"])
+def test_non_finite_spatial_operator_refused_before_any_lu(case, value):
+    system = assemble_global(*_shifted_matrix_cases()[f"{case}-random"])
+    system.M = system.M.copy()
+    system.M.data[7] = value
+    patch, handed = record_zgbtrf()
+    with patch, mock.patch.object(spla, "splu", side_effect=AssertionError("splu called")):
+        with pytest.raises(NumericalError, match="spatial operator M has non-finite entries"):
+            factor(system)
+    assert handed == []
 
 
 def test_natural_order_is_bitwise_colamd_on_two_design():

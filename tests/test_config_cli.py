@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from stheat.config import RunConfig, parse_config, problem_from_config
 from stheat.errors import ConfigError
 from stheat.optimize import run_topology_optimization
 from stheat.presets import cooling_benchmark
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_default_config_is_cooling_benchmark():
@@ -428,6 +434,41 @@ def test_cli_march_above_the_history_cap_is_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ResourceLimitError: 1000000000000 steps on 51 nodes")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("elements, sweep, message", [
+    (1000000000, "", "16384 steps on 1000000001 nodes"),
+    (5000000, "nt_steps_sweep = 1\n", "5000000 elements: 25000010000001 values per mass"),
+], ids=["history", "matrix"])
+def test_cli_be_fe_above_the_size_cap_is_exit_3(tmp_path, capsys, elements, sweep, message):
+    # refused before the element edges or the dense FE matrices are built
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\nelements = {elements}\n[run]\nsolvers = be-fe\n{sweep}")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ResourceLimitError: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("s, message", [
+    # M stays finite (its largest entry is 6.0e300); the solve overflows to NaN
+    ("1e300", "NumericalError: iteration 1: the objective J = nan is not finite\n"),
+    # M holds inf: refused before any LU
+    ("1e308", "NumericalError: the spatial operator M has non-finite entries\n"),
+])
+def test_cli_huge_interface_penalty_is_one_line_and_exit_3(tmp_path, capsys, s, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\nelements = 4\nnx = 3\nnt = 3\n[sat]\ns = {s}\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == message
+
+
+def test_cli_import_leaves_scipy_special_out():
+    code = "import sys, stheat.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
