@@ -85,12 +85,12 @@ class GlobalSystem:
 class Discretization:
     """The 1D SBP operators and SAT coefficients of one problem setup.
 
-    Element k is the tensor product of the time operator ``op_t`` and its
-    spatial operator ``ops_x[k]`` on ``n_x`` nodes.  The penalties ``sat``
-    come from ``choose_sat_coefficients`` with the interface parameter
-    ``s``, the boundary ``safety`` factor and the initial penalty
-    ``sigma_0``; each Dirichlet penalty is sized on the boundary element it
-    acts on.  The pieces of the Kronecker form (T, W, the Schur form of
+    Element k is the tensor product of the time operator ``op_t`` and
+    element k of the stacked spatial operator ``op_x`` on ``n_x`` nodes.
+    The penalties ``sat`` come from ``choose_sat_coefficients`` with the
+    interface parameter ``s``, the boundary ``safety`` factor and the initial
+    penalty ``sigma_0``; each Dirichlet penalty is sized on the boundary
+    element it acts on.  The pieces of the Kronecker form (T, W, the Schur form of
     P_t^-1 T and the kappa-affine terms of M) and the right-hand side are
     built on first use and kept, so reassembly at a new design only
     rescales the kappa-dependent entries.
@@ -111,8 +111,8 @@ class Discretization:
                 f"values per state or operator array, above the cap of {MAX_RUN_VALUES}"
             )
         self.op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
-        self.ops_x = build_sbp_elements(self.n_x, spec.element_edges)
-        self.sat = choose_sat_coefficients(self.ops_x, spec.material, s, safety, sigma_0)
+        self.op_x = build_sbp_elements(self.n_x, spec.element_edges)
+        self.sat = choose_sat_coefficients(self.op_x, spec.material, s, safety, sigma_0)
 
     @property
     def n_elements(self):
@@ -136,7 +136,7 @@ class Discretization:
 
     def coordinates(self):
         """Flat (X, T) coordinates of every node, in the order of a state."""
-        x = np.concatenate([op.nodes for op in self.ops_x])
+        x = self.op_x.nodes.ravel()
         return np.tile(x, self.op_t.n_nodes), np.repeat(self.op_t.nodes, x.size)
 
     def global_p(self):
@@ -159,7 +159,7 @@ class Discretization:
     @cached_property
     def W(self):
         """Diagonal of W: the spatial quadrature weights of all elements."""
-        return np.concatenate([op.weights for op in self.ops_x])
+        return self.op_x.weights.ravel()
 
     @cached_property
     def schur(self):
@@ -200,16 +200,48 @@ class Discretization:
 
         An entry adds ``values * kappa[owner]`` to M, or ``values`` where
         ``owner`` is -1: those entries make up M0, the ones owned by element
-        k make up M_k.  Duplicate positions add up.
+        k make up M_k.  Duplicate positions add up.  Physical boundaries get
+        a Dirichlet penalty or a flux penalty on kappa u_x.  Each interface
+        penalizes the jumps of the value and of the flux kappa u_x between an
+        element and its neighbour.
+
+        Each term is built for all K elements at once.  The triples come
+        element by element, term by term, each term's nonzero entries row by
+        row: the order of a loop over the elements and their dense factors.
         """
-        rows, cols, values, owner = [], [], [], []
-        for row, col, factor, coefficient, kappa_of in _spatial_terms(self):
-            i, j = np.nonzero(factor)
-            rows.append(row * self.n_x + i)
-            cols.append(col * self.n_x + j)
-            values.append(coefficient * factor[i, j])
-            owner.append(np.full(i.size, -1 if kappa_of is None else kappa_of))
-        return tuple(np.concatenate(a) for a in (rows, cols, values, owner))
+        spec, sat, n, D = self.spec, self.sat, self.n_x, self.op_x.D
+        k = np.arange(self.n_elements)[:, None]
+        node, one = np.arange(n), np.ones((k.size, 1))
+        # (elements, column-element offset, local rows, local columns, factor
+        #  of shape (K, m), coefficient, owner offset or None for M0)
+        terms = [(k >= 0, 0, np.repeat(node, n), np.tile(node, n),
+                  -(self.op_x.Q @ D).reshape(k.size, -1), 1.0, 0)]  # -kappa P D_x^2
+        for inner, bc, near, far, offset, s_a, s_b, t, sigma, flux in (
+            (k > 0, spec.bc_left, 0, n - 1, -1,
+             sat.sigma_1, sat.sigma_2, sat.tau_1, sat.sigma_w, 1.0),
+            (k < k.size - 1, spec.bc_right, n - 1, 0, 1,
+             sat.sigma_3, sat.sigma_4, sat.tau_2, sat.sigma_e, -1.0),
+        ):
+            # the near end's row of each D_x, and the far end's row of the neighbour's
+            Dn, Df = D[:, near], np.roll(D[:, far], -offset, axis=0)
+            terms += [
+                (~inner, 0, near, near, one, sigma, None) if bc == "dirichlet"
+                else (~inner, 0, near, node, Dn, flux, 0),
+                (inner, 0, near, near, one, s_a, None),
+                (inner, 0, near, node, Dn, s_b, 0),
+                (inner, 0, node, near, Dn, t, 0),
+                (inner, offset, near, far, one, -s_a, None),
+                (inner, offset, near, node, Df, -s_b, offset),
+                (inner, offset, node, far, Dn, -t, 0),
+            ]
+        entries = []  # rows, cols, values, owner and kept entries of each term, all (K, m)
+        for elements, offset, i, j, factor, coefficient, owned_by in terms:
+            owned = -1 if owned_by is None else k + owned_by
+            kept = elements & (factor != 0)  # exact zeros of a factor are no entries
+            entries.append([np.broadcast_to(a, factor.shape) for a in (
+                k * n + i, (k + offset) * n + j, coefficient * factor, owned, kept)])
+        *triples, keep = (np.hstack(a) for a in zip(*entries))
+        return tuple(a[keep] for a in triples)
 
     def spatial_operator(self, kap):
         """M(kappa) = M0 + sum_k kappa_k M_k as a sparse CSC matrix."""
@@ -217,58 +249,6 @@ class Discretization:
         scale = np.append(kap, 1.0)[owner]  # owner -1 picks the trailing 1
         n_s = self.W.size
         return sp.csc_matrix((values * scale, (rows, cols)), shape=(n_s, n_s))
-
-
-def _spatial_terms(disc):
-    """Every P_t-weighted term of the scheme, as (row element, column element,
-    spatial factor, coefficient, owner).
-
-    A term adds coefficient * kappa_owner * (P_t (x) factor) to the block
-    (row, column), or coefficient * (P_t (x) factor) when owner is None.
-    Physical boundaries get a Dirichlet penalty or a flux penalty on kappa u_x.
-    Each interface penalizes the jumps of the value and of the flux kappa u_x
-    between an element and its neighbour.
-    """
-    spec, sat = disc.spec, disc.sat
-    last = spec.n_elements - 1
-    e_w, e_e = np.eye(disc.n_x)[[0, -1]]
-    Eww, Eee, Ewe, Eew = (np.outer(a, b) for a, b in ((e_w, e_w), (e_e, e_e), (e_w, e_e), (e_e, e_w)))
-    terms = []
-    for k in range(spec.n_elements):
-        op_x = disc.ops_x[k]
-        Dx = op_x.D
-        terms.append((k, k, -(op_x.Q @ Dx), 1.0, k))  # -kappa P D_x^2
-        if k == 0:
-            if spec.bc_left == "dirichlet":
-                terms.append((k, k, Eww, sat.sigma_w, None))
-            else:
-                terms.append((k, k, Eww @ Dx, 1.0, k))
-        else:
-            Dx_left = disc.ops_x[k - 1].D
-            terms += [
-                (k, k, Eww, sat.sigma_1, None),
-                (k, k, Eww @ Dx, sat.sigma_2, k),
-                (k, k, Dx.T @ Eww, sat.tau_1, k),
-                (k, k - 1, Ewe, -sat.sigma_1, None),
-                (k, k - 1, Ewe @ Dx_left, -sat.sigma_2, k - 1),
-                (k, k - 1, Dx.T @ Ewe, -sat.tau_1, k),
-            ]
-        if k == last:
-            if spec.bc_right == "dirichlet":
-                terms.append((k, k, Eee, sat.sigma_e, None))
-            else:
-                terms.append((k, k, Eee @ Dx, -1.0, k))
-        else:
-            Dx_right = disc.ops_x[k + 1].D
-            terms += [
-                (k, k, Eee, sat.sigma_3, None),
-                (k, k, Eee @ Dx, sat.sigma_4, k),
-                (k, k, Dx.T @ Eee, sat.tau_2, k),
-                (k, k + 1, Eew, -sat.sigma_3, None),
-                (k, k + 1, Eew @ Dx_right, -sat.sigma_4, k + 1),
-                (k, k + 1, Dx.T @ Eew, -sat.tau_2, k),
-            ]
-    return terms
 
 
 def assemble_global(disc, rho):
@@ -287,6 +267,5 @@ def residual(u, system):
 
 
 def north_trace(disc, u):
-    """Terminal-time traces of all elements for a stacked state."""
-    last_level = np.asarray(u).reshape(disc.op_t.n_nodes, disc.W.size)[-1]
-    return np.split(last_level, disc.n_elements)
+    """Terminal-time traces of all elements for a stacked state, a (K, n_x) view."""
+    return np.asarray(u).reshape(disc.op_t.n_nodes, disc.n_elements, disc.n_x)[-1]

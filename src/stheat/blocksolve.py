@@ -175,14 +175,25 @@ def _grid(fact, rhs):
     return rhs.reshape(disc.op_t.n_nodes, -1)
 
 
+def _refuse_non_finite(V, order, direction):
+    """LAPACK and SuperLU overflow silently: refuse a non-finite solution,
+    naming the first mode, in substitution order, that holds one."""
+    if not np.isfinite(V).all():
+        j = next(j for j in order if not np.isfinite(V[j]).all())
+        raise NumericalError(f"the {direction} solve is not finite at time mode {j}")
+
+
 def solve(fact, rhs):
     """Solve A x = b: back substitution on R V W + V M^T = Z^H P_t^-1 B, then X = Z V."""
     disc = fact.disc
     R, Z = disc.schur
     C = Z.conj().T @ (_grid(fact, rhs) / disc.op_t.weights[:, None])
     V = np.empty_like(C)
-    for j in range(len(fact.lus) - 1, -1, -1):
-        V[j] = fact.lus[j].solve(C[j] - disc.W * (R[j, j + 1:] @ V[j + 1:]))
+    order = range(len(fact.lus) - 1, -1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by mode
+        for j in order:
+            V[j] = fact.lus[j].solve(C[j] - disc.W * (R[j, j + 1:] @ V[j + 1:]))
+    _refuse_non_finite(V, order, "forward")
     return (Z @ V).real.ravel()
 
 
@@ -192,8 +203,11 @@ def solve_transposed(fact, rhs):
     R, Z = disc.schur
     C = Z.T @ _grid(fact, rhs)
     V = np.empty_like(C)
-    for j in range(len(fact.lus)):
-        V[j] = fact.lus[j].solve(C[j] - disc.W * (R[:j, j] @ V[:j]), trans="T")
+    order = range(len(fact.lus))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by mode
+        for j in order:
+            V[j] = fact.lus[j].solve(C[j] - disc.W * (R[:j, j] @ V[:j]), trans="T")
+    _refuse_non_finite(V, order, "transposed")
     return ((Z.conj() @ V).real / disc.op_t.weights[:, None]).ravel()
 
 

@@ -151,12 +151,12 @@ class SatCoefficients:
         return -self.s
 
 
-def choose_sat_coefficients(ops_x, material, s=0.5, safety=1.0, sigma_0=1.0):
-    """Stability-compliant SAT coefficients for the spatial operators ``ops_x``.
+def choose_sat_coefficients(op_x, material, s=0.5, safety=1.0, sigma_0=1.0):
+    """Stability-compliant SAT coefficients for the stacked spatial operator ``op_x``.
 
     Each boundary penalty is sized on the element it acts on: sigma_w on
-    the first quadrature weight of ``ops_x[0]``, sigma_e on the last one of
-    ``ops_x[-1]``, each ``safety`` times its lower bound kappa_max / (2 w).
+    the first quadrature weight of element 0, sigma_e on the last one of
+    element K-1, each ``safety`` times its lower bound kappa_max / (2 w).
     The interface penalty is kappa_max over the width of element 0, a
     diffusive scale (any positive value is admissible).  Note sigma_0 = 1
     exactly cancels the initial-face term produced by transposing the time
@@ -167,11 +167,11 @@ def choose_sat_coefficients(ops_x, material, s=0.5, safety=1.0, sigma_0=1.0):
         raise ValueError("interface parameter s must be positive")
     if safety < 1:
         raise ValueError("safety factor must be >= 1")
-    a, b = ops_x[0].interval
+    a, b = op_x.interval
     return SatCoefficients(
         sigma_0=sigma_0,
-        sigma_w=safety * material.kappa_max / (2.0 * ops_x[0].weights[0]),
-        sigma_e=safety * material.kappa_max / (2.0 * ops_x[-1].weights[-1]),
-        sigma_1=material.kappa_max / (b - a),
+        sigma_w=safety * material.kappa_max / (2.0 * op_x.weights[0, 0]),
+        sigma_e=safety * material.kappa_max / (2.0 * op_x.weights[-1, -1]),
+        sigma_1=material.kappa_max / float(b[0] - a[0]),
         s=s,
     )

@@ -11,7 +11,8 @@ integration by parts reduce to the endpoint values.
 Operators on the elements of a partition share one node count, and each is
 the reference operator on [-1, 1] mapped affinely, so
 ``build_sbp_elements`` forms the reference D once and scales it to every
-element in one array pass; ``build_sbp_1d`` is its one-interval case.
+element in one array pass, into one operator stacked along a leading element
+axis; ``build_sbp_1d`` is its one-interval case, without that axis.
 """
 
 import functools
@@ -38,11 +39,15 @@ class LglRule:
 
 @dataclass(frozen=True)
 class SbpOperator1D:
-    """Dense SBP differentiation operator on an interval.
+    """Dense SBP differentiation operator on an interval, or on K intervals at once.
+
+    A stacked operator (``build_sbp_elements``) gives every array below a
+    leading element axis: element k's D is ``D[k]``.  The properties work
+    on both forms.
 
     Attributes
     ----------
-    interval : (a, b) with a < b.
+    interval : (a, b) with a < b; two arrays of shape (K,) when stacked.
     nodes    : mapped LGL nodes, shape (n,).
     weights  : mapped LGL weights = diagonal of P, shape (n,).
     D        : differentiation matrix, exact for monomials up to ``degree``.
@@ -59,19 +64,19 @@ class SbpOperator1D:
 
     @property
     def n_nodes(self):
-        return self.nodes.size
+        return self.nodes.shape[-1]
 
     @property
     def P(self):
         """Quadrature matrix as a dense diagonal array."""
-        return np.diag(self.weights)
+        return self.weights[..., None] * np.eye(self.n_nodes)
 
     @property
     def E(self):
         """Boundary matrix diag(-1, 0, ..., 0, 1)."""
-        e = np.zeros((self.n_nodes, self.n_nodes))
-        e[0, 0] = -1.0
-        e[-1, -1] = 1.0
+        e = np.zeros(self.D.shape)
+        e[..., 0, 0] = -1.0
+        e[..., -1, -1] = 1.0
         return e
 
 
@@ -142,17 +147,17 @@ def _barycentric_diff(x):
 
 
 def build_sbp_elements(n_nodes, edges):
-    """The LGL SBP operators of ``n_nodes`` points on the intervals between ``edges``.
+    """The LGL SBP operators of ``n_nodes`` points on the K intervals between
+    ``edges``, as one stacked operator: (K, n) nodes and weights, (K, n, n) D and Q.
 
     Every operator is the reference one on [-1, 1] mapped affinely, so
     operators on different intervals are exactly covariant: D scales by
     2/(b-a) and P by (b-a)/2.  The reference D is formed once and mapped to
     all K intervals in one array pass, the same elementwise arithmetic as a
-    single interval's, so each operator is bitwise the one built alone; the
-    K operators hold views of one (K, n, n) array for D and one for Q.
-    Only the LGL rule, O(n) per node count, is cached: it holds the Newton
-    solve.  The reference D is not, because a cache of n x n matrices would
-    grow with every node count a refinement sweep visits.
+    single interval's, so each element's operator is bitwise the one built
+    alone.  Only the LGL rule, O(n) per node count, is cached: it holds the
+    Newton solve.  The reference D is not, because a cache of n x n matrices
+    would grow with every node count a refinement sweep visits.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -180,21 +185,20 @@ def build_sbp_elements(n_nodes, edges):
     # doubling is exact and halves D exactly: bitwise the D of [-1, 1] / scale
     D = _barycentric_diff(2.0 * rule.nodes) / (0.5 * scale)[:, None, None]
     Q = weights[:, :, None] * D
-    return [
-        SbpOperator1D(interval=(float(a[k]), float(b[k])), nodes=nodes[k], weights=weights[k],
-                      D=D[k], Q=Q[k], degree=n_nodes - 1)
-        for k in range(edges.size - 1)
-    ]
+    return SbpOperator1D((a, b), nodes, weights, D, Q, n_nodes - 1)
 
 
 def build_sbp_1d(n_nodes, interval):
     """The LGL SBP operator of ``n_nodes`` points on ``interval``: the
-    one-interval case of ``build_sbp_elements``."""
-    return build_sbp_elements(n_nodes, (interval[0], interval[1]))[0]
+    one-interval case of ``build_sbp_elements``, its element axis dropped."""
+    op = build_sbp_elements(n_nodes, (interval[0], interval[1]))
+    (a,), (b,) = op.interval
+    return SbpOperator1D((float(a), float(b)), op.nodes[0], op.weights[0], op.D[0], op.Q[0],
+                         op.degree)
 
 
 def verify_sbp(op):
-    """Return the maximum violation of each SBP operator invariant.
+    """Return the maximum violation of each SBP invariant of a one-interval operator.
 
     Keys: ``sbp_identity`` for ||Q + Q.T - E||_max, ``accuracy`` for the
     worst monomial differentiation error up to the operator degree, and

@@ -120,6 +120,12 @@ def transient_eigenvalue(kappa_1, kappa_2, interface):
     g_lo, g_hi = _eigencondition(lo, kappa_1, kappa_2, xi), _eigencondition(
         hi, kappa_1, kappa_2, xi
     )
+    # a stiff thin cell can put the root inside the pad: step toward the pole while g > 0
+    for pad in (1e-11, 1e-13):
+        if g_hi <= 0:
+            break
+        hi = pole - pad * pole
+        g_hi = _eigencondition(hi, kappa_1, kappa_2, xi)
     if not (g_lo > 0 > g_hi):
         raise NumericalError(
             f"no sign change in [{lo:.6g}, {hi:.6g}] (g: {g_lo:.3g}, {g_hi:.3g})"

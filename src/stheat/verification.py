@@ -145,13 +145,11 @@ def energy_estimate_sides(spec, rho, sigma_0=1.0):
     disc = Discretization(spec, sigma_0=sigma_0)
     system = assemble_global(disc, rho)
     u, _ = solve_system(system)
-    lhs = 0.0
-    for op_x, tr in zip(disc.ops_x, north_trace(disc, u)):
-        lhs += tr @ (op_x.weights * tr)
-    rhs = 0.0
-    for op_x in disc.ops_x:
-        qk = np.asarray(spec.q(op_x.nodes), dtype=float)
-        rhs += qk @ (op_x.weights * qk)
+    lhs = rhs = 0.0
+    for w, x, tr in zip(disc.op_x.weights, disc.op_x.nodes, north_trace(disc, u)):
+        qk = np.asarray(spec.q(x), dtype=float)
+        lhs += tr @ (w * tr)
+        rhs += qk @ (w * qk)
     bound = rhs / (2.0 * sigma_0 - 1.0)
     return float(lhs), float(bound)
 

@@ -1,5 +1,6 @@
-"""Reference solvers for tests: dense oracles of the space-time system and
-the block elimination of the backward-Euler all-at-once system."""
+"""Reference solvers for tests: dense oracles of the space-time system, the
+per-element loop that builds the spatial operator's triples, and the block
+elimination of the backward-Euler all-at-once system."""
 
 from collections import namedtuple
 
@@ -21,6 +22,61 @@ def kronecker_dense(system):
     """T (x) W + P_t (x) M as a dense matrix."""
     disc = system.disc
     return np.kron(disc.T, np.diag(disc.W)) + np.kron(np.diag(disc.op_t.weights), system.M.toarray())
+
+
+def spatial_terms_by_element(disc):
+    """``disc.spatial_terms`` built one element and one dense n x n factor at a time.
+
+    Each term of element k is the Kronecker-free spatial factor of one SAT or
+    diffusion term, written with the unit vectors e_w, e_e of its end nodes;
+    its nonzero entries are taken row by row with ``np.nonzero``.
+    """
+    spec, sat, op_x = disc.spec, disc.sat, disc.op_x
+    last = spec.n_elements - 1
+    e_w, e_e = np.eye(disc.n_x)[[0, -1]]
+    Eww, Eee, Ewe, Eew = (np.outer(a, b) for a, b in ((e_w, e_w), (e_e, e_e), (e_w, e_e), (e_e, e_w)))
+    terms = []
+    for k in range(spec.n_elements):
+        Dx = op_x.D[k]
+        terms.append((k, k, -(op_x.Q[k] @ Dx), 1.0, k))  # -kappa P D_x^2
+        if k == 0:
+            if spec.bc_left == "dirichlet":
+                terms.append((k, k, Eww, sat.sigma_w, None))
+            else:
+                terms.append((k, k, Eww @ Dx, 1.0, k))
+        else:
+            Dx_left = op_x.D[k - 1]
+            terms += [
+                (k, k, Eww, sat.sigma_1, None),
+                (k, k, Eww @ Dx, sat.sigma_2, k),
+                (k, k, Dx.T @ Eww, sat.tau_1, k),
+                (k, k - 1, Ewe, -sat.sigma_1, None),
+                (k, k - 1, Ewe @ Dx_left, -sat.sigma_2, k - 1),
+                (k, k - 1, Dx.T @ Ewe, -sat.tau_1, k),
+            ]
+        if k == last:
+            if spec.bc_right == "dirichlet":
+                terms.append((k, k, Eee, sat.sigma_e, None))
+            else:
+                terms.append((k, k, Eee @ Dx, -1.0, k))
+        else:
+            Dx_right = op_x.D[k + 1]
+            terms += [
+                (k, k, Eee, sat.sigma_3, None),
+                (k, k, Eee @ Dx, sat.sigma_4, k),
+                (k, k, Dx.T @ Eee, sat.tau_2, k),
+                (k, k + 1, Eew, -sat.sigma_3, None),
+                (k, k + 1, Eew @ Dx_right, -sat.sigma_4, k + 1),
+                (k, k + 1, Dx.T @ Eew, -sat.tau_2, k),
+            ]
+    rows, cols, values, owner = [], [], [], []
+    for row, col, factor, coefficient, kappa_of in terms:
+        i, j = np.nonzero(factor)
+        rows.append(row * disc.n_x + i)
+        cols.append(col * disc.n_x + j)
+        values.append(coefficient * factor[i, j])
+        owner.append(np.full(i.size, -1 if kappa_of is None else kappa_of))
+    return tuple(np.concatenate(a) for a in (rows, cols, values, owner))
 
 
 def mma_dual_bisection(p, q, low, upp, alfa, beta, volumes, volume_bound):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import kronecker_dense, to_dense
+from oracle import kronecker_dense, spatial_terms_by_element, to_dense
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
 from stheat.blocksolve import solve_system
-from stheat.presets import two_domain_problem
+from stheat.presets import cooling_benchmark, two_design_benchmark, two_domain_problem
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import two_domain_solution
 from stheat.verification import energy_estimate_sides
@@ -103,6 +104,53 @@ def test_spatial_operator_is_affine_in_kappa():
     pieces = [disc.spatial_operator(np.eye(4)[k]).toarray() - m0 for k in range(4)]
     expect = m0 + sum(c * piece for c, piece in zip(kap, pieces))
     np.testing.assert_allclose(disc.spatial_operator(kap).toarray(), expect, rtol=0, atol=1e-13)
+
+
+def assert_terms_bitwise_the_oracle(disc):
+    got, want = disc.spatial_terms, spatial_terms_by_element(disc)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+BCS = [(left, right) for left in ("dirichlet", "neumann") for right in ("dirichlet", "neumann")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nx=st.integers(1, 9),
+    bcs=st.sampled_from(BCS),
+    start=st.floats(-10.0, 10.0),
+    widths=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8),
+    s=st.floats(1e-3, 10.0),
+    safety=st.floats(1.0, 10.0),
+    sigma_0=st.floats(0.5, 4.0),
+    kappa_min=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
+)
+def test_spatial_terms_are_bitwise_the_per_element_loop(nx, bcs, start, widths, s, safety,
+                                                       sigma_0, kappa_min):
+    # same triples in the same order, so the duplicate sums of M and the
+    # gradient's bincount see the same additions
+    edges = start + np.cumsum([0.0, *widths])
+    spec = ProblemSpec(
+        domain=(edges[0], edges[-1]), horizon=1.0, n_elements=len(widths), nx=nx, nt=1,
+        material=MaterialModel(kappa_min=kappa_min, kappa_max=1.0, p=3.0),
+        bc_left=bcs[0], bc_right=bcs[1], breakpoints=tuple(edges),
+    )
+    assert_terms_bitwise_the_oracle(Discretization(spec, s=s, safety=safety, sigma_0=sigma_0))
+
+
+@pytest.mark.parametrize("preset", [cooling_benchmark, two_design_benchmark],
+                         ids=["cooling", "two-design"])
+def test_spatial_operator_is_bitwise_the_per_element_loop(preset):
+    disc = Discretization(preset()[0])
+    assert_terms_bitwise_the_oracle(disc)
+    kap = disc.kappa_of(np.random.default_rng(4).uniform(0.0, 1.0, disc.n_elements))
+    rows, cols, values, owner = spatial_terms_by_element(disc)
+    n_s = disc.W.size
+    want = sp.csc_matrix((values * np.append(kap, 1.0)[owner], (rows, cols)), shape=(n_s, n_s))
+    got = disc.spatial_operator(kap)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_rhs_independent_of_design():
@@ -211,14 +259,14 @@ def test_energy_estimate_random_initial_data(K):
         system = assemble_global(disc, rho)
         u, _ = solve_system(system)
         lhs = sum(
-            tr @ (disc.ops_x[k].weights * tr)
+            tr @ (disc.op_x.weights[k] * tr)
             for k, tr in enumerate(north_trace(disc, u))
         )
         qs = [
-            np.asarray(q(disc.ops_x[k].nodes)) for k in range(disc.n_elements)
+            np.asarray(q(disc.op_x.nodes[k])) for k in range(disc.n_elements)
         ]
         rhs_bound = sum(
-            qk @ (disc.ops_x[k].weights * qk) for k, qk in enumerate(qs)
+            qk @ (disc.op_x.weights[k] * qk) for k, qk in enumerate(qs)
         ) / (2 * disc.sat.sigma_0 - 1)
         assert lhs <= rhs_bound * (1 + 1e-12), f"K={K} trial={trial}"
 
@@ -318,5 +366,5 @@ def test_restrict_consistency_with_solution_blocks():
     system = assemble_global(disc, np.array([0.5, 0.25]))
     u, _ = solve_system(system)
     south = u[:disc.n_x]
-    q_exact = sol.initial(disc.ops_x[0].nodes)
+    q_exact = sol.initial(disc.op_x.nodes[0])
     assert np.max(np.abs(south - q_exact)) <= 1e-6

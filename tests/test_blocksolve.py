@@ -425,6 +425,24 @@ def test_non_finite_spatial_operator_refused_before_any_lu(case, value):
     assert handed == []
 
 
+def test_overflowing_solve_is_refused_at_its_first_mode():
+    # s = 1e300 keeps M finite (largest entry 6.0e300) and its band factors too,
+    # but the band substitution overflows: refused, naming the first mode of
+    # the back substitution that overflowed, without a RuntimeWarning on the way
+    disc = Discretization(cooling_benchmark(n_elements=4, nx=3, nt=3)[0], s=1e300)
+    system = assemble_global(disc, np.full(4, 0.5))
+    assert np.isfinite(system.M.data).all()
+    with pytest.raises(NumericalError, match="the forward solve is not finite at time mode 3"):
+        solve_system(system)
+
+
+def test_overflowing_transposed_solve_is_refused_at_its_first_mode():
+    system = assemble_global(*_shifted_matrix_cases()["cooling-random"])
+    fact = factor(system)
+    with pytest.raises(NumericalError, match="the transposed solve is not finite at time mode 0"):
+        solve_transposed(fact, np.full(system.n_unknowns, 1e308))
+
+
 def test_natural_order_is_bitwise_colamd_on_two_design():
     """On two conducting elements COLAMD returns the identity, so the natural
     order factors every mode to the same bits, and the solution follows.

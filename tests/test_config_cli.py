@@ -450,8 +450,8 @@ def test_cli_be_fe_above_the_size_cap_is_exit_3(tmp_path, capsys, elements, swee
 
 
 @pytest.mark.parametrize("s, message", [
-    # M stays finite (its largest entry is 6.0e300); the solve overflows to NaN
-    ("1e300", "NumericalError: iteration 1: the objective J = nan is not finite\n"),
+    # M stays finite (its largest entry is 6.0e300); the band solve overflows
+    ("1e300", "NumericalError: the forward solve is not finite at time mode 3\n"),
     # M holds inf: refused before any LU
     ("1e308", "NumericalError: the spatial operator M has non-finite entries\n"),
 ])

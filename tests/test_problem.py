@@ -8,7 +8,7 @@ from stheat.problem import (
     dkappa_drho,
     kappa,
 )
-from stheat.sbp import build_sbp_1d
+from stheat.sbp import build_sbp_elements
 
 
 def test_kappa_endpoints():
@@ -54,9 +54,9 @@ def test_material_validation():
 
 def test_sat_lower_bound_example():
     # 3 mapped LGL nodes on [0, 1]: endpoint weight (1/3) * (1/2) = 1/6
-    op = build_sbp_1d(3, (0.0, 1.0))
+    op = build_sbp_elements(3, (0.0, 1.0))
     m = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
-    sat = choose_sat_coefficients([op], m, safety=1.0)
+    sat = choose_sat_coefficients(op, m, safety=1.0)
     assert sat.sigma_w == pytest.approx(3.0)
     assert sat.sigma_e == pytest.approx(3.0)
 
@@ -65,29 +65,29 @@ def test_sat_boundary_penalties_sized_on_their_own_elements():
     # a wide first and a narrow last element: each Dirichlet penalty takes
     # the endpoint weight of the element it acts on, the interface penalty
     # the width of element 0
-    wide, mid, narrow = (build_sbp_1d(3, iv) for iv in ((0.0, 0.6), (0.6, 0.95), (0.95, 1.0)))
+    op = build_sbp_elements(3, (0.0, 0.6, 0.95, 1.0))
     m = MaterialModel(kappa_min=0.0, kappa_max=2.0, p=1.0)
-    sat = choose_sat_coefficients([wide, mid, narrow], m, safety=1.5)
-    assert sat.sigma_w == 1.5 * 2.0 / (2.0 * wide.weights[0]) == pytest.approx(15.0)
-    assert sat.sigma_e == 1.5 * 2.0 / (2.0 * narrow.weights[-1]) == pytest.approx(180.0)
+    sat = choose_sat_coefficients(op, m, safety=1.5)
+    assert sat.sigma_w == 1.5 * 2.0 / (2.0 * op.weights[0][0]) == pytest.approx(15.0)
+    assert sat.sigma_e == 1.5 * 2.0 / (2.0 * op.weights[2][-1]) == pytest.approx(180.0)
     assert sat.sigma_1 == pytest.approx(2.0 / 0.6)
 
 
 def test_sat_family_relations():
-    op = build_sbp_1d(4, (0.0, 1.0))
+    op = build_sbp_elements(4, (0.0, 1.0))
     m = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
-    sat = choose_sat_coefficients([op], m, s=1.0)
+    sat = choose_sat_coefficients(op, m, s=1.0)
     assert (sat.sigma_2, sat.sigma_4, sat.tau_1, sat.tau_2) == (1.0, 2.0, -2.0, -1.0)
     assert sat.sigma_1 == sat.sigma_3 > 0
 
 
 def test_sat_rejects_bad_parameters():
-    op = build_sbp_1d(4, (0.0, 1.0))
+    op = build_sbp_elements(4, (0.0, 1.0))
     m = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
     with pytest.raises(ValueError):
-        choose_sat_coefficients([op], m, s=-1.0)
+        choose_sat_coefficients(op, m, s=-1.0)
     with pytest.raises(ValueError):
-        choose_sat_coefficients([op], m, safety=0.5)
+        choose_sat_coefficients(op, m, safety=0.5)
 
 
 def test_problem_spec_partition():

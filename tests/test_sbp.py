@@ -10,7 +10,7 @@ from stheat.assembly import Discretization
 from stheat.errors import ResourceLimitError
 from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
-from stheat.sbp import MAX_OPERATOR_NODES, build_sbp_1d, lgl_rule, verify_sbp
+from stheat.sbp import MAX_OPERATOR_NODES, build_sbp_1d, build_sbp_elements, lgl_rule, verify_sbp
 
 
 def poly_integral(coeffs, a, b):
@@ -78,14 +78,15 @@ def per_element_operator(n, a, b):
 def assert_element_operators_bitwise_alone(spec):
     disc = Discretization(spec)
     edges = spec.element_edges
-    assert len(disc.ops_x) == spec.n_elements
-    for k, op in enumerate(disc.ops_x):
+    op = disc.op_x
+    assert op.D.shape == (spec.n_elements, disc.n_x, disc.n_x)
+    for k in range(spec.n_elements):
         a, b = float(edges[k]), float(edges[k + 1])
         alone = build_sbp_1d(disc.n_x, (a, b))
-        assert op.interval == alone.interval == (a, b)
+        assert (op.interval[0][k], op.interval[1][k]) == alone.interval == (a, b)
         assert op.degree == alone.degree == disc.n_x - 1
         for name, want in zip(("nodes", "weights", "D", "Q"), per_element_operator(disc.n_x, a, b)):
-            assert getattr(op, name).tobytes() == want.tobytes() == getattr(alone, name).tobytes()
+            assert getattr(op, name)[k].tobytes() == want.tobytes() == getattr(alone, name).tobytes()
 
 
 @pytest.mark.parametrize("spec", [cooling_benchmark()[0], two_design_benchmark()[0]],
@@ -105,6 +106,16 @@ def test_element_operators_on_drawn_breakpoints_are_bitwise_the_per_element_ones
     spec = ProblemSpec(domain=(edges[0], edges[-1]), horizon=1.0, n_elements=len(widths),
                        nx=nx, nt=2, material=MaterialModel(0.0, 1.0), breakpoints=tuple(edges))
     assert_element_operators_bitwise_alone(spec)
+
+
+def test_stacked_operator_properties_are_the_per_element_ones():
+    # P and E of a stacked operator carry its element axis, not a wrong shape
+    op = build_sbp_elements(4, (0.0, 0.3, 1.0))
+    assert op.n_nodes == 4
+    for k, interval in enumerate(((0.0, 0.3), (0.3, 1.0))):
+        alone = build_sbp_1d(4, interval)
+        assert op.P[k].tobytes() == alone.P.tobytes() == np.diag(alone.weights).tobytes()
+        assert op.E[k].tobytes() == alone.E.tobytes()
 
 
 @settings(max_examples=60)

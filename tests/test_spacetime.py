@@ -1,7 +1,7 @@
 """The space-time tensor-product layout of ``Discretization``.
 
 Element k is the tensor product of the time operator ``op_t`` and its
-spatial operator ``ops_x[k]``.  States are stacked time-major: entry
+spatial operator, element k of the stacked ``op_x``.  States are stacked time-major: entry
 j*n_s + s is spatial node s = k*n_x + i at time level j.
 """
 
@@ -40,8 +40,8 @@ def test_dx_of_coordinate_is_one():
     disc = make_disc(4, 3, interval=(-0.5, 2.0), n_elements=2, breakpoints=(-0.5, 0.1, 2.0))
     X, _ = disc.coordinates()
     grid = X.reshape(disc.op_t.n_nodes, 2, disc.n_x)
-    for k, op_x in enumerate(disc.ops_x):
-        np.testing.assert_allclose(grid[:, k] @ op_x.D.T, 1.0, atol=1e-12)
+    for k, D in enumerate(disc.op_x.D):
+        np.testing.assert_allclose(grid[:, k] @ D.T, 1.0, atol=1e-12)
 
 
 def test_dt_of_time_coordinate_is_one():
@@ -56,9 +56,9 @@ def test_kronecker_reconstruction():
     disc = make_disc(4, 6, interval=(0.25, 1.5), horizon=0.8, n_elements=3,
                      breakpoints=(0.25, 0.4, 1.1, 1.5))
     p = disc.global_p().reshape(disc.op_t.n_nodes, 3, disc.n_x)
-    for k, op_x in enumerate(disc.ops_x):
-        np.testing.assert_array_equal(p[:, k].ravel(), np.kron(disc.op_t.weights, op_x.weights))
-    np.testing.assert_array_equal(disc.W, np.concatenate([op.weights for op in disc.ops_x]))
+    for k, w in enumerate(disc.op_x.weights):
+        np.testing.assert_array_equal(p[:, k].ravel(), np.kron(disc.op_t.weights, w))
+    np.testing.assert_array_equal(disc.W, np.concatenate(list(disc.op_x.weights)))
 
 
 def test_surface_operator_identities():
@@ -71,11 +71,11 @@ def test_surface_operator_identities():
 @pytest.mark.parametrize("direction", ["x", "t"])
 def test_discrete_integration_by_parts(direction):
     disc = make_disc(5, 5, interval=(0.0, 0.4))
-    op_t, op_x = disc.op_t, disc.ops_x[0]
+    op_t, op_x = disc.op_t, disc.op_x
     if direction == "x":
-        Q, E = np.kron(op_t.P, op_x.Q), np.kron(op_t.P, op_x.E)
+        Q, E = np.kron(op_t.P, op_x.Q[0]), np.kron(op_t.P, op_x.E[0])
     else:
-        Q, E = np.kron(op_t.Q, op_x.P), np.kron(op_t.E, op_x.P)
+        Q, E = np.kron(op_t.Q, op_x.P[0]), np.kron(op_t.E, op_x.P[0])
     rng = np.random.default_rng(11)
     for _ in range(100):
         u = rng.standard_normal(disc.block_size)
@@ -143,7 +143,7 @@ def test_trace_inequality():
     # boundary-restricted norms are bounded by the volume norm with the
     # endpoint quadrature weight as constant
     disc = make_disc(6, 5, interval=(0.0, 0.35))
-    op_x = disc.ops_x[0]
+    w = disc.op_x.weights[0]
     wt = disc.op_t.weights
     p = disc.global_p()
     rng = np.random.default_rng(23)
@@ -152,8 +152,8 @@ def test_trace_inequality():
         vol = z @ (p * z)
         Z = z.reshape(disc.op_t.n_nodes, -1)
         west, east = Z[:, 0], Z[:, -1]
-        assert west @ (wt * west) <= vol / op_x.weights[0] + 1e-13
-        assert east @ (wt * east) <= vol / op_x.weights[-1] + 1e-13
+        assert west @ (wt * west) <= vol / w[0] + 1e-13
+        assert east @ (wt * east) <= vol / w[-1] + 1e-13
 
 
 def test_layout_index_bijection():
@@ -164,7 +164,7 @@ def test_layout_index_bijection():
     U = idx.reshape(disc.op_t.n_nodes, -1)
     assert U.shape == (3, 12) and np.shares_memory(U, idx)
     X, T = (c.reshape(U.shape) for c in disc.coordinates())
-    np.testing.assert_array_equal(X, np.tile(np.concatenate([op.nodes for op in disc.ops_x]), (3, 1)))
+    np.testing.assert_array_equal(X, np.tile(np.concatenate(list(disc.op_x.nodes)), (3, 1)))
     np.testing.assert_array_equal(T, np.repeat(disc.op_t.nodes[:, None], 12, axis=1))
 
 

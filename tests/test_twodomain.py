@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stheat.twodomain import (
+    _eigencondition,
     eigencondition_residual,
     steady_coefficients,
     transient_eigenvalue,
@@ -45,6 +46,17 @@ def test_steady_invariants(k1, k2, xi, f, ur):
     left, right = np.nextafter(xi, 0.0), np.nextafter(xi, 1.0)
     assert abs(sol.steady(left) - sol.steady(right)) <= 1e-11
     assert abs(sol.steady_flux(left) - sol.steady_flux(right)) <= 1e-10
+
+
+@pytest.mark.parametrize("k1,k2,xi", [(9703.46, 4.83e-4, 0.00219), (8994.89, 4.20e-4, 0.00895)])
+def test_eigenvalue_root_inside_the_pad_below_the_pole(k1, k2, xi):
+    # a thin stiff left cell puts the root within 1e-9 (relative) of the right
+    # cell's pole, where the first padded bracket has g > 0 at both ends
+    lam = transient_eigenvalue(k1, k2, xi)
+    pole = k2 * (np.pi / (1.0 - xi)) ** 2
+    assert 0 < pole - lam < 1e-9 * pole
+    g = [_eigencondition(lam * (1.0 + e), k1, k2, xi) for e in (-1e-14, 1e-14)]
+    assert g[0] > 0 > g[1]
 
 
 def test_homogeneous_eigenvalue_is_pi_squared():
