@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
+import scipy
 
 from .errors import ResourceLimitError
 from .problem import choose_sat_coefficients, kappa
@@ -42,6 +41,18 @@ NODE_CAP = 100_000
 MAX_RUN_VALUES = 1_000_000
 
 
+def load_scipy():
+    """Import the SciPy subpackages of the space-time solver, once per process.
+
+    They take about 0.3 s and 30 MB, and only the space-time solver calls
+    them.  ``Discretization`` loads them on construction, so the import
+    falls outside every timed solve, and a run that builds none, such as a
+    backward-Euler design loop, runs on NumPy alone.
+    """
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+
 @dataclass
 class GlobalSystem:
     """The space-time system A = T (x) W + P_t (x) M(kappa) of one design.
@@ -51,7 +62,7 @@ class GlobalSystem:
     """
 
     disc: object
-    M: sp.csc_matrix
+    M: object  # scipy.sparse.csc_matrix
     rhs: np.ndarray
 
     @property
@@ -113,6 +124,7 @@ class Discretization:
         self.op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
         self.op_x = build_sbp_elements(self.n_x, spec.element_edges)
         self.sat = choose_sat_coefficients(self.op_x, spec.material, s, safety, sigma_0)
+        load_scipy()
 
     @property
     def n_elements(self):
@@ -164,7 +176,7 @@ class Discretization:
     @cached_property
     def schur(self):
         """Complex Schur form (R, Z) of P_t^-1 T = Z R Z^H: R upper triangular, Z unitary."""
-        return sla.schur(self.T / self.op_t.weights[:, None], output="complex")
+        return scipy.linalg.schur(self.T / self.op_t.weights[:, None], output="complex")
 
     @cached_property
     def rhs(self):
@@ -248,7 +260,7 @@ class Discretization:
         rows, cols, values, owner = self.spatial_terms
         scale = np.append(kap, 1.0)[owner]  # owner -1 picks the trailing 1
         n_s = self.W.size
-        return sp.csc_matrix((values * scale, (rows, cols)), shape=(n_s, n_s))
+        return scipy.sparse.csc_matrix((values * scale, (rows, cols)), shape=(n_s, n_s))
 
 
 def assemble_global(disc, rho):

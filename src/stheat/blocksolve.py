@@ -23,14 +23,16 @@ bandwidths are n_x.  Where LAPACK's band storage (2 kl + ku + 1 rows) is
 smaller than the matrix, as on the fifty-element cooling preset, ``zgbtrf``
 factors each mode in that storage.  Where the band spans the matrix, as on
 two elements, SuperLU factors it in its natural column order.
+
+SciPy's subpackages are reached as attributes of ``scipy``; every system
+solved here has a ``Discretization``, whose construction has loaded them
+(``assembly.load_scipy``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+import scipy
 
 from .errors import NumericalError, SingularSystemError
 
@@ -53,7 +55,8 @@ class BandLU:
     ku: int
 
     def solve(self, rhs, trans="N"):
-        x, info = zgbtrs(self.lu, self.kl, self.ku, rhs, self.piv, trans={"N": 0, "T": 1}[trans])
+        x, info = scipy.linalg.lapack.zgbtrs(
+            self.lu, self.kl, self.ku, rhs, self.piv, trans={"N": 0, "T": 1}[trans])
         if info != 0:
             raise ValueError(f"zgbtrs rejected its argument {-info}")
         return x
@@ -68,7 +71,7 @@ def _shift_pattern(M):
     pattern holds M's nonzero entries only.
     """
     n = M.shape[0]
-    pattern = abs(M) + sp.identity(n, format="csc")
+    pattern = abs(M) + scipy.sparse.identity(n, format="csc")
     pattern.sort_indices()
 
     def keys(A):
@@ -111,7 +114,7 @@ def factor(system):
     LU (LAPACK does not flag NaN), and an exactly singular mode j with
     ``SingularSystemError(j)``.
     """
-    M = sp.csc_matrix(system.M)
+    M = scipy.sparse.csc_matrix(system.M)
     if not M.has_canonical_format:
         M = M.copy()
         M.sum_duplicates()
@@ -138,7 +141,7 @@ def _band_factors(M, offsets, cols, kl, ku, shifts, W):
     for j, r in enumerate(shifts):
         ab = band.copy(order="F")
         ab[kl + ku] += r * W
-        lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=1)
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise SingularSystemError(j)
         lus.append(BandLU(lu, piv, kl, ku))
@@ -148,7 +151,7 @@ def _band_factors(M, offsets, cols, kl, ku, shifts, W):
 def _superlu_factors(M, shifts, W):
     """SuperLU's ``splu`` of r W + M for every r in ``shifts``, natural column order."""
     pattern, base, diagonal = _shift_pattern(M)
-    A = sp.csc_matrix((base, pattern.indices, pattern.indptr), shape=pattern.shape)
+    A = scipy.sparse.csc_matrix((base, pattern.indices, pattern.indptr), shape=pattern.shape)
     base_diagonal = base[diagonal]
     lus = []
     for j, r in enumerate(shifts):
@@ -160,7 +163,7 @@ def _superlu_factors(M, shifts, W):
             mode_matrix = A.copy()
             mode_matrix.eliminate_zeros()
         try:
-            lus.append(spla.splu(mode_matrix, permc_spec="NATURAL"))
+            lus.append(scipy.sparse.linalg.splu(mode_matrix, permc_spec="NATURAL"))
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(j) from err
     return lus
@@ -220,6 +223,7 @@ def solve_system(system):
 def one_norm(system):
     """Exact 1-norm of A, from its sparse Kronecker form."""
     disc = system.disc
+    sp = scipy.sparse
     A = sp.kron(disc.T, sp.diags(disc.W)) + sp.kron(sp.diags(disc.op_t.weights), system.M)
     return float(abs(A).sum(axis=0).max())
 
@@ -231,11 +235,11 @@ def condition_estimate(system):
     except SingularSystemError:
         return np.inf
     m = system.n_unknowns
-    inv_op = spla.LinearOperator(
+    inv_op = scipy.sparse.linalg.LinearOperator(
         (m, m),
         matvec=lambda v: solve(fact, np.ravel(v)),
         rmatvec=lambda v: solve_transposed(fact, np.ravel(v)),
         dtype=float,
     )
-    inv_norm = spla.onenormest(inv_op)
+    inv_norm = scipy.sparse.linalg.onenormest(inv_op)
     return one_norm(system) * inv_norm

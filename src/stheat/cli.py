@@ -15,13 +15,12 @@ import platform
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .assembly import Discretization, assemble_global, residual
+from .assembly import Discretization, assemble_global, load_scipy, residual
 from .baselines import run_topology_optimization_be
 from .blocksolve import condition_estimate
 from .config import parse_config, problem_from_config
@@ -264,7 +263,11 @@ def compare(cfg):
     """
     tasks = [(cfg, solver, level) for solver in cfg.solvers
              for level in sorted(cfg.nt_nodes_sweep if solver == "st-se" else cfg.nt_steps_sweep)]
+    if "st-se" in cfg.solvers:
+        load_scipy()  # before any cell is timed; forked workers inherit it
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never starts a worker
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             cells = list(pool.map(_compare_point, tasks))
     else:

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from oracle import to_dense
-from stheat import blocksolve
 from stheat.assembly import Discretization, GlobalSystem, assemble_global
 from stheat.blocksolve import (
     condition_estimate,
@@ -328,15 +328,16 @@ def band_storage(A, kl, ku):
 
 
 def record_zgbtrf():
-    """Patch ``zgbtrf`` to keep a copy of each band it is handed, then factor it."""
+    """Patch ``zgbtrf`` where ``blocksolve`` calls it, in ``scipy.linalg.lapack``,
+    to keep a copy of each band it is handed, then factor it."""
     handed = []
-    zgbtrf = blocksolve.zgbtrf
+    zgbtrf = lapack.zgbtrf
 
     def record(ab, kl, ku, **kwargs):
         handed.append((ab.copy(), kl, ku))
         return zgbtrf(ab, kl, ku, **kwargs)
 
-    return mock.patch.object(blocksolve, "zgbtrf", side_effect=record), handed
+    return mock.patch.object(lapack, "zgbtrf", side_effect=record), handed
 
 
 @pytest.mark.parametrize("case", [f"cooling-{d}" for d in ("random", "interior", "0/1")])

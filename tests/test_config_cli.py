@@ -232,6 +232,19 @@ def test_cli_optimize_trace_times_each_part(tmp_path):
     assert slack[-1] == summary["volume_bound"] - summary["volume"]
 
 
+def test_cli_volume_bound_above_the_total_volume_is_no_constraint(tmp_path, capsys):
+    # the four elements hold volume 1: bound 2 starts and stays at full material
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nelements = 4\nnx = 3\nnt = 3\nvolume_bound = 2\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "st-se: J=6.752834 after 1 iterations (design_change)\n"
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_design"] == [1.0] * 4 and summary["volume"] == 1.0
+    header, row = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    mu, slack = (float(v) for v in row.split(",")[8:10])
+    assert (mu, slack) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("key, value", [("s", 0.25), ("safety", 2.0), ("sigma_0", 2.0)])
 def test_cli_optimize_sat_keys_reach_the_discretization(tmp_path, key, value):
     # each [sat] key moves st-se's final J, exactly as the Discretization
@@ -462,13 +475,90 @@ def test_cli_huge_interface_penalty_is_one_line_and_exit_3(tmp_path, capsys, s, 
     assert capsys.readouterr().err == message
 
 
-def test_cli_import_leaves_scipy_special_out():
-    code = "import sys, stheat.cli; print('scipy.special' in sys.modules)"
+# the SciPy subpackages of the space-time solver, and modules no command needs at import
+SOLVER_MODULES = ("scipy.linalg", "scipy.sparse")
+UNUSED_AT_IMPORT = ("scipy.special", "concurrent.futures.process")
+
+BE_LOOP = """
+from stheat.baselines import run_topology_optimization_be
+from stheat.presets import cooling_benchmark
+spec, bound = cooling_benchmark(n_elements=6)
+assert run_topology_optimization_be(spec, bound, 64).converged
+"""
+CLI_RUN = """
+from stheat.cli import main
+assert main({argv!r}) == {code}
+"""
+CLI_HELP = """
+from stheat.cli import main
+try:
+    main(["--help"])
+except SystemExit as stop:
+    assert stop.code == 0
+"""
+DISCRETIZATION = """
+from stheat.assembly import Discretization
+from stheat.presets import two_design_benchmark
+Discretization(two_design_benchmark(nx=2, nt=2)[0])
+"""
+# stops compare where it would time its first cell
+COMPARE = """
+from stheat import cli
+from stheat.config import parse_config
+class FirstCell(Exception):
+    pass
+def first_cell(task):
+    raise FirstCell
+cli._compare_point = first_cell
+try:
+    cli.compare(parse_config({config!r}))
+except FirstCell:
+    pass
+"""
+
+
+def loaded_modules(code, modules):
+    """Run ``code`` in a fresh interpreter on this checkout's src/ and return
+    which of ``modules`` it left loaded, space-separated."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert proc.stdout == "False\n"
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_and_cli_import_on_numpy_alone():
+    modules = SOLVER_MODULES + UNUSED_AT_IMPORT
+    assert loaded_modules("import stheat, stheat.cli", modules) == ""
+
+
+@pytest.mark.parametrize("case", ["be-loop", "be-fe-optimize", "config-error", "help"])
+def test_backward_euler_and_cli_errors_run_on_numpy_alone(tmp_path, case):
+    cfg = tmp_path / "run.cfg"
+    out = str(tmp_path / "out")
+    if case == "be-fe-optimize":
+        cfg.write_text("[problem]\nelements = 6\n[run]\nsolvers = be-fe\nnt_steps_sweep = 64\n")
+        code = CLI_RUN.format(argv=["optimize", "--config", str(cfg), "--out", out], code=0)
+    elif case == "config-error":
+        cfg.write_text("[problem]\nnx = 0\n")
+        code = CLI_RUN.format(argv=["optimize", "--config", str(cfg), "--out", out], code=2)
+    else:
+        code = {"be-loop": BE_LOOP, "help": CLI_HELP}[case]
+    assert loaded_modules(code, SOLVER_MODULES) == ""
+
+
+def test_discretization_loads_the_solver_modules():
+    assert loaded_modules(DISCRETIZATION, SOLVER_MODULES) == " ".join(SOLVER_MODULES)
+
+
+@pytest.mark.parametrize("solvers, loaded", [("st-se", SOLVER_MODULES), ("be-fe", ())])
+def test_compare_loads_the_solver_modules_before_its_first_cell(tmp_path, solvers, loaded):
+    # so the one-time import stays out of every cell's wall_s
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\nsolvers = {solvers}\n")
+    assert loaded_modules(COMPARE.format(config=str(cfg)), SOLVER_MODULES) == " ".join(loaded)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
