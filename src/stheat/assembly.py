@@ -33,11 +33,12 @@ from .errors import ResourceLimitError
 from .problem import choose_sat_coefficients, kappa
 from .sbp import build_sbp_1d, build_sbp_elements
 
-NODE_CAP = 100_000
-# cap on the values of one run's largest arrays: a state holds K n_x n_t of
-# them and the element operators D and Q, like the entries of M, K n_x^2.
-# The largest run of the presets, the tests and the default sweeps, the
-# criterion-6 reference at 80 x 60, has 2 x 81 x 81 = 13 122.
+# cap on the values of one run's states (K n_x n_t values each) and element
+# operators D and Q (K n_x^2, like the entries of M), checked before any is
+# built.  The LU factors, a run's largest arrays, have their own cap,
+# ``blocksolve.MAX_FACTOR_VALUES``.  The largest run of the presets, the tests
+# and the default sweeps, the criterion-6 reference at 80 x 60, has
+# 2 x 81 x 81 = 13 122.
 MAX_RUN_VALUES = 1_000_000
 
 
@@ -110,11 +111,6 @@ class Discretization:
     def __init__(self, spec, s=0.5, safety=1.0, sigma_0=1.0):
         self.spec = spec
         self.n_x = spec.nx + 1
-        n = self.n_x * (spec.nt + 1)
-        if n > NODE_CAP:
-            raise ResourceLimitError(
-                f"element would hold {n} nodes, above the cap of {NODE_CAP}"
-            )
         values = spec.n_elements * self.n_x * max(self.n_x, spec.nt + 1)
         if values > MAX_RUN_VALUES:
             raise ResourceLimitError(

@@ -34,7 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import NumericalError, SingularSystemError
+from .errors import NumericalError, ResourceLimitError, SingularSystemError
+
+# cap on the values of one factorization, the largest arrays of a run: n_t
+# modes, each an n x n LU in min(n, 2 kl + ku + 1) rows of band storage
+# (SuperLU's fill is bounded by the full n x n).  It allows as many values as
+# the backward-Euler history cap, ``baselines.MAX_MARCH_VALUES``.  The largest
+# factorization of the presets and the tests, the criterion-6 reference at
+# 80 x 60, holds 61 x 162 x 162 = 1 600 884.
+MAX_FACTOR_VALUES = 20_000_000
 
 
 @dataclass
@@ -102,8 +110,8 @@ def factor(system):
       (SuperLU's default) buys nothing.  One CSC matrix on
       ``_shift_pattern``'s pattern serves every mode: its diagonal entries
       are rewritten for each mode before ``splu``, whose factors are new
-      arrays that keep no reference to the matrix.  Only a mode whose
-      diagonal cancels gets a matrix of its own, with that entry dropped.
+      arrays that keep no reference to the matrix.  A diagonal entry that
+      cancels stays stored as a zero, as in the band array.
 
     SuperLU stays only while the two-design bracket search counts roundoff
     (ROADMAP item 2): a band LU there moves its evaluation count.  Once that
@@ -111,8 +119,9 @@ def factor(system):
     the SuperLU branch goes, together with ``_shift_pattern`` (item 3).
 
     A non-finite entry of M is refused with ``NumericalError`` before any
-    LU (LAPACK does not flag NaN), and an exactly singular mode j with
-    ``SingularSystemError(j)``.
+    LU (LAPACK does not flag NaN), factors of more than ``MAX_FACTOR_VALUES``
+    values with ``ResourceLimitError`` before any is allocated, and an
+    exactly singular mode j with ``SingularSystemError(j)``.
     """
     M = scipy.sparse.csc_matrix(system.M)
     if not M.has_canonical_format:
@@ -120,11 +129,17 @@ def factor(system):
         M.sum_duplicates()
     if not np.all(np.isfinite(M.data)):
         raise NumericalError("the spatial operator M has non-finite entries")
-    R, _ = system.disc.schur
     n = M.shape[0]
     cols = np.repeat(np.arange(n), np.diff(M.indptr))
     offsets = M.indices - cols  # i - j of every stored entry
     kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    n_t = system.disc.op_t.n_nodes
+    values = n_t * n * min(n, 2 * kl + ku + 1)
+    if values > MAX_FACTOR_VALUES:
+        raise ResourceLimitError(
+            f"{n_t} time modes of {n} x {n} spatial factors would hold {values} LU values, "
+            f"above the cap of {MAX_FACTOR_VALUES}")
+    R, _ = system.disc.schur
     if 2 * kl + ku + 1 < n:
         lus = _band_factors(M, offsets, cols, kl, ku, np.diag(R), system.disc.W)
     else:
@@ -155,15 +170,9 @@ def _superlu_factors(M, shifts, W):
     base_diagonal = base[diagonal]
     lus = []
     for j, r in enumerate(shifts):
-        shifted_diagonal = base_diagonal + r * W
-        A.data[diagonal] = shifted_diagonal
-        mode_matrix = A
-        if not np.all(shifted_diagonal):
-            # a diagonal entry cancelled: drop it, as the sparse sum does
-            mode_matrix = A.copy()
-            mode_matrix.eliminate_zeros()
+        A.data[diagonal] = base_diagonal + r * W
         try:
-            lus.append(scipy.sparse.linalg.splu(mode_matrix, permc_spec="NATURAL"))
+            lus.append(scipy.sparse.linalg.splu(A, permc_spec="NATURAL"))
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise SingularSystemError(j) from err
     return lus

@@ -54,9 +54,6 @@ class OptimizationTrace:
     def iterations(self):
         return len(self.records)
 
-    def objectives(self):
-        return np.array([r.objective for r in self.records])
-
     @property
     def converged(self):
         """True when the design change fell below tolerance before the cap."""
@@ -150,6 +147,12 @@ def run_topology_optimization(
     """
     if disc is None:
         disc = Discretization(spec)
+    # the design-independent pieces, built on first use, are built here so
+    # that iteration 1's forward_s times its solve alone.  An overflow in
+    # them is refused where it surfaces, in the first forward, as it was
+    # when they were built there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc.schur, disc.rhs, disc.spatial_terms
 
     def forward(rho):
         system = assemble_global(disc, rho)

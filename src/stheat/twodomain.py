@@ -41,28 +41,10 @@ class TwoDomainSolution:
         right = -self.source / (2 * self.kappa_2) * x**2 + self.A2 * x + self.B2
         return np.where(x <= self.interface, left, right)
 
-    def steady_flux(self, x):
-        """kappa(x) * u_s'(x); continuous across the interface."""
-        x = np.asarray(x, dtype=float)
-        left = self.kappa_1 * (-self.source / self.kappa_1 * x + self.A1)
-        right = self.kappa_2 * (-self.source / self.kappa_2 * x + self.A2)
-        return np.where(x <= self.interface, left, right)
-
     def mode(self, x):
         x = np.asarray(x, dtype=float)
         left = np.sin(self.alpha_1 * x)
         right = self.amplitude_ratio * np.sin(self.alpha_2 * (1.0 - x))
-        return np.where(x <= self.interface, left, right)
-
-    def mode_flux(self, x):
-        x = np.asarray(x, dtype=float)
-        left = self.kappa_1 * self.alpha_1 * np.cos(self.alpha_1 * x)
-        right = (
-            -self.kappa_2
-            * self.amplitude_ratio
-            * self.alpha_2
-            * np.cos(self.alpha_2 * (1.0 - x))
-        )
         return np.where(x <= self.interface, left, right)
 
     def __call__(self, x, t):
@@ -73,10 +55,6 @@ class TwoDomainSolution:
 
     def initial(self, x):
         return self.steady(x) + self.mode(x)
-
-    def time_derivative(self, x, t):
-        t = np.asarray(t, dtype=float)
-        return -self.lam * np.exp(-self.lam * t) * self.mode(x)
 
 
 def steady_coefficients(kappa_1, kappa_2, interface, source, u_right):
@@ -173,8 +151,3 @@ def two_domain_solution(kappa_1, kappa_2, interface=0.5, source=1.0, u_right=1.0
         alpha_2=alpha_2,
         amplitude_ratio=ratio,
     )
-
-
-def eigencondition_residual(sol):
-    """Residual of the transcendental decay-rate condition at sol.lam."""
-    return abs(_eigencondition(sol.lam, sol.kappa_1, sol.kappa_2, sol.interface))

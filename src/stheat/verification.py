@@ -1,10 +1,13 @@
-"""Verification studies: manufactured solutions, convergence sweeps,
-energy-estimate checks, and cross-validation of the optimization pipeline.
+"""Verification studies: manufactured solutions, convergence sweeps, the
+operator and energy-estimate checks of ``stheat verify``, and the
+derivative-free reference optimum of the two-design problem.
 
 These routines are the library's acceptance machinery: everything here
 compares the discretization against an independent reference (closed-form
-solutions, high-order quadrature of exact expressions, or a derivative-free
-scalar optimizer) rather than against itself.
+solutions, high-order quadrature of exact expressions, the SBP identities,
+or a derivative-free scalar optimizer) rather than against itself.  The
+cross-validation of the design loop against ``reference_optimum`` is a test
+and lives with the tests.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +19,6 @@ from .adjoint import objective
 from .assembly import Discretization, assemble_global, north_trace
 from .blocksolve import solve_system
 from .mma import scalar_minimize
-from .optimize import run_topology_optimization
 from .presets import manufactured_design, manufactured_state, two_design_benchmark
 from .problem import MaterialModel, ProblemSpec, kappa
 from .sbp import build_sbp_1d, verify_sbp
@@ -154,9 +156,44 @@ def energy_estimate_sides(spec, rho, sigma_0=1.0):
     return float(lhs), float(bound)
 
 
+def cosine_initial_spec(n_elements, coeffs):
+    """A data-free problem on [0, 1] x [0, 0.5]: ``n_elements`` elements of
+    degree ``len(coeffs)`` in x and t, material (0.05, 1, 2), and the initial
+    temperature sum_j coeffs[j] cos(j pi x)."""
+    def q(x, cs=coeffs):
+        x = np.asarray(x, dtype=float)
+        return sum(cj * np.cos(j * np.pi * x) for j, cj in enumerate(cs))
+
+    return ProblemSpec(
+        domain=(0.0, 1.0), horizon=0.5, n_elements=n_elements, nx=len(coeffs),
+        nt=len(coeffs), material=MaterialModel(0.05, 1.0, 2.0), q=q,
+    )
+
+
+def energy_margin_sweep(rng, draws, degree):
+    """Worst relative margin (energy - bound) / bound of the terminal-energy
+    bound over ``draws`` random problems each on 1, 2 and 5 elements.
+
+    Each problem is a ``cosine_initial_spec`` of ``degree`` coefficients at a
+    random design; ``rng`` draws the coefficients, then the design.  A
+    margin above 0 violates the bound.
+    """
+    worst = -np.inf
+    for K in (1, 2, 5):
+        for _ in range(draws):
+            spec = cosine_initial_spec(K, rng.standard_normal(degree))
+            lhs, bound = energy_estimate_sides(spec, rng.uniform(0.0, 1.0, K))
+            worst = max(worst, (lhs - bound) / max(bound, 1e-300))
+    return float(worst)
+
+
 def operator_suite_report(seed=3):
     """Worst violations of the SBP operator invariants over 2 to 16 nodes,
-    with six random vector pairs a size for integration by parts."""
+    with six random vector pairs a size for integration by parts.
+
+    Returns ``(check, value, tolerance)`` triples; a check passes when its
+    value is at most its tolerance.
+    """
     worst = {"sbp_identity": 0.0, "accuracy": 0.0, "spd": 0.0, "ibp_relative": 0.0}
     rng = np.random.default_rng(seed)
     for n in range(2, 17):
@@ -173,15 +210,12 @@ def operator_suite_report(seed=3):
             worst["ibp_relative"] = max(
                 worst["ibp_relative"], gap / (np.linalg.norm(u) * np.linalg.norm(v))
             )
-    return worst
-
-
-@dataclass
-class CrossValidation:
-    reference_rho: np.ndarray
-    reference_objective: float
-    nx_sweep: list  # (n, design_relerr, objective_relerr)
-    nt_sweep: list
+    return [
+        ("sbp_identity", worst["sbp_identity"], 1e-13),
+        ("monomial_accuracy", worst["accuracy"], 1e-11),
+        ("quadrature_positivity", worst["spd"], 0.0),
+        ("integration_by_parts", worst["ibp_relative"], 1e-12),
+    ]
 
 
 def reference_optimum(nx, nt):
@@ -198,40 +232,3 @@ def reference_optimum(nx, nt):
 
     k1, j_star = scalar_minimize(j_of_k1, (1e-4, 0.75 - 1e-4), tol=1e-8)
     return np.array([k1, 0.75 - k1]), j_star
-
-
-def crossvalidate_optimum():
-    """Compare the gradient-based optimizer against the scalar reference.
-
-    The reference is ``reference_optimum`` at 80 x 60; the sweeps rerun
-    the full MMA pipeline (tol_design 1e-8, at most 100 iterations) over
-    nx at nt = 30 and over nt at nx = 40, and report relative design and
-    objective errors against the reference.
-    """
-    ref_rho, ref_j = reference_optimum(80, 60)
-
-    def mma_point(nx, nt):
-        spec, vstar = two_design_benchmark(nx=nx, nt=nt)
-        trace = run_topology_optimization(spec, vstar, tol_design=1e-8, max_iters=100)
-        d_err = np.max(np.abs(trace.final_rho - ref_rho)) / np.max(np.abs(ref_rho))
-        j_err = abs(trace.final_objective - ref_j) / abs(ref_j)
-        return float(d_err), float(j_err)
-
-    return CrossValidation(
-        reference_rho=ref_rho,
-        reference_objective=ref_j,
-        nx_sweep=[(n, *mma_point(n, 30)) for n in (2, 3, 4, 5, 6, 8, 40)],
-        nt_sweep=[(n, *mma_point(40, n)) for n in (2, 3, 4, 5, 6, 8, 30)],
-    )
-
-
-def fitted_slope(ns, errors, floor=5e-8):
-    """Least-squares log-log slope over the points above the error floor."""
-    ns_f, errs_f = [], []
-    for n, e in zip(ns, errors):
-        if e > floor:
-            ns_f.append(n)
-            errs_f.append(e)
-    if len(ns_f) < 2:
-        return np.inf  # everything already converged past the floor
-    return float(-np.polyfit(np.log(ns_f), np.log(errs_f), 1)[0])

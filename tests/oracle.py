@@ -1,14 +1,22 @@
-"""Reference solvers for tests: dense oracles of the space-time system, the
-per-element loop that builds the spatial operator's triples, a complex-step
-gradient, and the block elimination of the backward-Euler all-at-once system."""
+"""Reference solvers and checks for tests: dense oracles of the space-time
+system, the per-element loop that builds the spatial operator's triples, a
+complex-step gradient, the block elimination of the backward-Euler
+all-at-once system, the cross-validation of the design loop against the
+scalar reference optimum, and the fluxes and time derivative of the
+closed-form two-domain solution."""
 
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from stheat.baselines import _dirichlet_values, _load_matrix
+from stheat.optimize import run_topology_optimization
+from stheat.presets import two_design_benchmark
+from stheat.twodomain import _eigencondition
+from stheat.verification import reference_optimum
 
 BlockSolution = namedtuple("BlockSolution", "times states")
 
@@ -207,3 +215,85 @@ def be_block_system(fe, n_steps):
     m_dt = (fe.mass / (fe.spec.horizon / n_steps))[np.ix_(fr, fr)]
     step = m_dt + fe.stiffness[np.ix_(fr, fr)]
     return (sp.kron(sp.eye(n_steps), step) - sp.kron(sp.eye(n_steps, k=-1), m_dt)).tocsr()
+
+
+def objectives(trace):
+    """The objective of every iteration of an ``OptimizationTrace``."""
+    return np.array([r.objective for r in trace.records])
+
+
+@dataclass
+class CrossValidation:
+    reference_rho: np.ndarray
+    reference_objective: float
+    nx_sweep: list  # (n, design_relerr, objective_relerr)
+    nt_sweep: list
+
+
+def crossvalidate_optimum():
+    """Compare the gradient-based optimizer against the scalar reference.
+
+    The reference is ``reference_optimum`` at 80 x 60; the sweeps rerun
+    the full MMA pipeline (tol_design 1e-8, at most 100 iterations) over
+    nx at nt = 30 and over nt at nx = 40, and report relative design and
+    objective errors against the reference.
+    """
+    ref_rho, ref_j = reference_optimum(80, 60)
+
+    def mma_point(nx, nt):
+        spec, vstar = two_design_benchmark(nx=nx, nt=nt)
+        trace = run_topology_optimization(spec, vstar, tol_design=1e-8, max_iters=100)
+        d_err = np.max(np.abs(trace.final_rho - ref_rho)) / np.max(np.abs(ref_rho))
+        j_err = abs(trace.final_objective - ref_j) / abs(ref_j)
+        return float(d_err), float(j_err)
+
+    return CrossValidation(
+        reference_rho=ref_rho,
+        reference_objective=ref_j,
+        nx_sweep=[(n, *mma_point(n, 30)) for n in (2, 3, 4, 5, 6, 8, 40)],
+        nt_sweep=[(n, *mma_point(40, n)) for n in (2, 3, 4, 5, 6, 8, 30)],
+    )
+
+
+def fitted_slope(ns, errors, floor=5e-8):
+    """Least-squares log-log slope over the points above the error floor."""
+    ns_f, errs_f = [], []
+    for n, e in zip(ns, errors):
+        if e > floor:
+            ns_f.append(n)
+            errs_f.append(e)
+    if len(ns_f) < 2:
+        return np.inf  # everything already converged past the floor
+    return float(-np.polyfit(np.log(ns_f), np.log(errs_f), 1)[0])
+
+
+def eigencondition_residual(sol):
+    """Residual of the transcendental decay-rate condition at sol.lam."""
+    return abs(_eigencondition(sol.lam, sol.kappa_1, sol.kappa_2, sol.interface))
+
+
+def steady_flux(sol, x):
+    """kappa(x) * u_s'(x) of a ``TwoDomainSolution``; continuous across the interface."""
+    x = np.asarray(x, dtype=float)
+    left = sol.kappa_1 * (-sol.source / sol.kappa_1 * x + sol.A1)
+    right = sol.kappa_2 * (-sol.source / sol.kappa_2 * x + sol.A2)
+    return np.where(x <= sol.interface, left, right)
+
+
+def mode_flux(sol, x):
+    """kappa(x) * w'(x) of the transient mode w of a ``TwoDomainSolution``."""
+    x = np.asarray(x, dtype=float)
+    left = sol.kappa_1 * sol.alpha_1 * np.cos(sol.alpha_1 * x)
+    right = (
+        -sol.kappa_2
+        * sol.amplitude_ratio
+        * sol.alpha_2
+        * np.cos(sol.alpha_2 * (1.0 - x))
+    )
+    return np.where(x <= sol.interface, left, right)
+
+
+def time_derivative(sol, x, t):
+    """u_t(x, t) = -lam exp(-lam t) w(x) of a ``TwoDomainSolution``."""
+    t = np.asarray(t, dtype=float)
+    return -sol.lam * np.exp(-sol.lam * t) * sol.mode(x)

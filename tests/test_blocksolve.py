@@ -20,7 +20,7 @@ from stheat.blocksolve import (
     solve_system,
     solve_transposed,
 )
-from stheat.errors import NumericalError, SingularSystemError
+from stheat.errors import NumericalError, ResourceLimitError, SingularSystemError
 from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
 
@@ -424,6 +424,18 @@ def test_non_finite_spatial_operator_refused_before_any_lu(case, value):
         with pytest.raises(NumericalError, match="spatial operator M has non-finite entries"):
             factor(system)
     assert handed == []
+
+
+def test_factor_cap_refuses_before_any_lu():
+    # four elements of 250 x 400 nodes are within the run cap, but the band
+    # LUs of their 400 time modes would hold 400 x 1000 x 751 values
+    disc = Discretization(cooling_benchmark(n_elements=4, nx=249, nt=399)[0])
+    system = assemble_global(disc, np.full(4, 0.5))
+    refuse = mock.Mock(side_effect=AssertionError("factored above the cap"))
+    with mock.patch.object(lapack, "zgbtrf", refuse), mock.patch.object(spla, "splu", refuse), \
+            pytest.raises(ResourceLimitError, match="400 time modes of 1000 x 1000 spatial "
+                          "factors would hold 300400000 LU values, above the cap of 20000000"):
+        factor(system)
 
 
 def test_overflowing_solve_is_refused_at_its_first_mode():

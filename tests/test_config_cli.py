@@ -439,6 +439,18 @@ def test_cli_run_above_the_size_cap_is_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_factors_above_the_factor_cap_are_exit_3(tmp_path, capsys):
+    # within the run cap (4 x 250 x 400 values), but the band LUs of the 400
+    # time modes would hold 400 x 1000 x 751 values, about 4.8 GB: refused
+    # before any is allocated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nelements = 4\nnx = 249\nnt = 399\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "ResourceLimitError: 400 time modes of 1000 x 1000 spatial factors would hold "
+        "300400000 LU values, above the cap of 20000000\n")
+
+
 def test_cli_march_above_the_history_cap_is_exit_3(tmp_path, capsys):
     # 10^12 steps on 51 nodes are refused before their arrays are allocated
     cfg = tmp_path / "run.cfg"

