@@ -35,11 +35,17 @@ from .sbp import build_sbp_1d, build_sbp_elements
 
 # cap on the values of one run's states (K n_x n_t values each) and element
 # operators D and Q (K n_x^2, like the entries of M), checked before any is
-# built.  The LU factors, a run's largest arrays, have their own cap,
-# ``blocksolve.MAX_FACTOR_VALUES``.  The largest run of the presets, the tests
-# and the default sweeps, the criterion-6 reference at 80 x 60, has
-# 2 x 81 x 81 = 13 122.
+# built.  The largest run of the presets, the tests and the default sweeps,
+# the criterion-6 reference at 80 x 60, has 2 x 81 x 81 = 13 122.
 MAX_RUN_VALUES = 1_000_000
+# cap on the values of one factorization, a run's largest arrays: n_t modes,
+# each an n x n LU in min(n, 2 kl + ku + 1) rows of band storage (SuperLU's
+# fill is bounded by the full n x n), checked before the operators or the
+# Schur form are built.  It allows as many values as the backward-Euler
+# history cap, ``baselines.MAX_MARCH_VALUES``.  The largest factorization of
+# the presets and the tests, the criterion-6 reference at 80 x 60, holds
+# 61 x 162 x 162 = 1 600 884.
+MAX_FACTOR_VALUES = 20_000_000
 
 
 def load_scipy():
@@ -117,6 +123,13 @@ class Discretization:
                 f"{spec.n_elements} elements of {self.n_x} x {spec.nt + 1} nodes: {values} "
                 f"values per state or operator array, above the cap of {MAX_RUN_VALUES}"
             )
+        # M couples an element to its neighbours alone, so kl = ku = n_x (``blocksolve.factor``)
+        n_t, n = spec.nt + 1, spec.n_elements * self.n_x
+        values = n_t * n * min(n, 3 * self.n_x + 1)
+        if values > MAX_FACTOR_VALUES:
+            raise ResourceLimitError(
+                f"{n_t} time modes of {n} x {n} spatial factors would hold {values} LU values, "
+                f"above the cap of {MAX_FACTOR_VALUES}")
         self.op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
         self.op_x = build_sbp_elements(self.n_x, spec.element_edges)
         self.sat = choose_sat_coefficients(self.op_x, spec.material, s, safety, sigma_0)

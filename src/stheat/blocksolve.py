@@ -34,15 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import NumericalError, ResourceLimitError, SingularSystemError
-
-# cap on the values of one factorization, the largest arrays of a run: n_t
-# modes, each an n x n LU in min(n, 2 kl + ku + 1) rows of band storage
-# (SuperLU's fill is bounded by the full n x n).  It allows as many values as
-# the backward-Euler history cap, ``baselines.MAX_MARCH_VALUES``.  The largest
-# factorization of the presets and the tests, the criterion-6 reference at
-# 80 x 60, holds 61 x 162 x 162 = 1 600 884.
-MAX_FACTOR_VALUES = 20_000_000
+from .errors import NumericalError, SingularSystemError
 
 
 @dataclass
@@ -95,8 +87,9 @@ def _shift_pattern(M):
 def factor(system):
     """One LU of the spatial factor R_jj W + M per time mode j.
 
-    The lower and upper bandwidths kl and ku are read here, and only here,
-    from M's stored entries; ``assembly``'s element order makes both n_x.
+    The lower and upper bandwidths kl and ku are read here from M's stored
+    entries; ``assembly``'s element order makes both n_x, as
+    ``Discretization``'s factor cap assumes.
     Which path runs depends on the band alone:
 
     - The band LU, where LAPACK's band storage of 2 kl + ku + 1 rows is
@@ -119,9 +112,10 @@ def factor(system):
     the SuperLU branch goes, together with ``_shift_pattern`` (item 3).
 
     A non-finite entry of M is refused with ``NumericalError`` before any
-    LU (LAPACK does not flag NaN), factors of more than ``MAX_FACTOR_VALUES``
-    values with ``ResourceLimitError`` before any is allocated, and an
-    exactly singular mode j with ``SingularSystemError(j)``.
+    LU (LAPACK does not flag NaN), and an exactly singular mode j with
+    ``SingularSystemError(j)``.  Factors of more than
+    ``assembly.MAX_FACTOR_VALUES`` values never get here: ``Discretization``
+    refuses their layout before it builds anything.
     """
     M = scipy.sparse.csc_matrix(system.M)
     if not M.has_canonical_format:
@@ -133,12 +127,6 @@ def factor(system):
     cols = np.repeat(np.arange(n), np.diff(M.indptr))
     offsets = M.indices - cols  # i - j of every stored entry
     kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
-    n_t = system.disc.op_t.n_nodes
-    values = n_t * n * min(n, 2 * kl + ku + 1)
-    if values > MAX_FACTOR_VALUES:
-        raise ResourceLimitError(
-            f"{n_t} time modes of {n} x {n} spatial factors would hold {values} LU values, "
-            f"above the cap of {MAX_FACTOR_VALUES}")
     R, _ = system.disc.schur
     if 2 * kl + ku + 1 < n:
         lus = _band_factors(M, offsets, cols, kl, ku, np.diag(R), system.disc.W)

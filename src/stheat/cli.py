@@ -196,9 +196,8 @@ def cmd_optimize(cfg, out_dir):
     return 0 if trace.converged else 1
 
 
-def _compare_point(payload):
-    """One (solver, level) cell of the comparison table; top level so it pickles."""
-    cfg, solver, level = payload
+def _compare_point(cfg, solver, level):
+    """One (solver, level) cell of the comparison table."""
     if solver == "st-se":  # its levels are time node counts; be-fe's are step counts
         cfg = replace(cfg, nt=level)
     times = []
@@ -233,25 +232,18 @@ def declared_convergence_level(levels, changes, tol):
 
 
 def compare(cfg):
-    """Run every (solver, level) cell of the configured sweep, in this
-    process or on ``cfg.jobs`` workers, and leave ``cfg`` as it was.
+    """Run every (solver, level) cell of the configured sweep in table order,
+    one after another in this process, and leave ``cfg`` as it was.
 
     Returns ``(cells, solvers, converged)``: the cells in table order, each
     with its ``delta_rho_inf`` from the level before (None at the first),
     the per-solver block of ``summary.json``, and whether every cell
     converged rather than stopping at ``max_iters``.
     """
-    tasks = [(cfg, solver, level) for solver in cfg.solvers
-             for level in sorted(cfg.nt_nodes_sweep if solver == "st-se" else cfg.nt_steps_sweep)]
     if "st-se" in cfg.solvers:
-        load_scipy()  # before any cell is timed; forked workers inherit it
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # --jobs 1 never starts a worker
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            cells = list(pool.map(_compare_point, tasks))
-    else:
-        cells = [_compare_point(t) for t in tasks]
+        load_scipy()  # before any cell is timed
+    cells = [_compare_point(cfg, solver, level) for solver in cfg.solvers
+             for level in sorted(cfg.nt_nodes_sweep if solver == "st-se" else cfg.nt_steps_sweep)]
     solvers = {}
     for solver in cfg.solvers:
         run = [c for c in cells if c["solver"] == solver]
@@ -311,11 +303,10 @@ def main(argv=None):
     )
     parser.add_argument("command", choices=["verify", "converge", "optimize", "compare"])
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
-    overrides = {"jobs": args.jobs, "seed": args.seed, "out_dir": args.out}
+    overrides = {"seed": args.seed, "out_dir": args.out}
     try:
         cfg = parse_config(args.config, overrides=overrides)
         if args.command == "optimize":

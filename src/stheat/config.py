@@ -55,7 +55,6 @@ class RunConfig:
                              commands=("converge",))
     repeats: int = _key(3, "run.repeats", int, commands=("compare",))
     seed: int = _key(0, "run.seed", int, commands=("verify",))
-    jobs: int = _key(1, "run.jobs", int, commands=("compare",))
     out_dir: str = _key("stheat-out", "run.out_dir", str, commands=_DESIGN + ("verify", "converge"))
     # not a field: the "section.key" paths that parse_config read from the file
     file_keys = frozenset()
@@ -81,8 +80,6 @@ class RunConfig:
             raise ConfigError("sat.sigma_0 must exceed 1/2, where the energy estimate holds")
         if not 0 <= self.kappa_min_ratio < 1:
             raise ConfigError("kappa_min_ratio must lie in [0, 1)")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         for s in self.solvers:
             if s not in _SOLVERS:
                 raise ConfigError(f"run.solvers: unknown solver {s!r}")

@@ -16,9 +16,6 @@ class SingularSystemError(RuntimeError):
         self.mode = mode
         super().__init__(f"singular spatial factor R_jj W + M at time mode {mode}")
 
-    def __reduce__(self):  # a compare worker returns it pickled: rebuild from the mode
-        return type(self), (self.mode,)
-
 
 class ResourceLimitError(RuntimeError):
     """A requested discretization exceeds a configured resource cap."""

@@ -83,7 +83,8 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
 
     ``forward(rho) -> (J, state)`` and ``gradient(rho, state) -> dJ/drho``
     supply the physics; the final design is re-evaluated by ``forward`` alone.
-    A non-finite J stops the loop before its gradient is taken.
+    A non-finite J stops the loop before its gradient is taken, and a
+    non-finite gradient before the MMA update.
     """
     rho = (
         uniform_feasible_design(volumes, volume_bound)
@@ -99,7 +100,10 @@ def _run_design_loop(forward, gradient, volumes, volume_bound, initial_rho, tol_
         t0 = time.perf_counter()
         j, state = _finite_forward(forward, rho, f"iteration {it}")
         t1 = time.perf_counter()
-        grad = gradient(rho, state)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _finite_forward
+            grad = gradient(rho, state)
+        if not np.isfinite(grad).all():
+            raise NumericalError(f"iteration {it}: the gradient dJ/drho is not finite")
         del state  # else it lives on beside the next forward's system and factors
         t2 = time.perf_counter()
         new_rho = mma_update(rho, grad, volumes, volume_bound, mma_state)

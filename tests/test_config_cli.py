@@ -4,9 +4,11 @@ import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stheat.assembly import Discretization
 from stheat.baselines import run_topology_optimization_be
@@ -327,12 +329,11 @@ def test_cli_compare_small_table_deterministic(tmp_path):
     assert "aao_unknowns" not in summary["solvers"]["st-se"]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_compare_cells_are_the_direct_runs_and_leave_the_config(jobs):
+def test_compare_cells_are_the_direct_runs_and_leave_the_config():
     # acceptance criteria 7 and 8 read compare's cells as these direct runs
     cfg = parse_config(overrides={
         "elements": 6, "nx": 2, "nt": 5, "tol_design": 1e-3, "max_iters": 60,
-        "nt_nodes_sweep": (4, 3), "nt_steps_sweep": (4, 8), "repeats": 1, "jobs": jobs,
+        "nt_nodes_sweep": (4, 3), "nt_steps_sweep": (4, 8), "repeats": 1,
     })
     before = asdict(cfg)
     cells, _, converged = compare(cfg)
@@ -348,26 +349,6 @@ def test_compare_cells_are_the_direct_runs_and_leave_the_config(jobs):
             trace = run_topology_optimization_be(spec, vstar, c["level"], tol_design=1e-3,
                                                  max_iters=60)
         assert (c["J"], c["rho"]) == (trace.final_objective, trace.final_rho.tolist())
-
-
-def test_cli_compare_parallel_matches_serial(tmp_path):
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text(
-        "[problem]\nelements = 6\n"
-        "[optimizer]\ntol_design = 1e-3\nmax_iters = 20\n"
-        "[run]\nnt_nodes_sweep = 3\nnt_steps_sweep = 4 8\nrepeats = 1\n"
-        "solvers = be-fe\n"
-    )
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert main(["compare", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["compare", "--config", str(cfg), "--jobs", "2", "--out", str(parallel)]) == 0
-
-    def strip_wall(text):
-        return [r.split(",")[:3] + r.split(",")[4:] for r in text.splitlines()]
-
-    assert strip_wall((serial / "compare.csv").read_text()) == strip_wall(
-        (parallel / "compare.csv").read_text()
-    )
 
 
 def test_cli_converge_small(tmp_path):
@@ -416,17 +397,22 @@ def test_cli_typed_numerical_error_is_one_line_and_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("solver, sweep", [("st-se", ""), ("be-fe", "nt_steps_sweep = 16\n")],
-                         ids=["st-se", "be-fe"])
-def test_cli_non_finite_objective_is_one_line_and_exit_3(tmp_path, capsys, solver, sweep):
+@pytest.mark.parametrize("problem, solver, sweep, message", [
+    ("source_offset = 1e300", "st-se", "", "the objective J = inf is not finite"),
+    ("source_offset = 1e300", "be-fe", "nt_steps_sweep = 16\n",
+     "the objective J = inf is not finite"),
+    ("horizon = 1e300", "be-fe", "nt_steps_sweep = 16\n", "the gradient dJ/drho is not finite"),
+], ids=["st-se", "be-fe", "be-fe-gradient"])
+def test_cli_non_finite_objective_is_one_line_and_exit_3(tmp_path, capsys, problem, solver, sweep,
+                                                         message):
     # a source of 1e300 overflows J in the first forward solve: refused there,
-    # before any gradient, and without a RuntimeWarning on the way (pyproject
-    # turns every warning into an error)
+    # before any gradient.  A horizon of 1e300 leaves J finite but overflows
+    # the adjoint sweep: refused before the MMA update.  Neither warns on the
+    # way (pyproject turns every warning into an error)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[problem]\nsource_offset = 1e300\n[run]\nsolvers = {solver}\n{sweep}")
+    cfg.write_text(f"[problem]\n{problem}\n[run]\nsolvers = {solver}\n{sweep}")
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err == "NumericalError: iteration 1: the objective J = inf is not finite\n"
+    assert capsys.readouterr().err == f"NumericalError: iteration 1: {message}\n"
 
 
 def test_cli_run_above_the_size_cap_is_exit_3(tmp_path, capsys):
@@ -440,15 +426,25 @@ def test_cli_run_above_the_size_cap_is_exit_3(tmp_path, capsys):
 
 
 def test_cli_factors_above_the_factor_cap_are_exit_3(tmp_path, capsys):
-    # within the run cap (4 x 250 x 400 values), but the band LUs of the 400
-    # time modes would hold 400 x 1000 x 751 values, about 4.8 GB: refused
-    # before any is allocated
+    # within the run cap (4 x 250 x 400 and 1 x 1000 x 1000 values), but the
+    # LUs of the time modes would hold 400 x 1000 x 751 values, about 4.8 GB,
+    # and 1000 x 1000 x 1000: refused before the Schur form of the time
+    # operator is built, so before any LU
+    cases = [
+        ("elements = 4\nnx = 249\nnt = 399\n",
+         "400 time modes of 1000 x 1000 spatial factors would hold 300400000 LU values"),
+        ("elements = 1\nnx = 999\nnt = 999\n",
+         "1000 time modes of 1000 x 1000 spatial factors would hold 1000000000 LU values"),
+    ]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[problem]\nelements = 4\nnx = 249\nnt = 399\n")
-    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == (
-        "ResourceLimitError: 400 time modes of 1000 x 1000 spatial factors would hold "
-        "300400000 LU values, above the cap of 20000000\n")
+    for problem, message in cases:
+        cfg.write_text(f"[problem]\n{problem}")
+        with mock.patch.object(scipy.linalg, "schur",
+                               side_effect=AssertionError("Schur form built")) as schur:
+            assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        schur.assert_not_called()
+        assert capsys.readouterr().err == (
+            f"ResourceLimitError: {message}, above the cap of 20000000\n")
 
 
 def test_cli_march_above_the_history_cap_is_exit_3(tmp_path, capsys):
@@ -519,7 +515,7 @@ from stheat import cli
 from stheat.config import parse_config
 class FirstCell(Exception):
     pass
-def first_cell(task):
+def first_cell(cfg, solver, level):
     raise FirstCell
 cli._compare_point = first_cell
 try:
@@ -642,10 +638,9 @@ def test_cli_compare_names_keys_each_solver_ignored(tmp_path):
 @pytest.mark.parametrize(
     "solvers, space_time, ignored",
     [("st-se be-fe", "nx = 2\nnt = 3\n",
-      ["run.converge_n", "run.jobs", "run.nt_nodes_sweep", "run.nt_steps_sweep", "run.repeats",
-       "run.seed"]),
+      ["run.converge_n", "run.nt_nodes_sweep", "run.nt_steps_sweep", "run.repeats", "run.seed"]),
      ("be-fe st-se", "",
-      ["run.converge_n", "run.jobs", "run.nt_nodes_sweep", "run.repeats", "run.seed"])],
+      ["run.converge_n", "run.nt_nodes_sweep", "run.repeats", "run.seed"])],
     ids=["st-se", "be-fe"],
 )
 def test_cli_optimize_reports_run_keys_it_does_not_read(tmp_path, solvers, space_time, ignored):
@@ -655,19 +650,32 @@ def test_cli_optimize_reports_run_keys_it_does_not_read(tmp_path, solvers, space
     cfg.write_text(
         f"[problem]\nelements = 4\n{space_time}[optimizer]\nmax_iters = 1\n"
         f"[run]\nsolvers = {solvers}\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\n"
-        "repeats = 1\nseed = 3\nconverge_n = 4 6\njobs = 2\n"
+        "repeats = 1\nseed = 3\nconverge_n = 4 6\n"
     )
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) != 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["ignored_keys"] == ignored
 
 
-@pytest.mark.parametrize("solvers", ["be-fe-aao", "st-se be-fe-aao"])
-def test_cli_rejects_the_retired_all_at_once_solver(tmp_path, capsys, solvers):
+@pytest.mark.parametrize("line, message", [
+    ("solvers = be-fe-aao", "run.solvers: unknown solver 'be-fe-aao'"),
+    ("solvers = st-se be-fe-aao", "run.solvers: unknown solver 'be-fe-aao'"),
+    ("jobs = 2", "configuration error: unknown key run.jobs"),
+], ids=["be-fe-aao", "st-se be-fe-aao", "jobs"])
+def test_cli_rejects_the_retired_all_at_once_solver(tmp_path, capsys, line, message):
     # be-fe is the only backward-Euler solver; its compare summary carries the
-    # all-at-once unknowns that be-fe-aao used to print
+    # all-at-once unknowns that be-fe-aao used to print.  compare runs its
+    # cells in one process, so the worker count is retired too
     cfg = tmp_path / "aao.cfg"
-    cfg.write_text(f"[run]\nsolvers = {solvers}\n")
+    cfg.write_text(f"[run]\n{line}\n")
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "run.solvers: unknown solver 'be-fe-aao'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_the_retired_jobs_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["compare", "--jobs", "2", "--out", str(tmp_path / "out")])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

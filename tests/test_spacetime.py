@@ -14,7 +14,6 @@ import scipy.sparse.linalg
 
 from stheat import assembly
 from stheat.assembly import Discretization, assemble_global, north_trace, residual
-from stheat.blocksolve import factor
 from stheat.errors import ResourceLimitError
 from stheat.problem import MaterialModel, ProblemSpec
 
@@ -173,14 +172,17 @@ def test_layout_index_bijection():
 
 def test_node_cap_enforced():
     # one element of 400 x 300 nodes is within the run cap, but SuperLU's
-    # factors of its 300 time modes are bounded only by 300 x 400 x 400 values
-    system = assemble_global(make_disc(400, 300), np.array([0.5]))
-    refuse = mock.Mock(side_effect=AssertionError("factored above the cap"))
+    # factors of its 300 time modes are bounded only by 300 x 400 x 400 values:
+    # refused before the operators, the Schur form or any LU are built
+    refuse = mock.Mock(side_effect=AssertionError("built above the cap"))
     with mock.patch.object(scipy.sparse.linalg, "splu", refuse), \
             mock.patch.object(scipy.linalg.lapack, "zgbtrf", refuse), \
+            mock.patch.object(scipy.linalg, "schur", refuse), \
+            mock.patch.object(assembly, "build_sbp_1d", refuse), \
+            mock.patch.object(assembly, "build_sbp_elements", refuse), \
             pytest.raises(ResourceLimitError, match="would hold 48000000 LU values, "
                                                     "above the cap of 20000000"):
-        factor(system)
+        make_disc(400, 300)
 
 
 @pytest.mark.parametrize(
