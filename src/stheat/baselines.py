@@ -25,9 +25,9 @@ values) J is dt sum_n (|y_n|^2 + 2 g_n^T R y_n + g_n^T M_dd g_n), and the
 gradient is two small Gram products of the modal adjoint with y and g.  The
 nodal history ``MarchingSolution.states`` is formed only when read.  The
 gradients match finite differences to solver precision.
-``be_aao_solve`` is the march reported with the size of the all-at-once
-system it solves: every time level stacked into one block lower-bidiagonal
-system.
+``be_aao_solve`` is the march under the all-at-once name: stacking every
+time level gives one block lower-bidiagonal system, and eliminating it
+level by level is the march.  ``stheat compare`` reports that system's size.
 
 ``run_topology_optimization_be`` drives either through the MMA loop shared
 with the space-time optimizer in ``optimize``.  The times, Dirichlet values
@@ -144,8 +144,6 @@ class MarchingSolution:
     modes: np.ndarray  # y_n of levels 1 .. N_t, one row per level in sweep order
     basis: np.ndarray  # V: the free-node state of level n is V y_n
     decay: np.ndarray  # mu^1 .. mu^L, one row per power (see _decay_powers)
-    aao_unknowns: int = None
-    aao_memory_bytes: int = None
 
     @property
     def times(self):
@@ -346,19 +344,13 @@ def be_march(fe, n_steps):
 
 
 def be_aao_solve(fe, n_steps):
-    """``be_march`` plus the size of the equivalent all-at-once system.
+    """The all-at-once backward-Euler solve, which is ``be_march``.
 
     Stacking every level gives a block lower-bidiagonal system (diagonal
     blocks M/dt + K, subdiagonal -M/dt); eliminated level by level it is
-    the march, so only the accounting differs: the unknowns of all levels
-    and the float64 bytes of its right-hand side, the two blocks and the
-    stored history, which grow linearly with the number of steps.
+    the march.  ``stheat compare`` reports its (n_el + 1)(N + 1) unknowns.
     """
-    sol = be_march(fe, n_steps)
-    n_nodes, n_levels = fe.n_nodes, n_steps + 1
-    sol.aao_unknowns = n_nodes * n_levels
-    sol.aao_memory_bytes = 8 * (fe.free.size * n_steps + 2 * n_nodes**2 + n_nodes * n_levels)
-    return sol
+    return be_march(fe, n_steps)
 
 
 def _dirichlet_coupling(solution):
@@ -428,7 +420,7 @@ def run_topology_optimization_be(
     max_iters=300,
 ):
     """MMA loop driven by the backward-Euler forward/adjoint pair; ``aao``
-    reports each forward solve with its all-at-once accounting."""
+    runs each forward solve as ``be_aao_solve``."""
     # refused before the element edges, the dense (K+1) x (K+1) matrices or a history is built
     n_nodes = spec.n_elements + 1
     _check_history(n_steps, n_nodes)

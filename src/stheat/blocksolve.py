@@ -62,28 +62,6 @@ class BandLU:
         return x
 
 
-def _shift_pattern(M):
-    """The CSC pattern of |M| + I (M canonical CSC), M's entries on it, and where its diagonal sits.
-
-    The data of r W + M on this pattern is the returned base data plus r W
-    at the diagonal positions.  The sparse sum r W + M drops exact zeros,
-    and M stores some (kappa = 0 scales whole element terms to zero), so the
-    pattern holds M's nonzero entries only.
-    """
-    n = M.shape[0]
-    pattern = abs(M) + scipy.sparse.identity(n, format="csc")
-    pattern.sort_indices()
-
-    def keys(A):
-        return np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices
-
-    pattern_keys = keys(pattern)
-    nonzero = M.data != 0
-    base = np.zeros(pattern.nnz, dtype=np.result_type(M.dtype, complex))
-    base[np.searchsorted(pattern_keys, keys(M)[nonzero])] = M.data[nonzero]
-    return pattern, base, np.searchsorted(pattern_keys, np.arange(n) * (n + 1))
-
-
 def factor(system):
     """One LU of the spatial factor R_jj W + M per time mode j.
 
@@ -100,16 +78,15 @@ def factor(system):
     - SuperLU otherwise (two elements, whose band would take 124 rows for
       82 columns).  It factors each matrix in the natural column order: the
       element layout is already a band order, so a COLAMD ordering
-      (SuperLU's default) buys nothing.  One CSC matrix on
-      ``_shift_pattern``'s pattern serves every mode: its diagonal entries
-      are rewritten for each mode before ``splu``, whose factors are new
-      arrays that keep no reference to the matrix.  A diagonal entry that
-      cancels stays stored as a zero, as in the band array.
+      (SuperLU's default) buys nothing.  One complex CSC matrix, M's
+      nonzero entries plus every diagonal entry, serves every mode: its
+      diagonal is rewritten for each mode before ``splu``, whose factors
+      are new arrays that keep no reference to the matrix.
 
     SuperLU stays only while the two-design bracket search counts roundoff
     (ROADMAP item 2): a band LU there moves its evaluation count.  Once that
     search is pinned by the gradient, the band LU serves every problem and
-    the SuperLU branch goes, together with ``_shift_pattern`` (item 3).
+    the SuperLU branch goes (item 3).
 
     A non-finite entry of M is refused with ``NumericalError`` before any
     LU (LAPACK does not flag NaN), and an exactly singular mode j with
@@ -152,10 +129,19 @@ def _band_factors(M, offsets, cols, kl, ku, shifts, W):
 
 
 def _superlu_factors(M, shifts, W):
-    """SuperLU's ``splu`` of r W + M for every r in ``shifts``, natural column order."""
-    pattern, base, diagonal = _shift_pattern(M)
-    A = scipy.sparse.csc_matrix((base, pattern.indices, pattern.indptr), shape=pattern.shape)
-    base_diagonal = base[diagonal]
+    """SuperLU's ``splu`` of r W + M for every r in ``shifts``, natural column order.
+
+    The matrix holds the pattern of the sparse sum r W + M: M's nonzero
+    entries (the sum drops the zeros M stores where kappa = 0 scales whole
+    element terms away) and the whole diagonal, each mode's M_ii + r W_i.
+    A diagonal entry that cancels stays stored as a zero, as in the band
+    array.
+    """
+    base_diagonal = M.diagonal()
+    A = M.astype(complex)
+    A.eliminate_zeros()
+    A = A + scipy.sparse.diags((base_diagonal == 0).astype(float), format="csc")
+    diagonal = A.indices == np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
     lus = []
     for j, r in enumerate(shifts):
         A.data[diagonal] = base_diagonal + r * W

@@ -69,6 +69,8 @@ class RunConfig:
         for name in ("elements", "nx", "nt", "max_iters", "repeats"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.seed < 0:  # NumPy's generators take no negative seed
+            raise ConfigError(f"run.seed: must be a non-negative integer, got {self.seed}")
         for name in ("horizon", "volume_bound", "tol_design", "sat_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

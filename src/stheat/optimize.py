@@ -139,7 +139,7 @@ def run_topology_optimization(
     volume_bound,
     initial_rho=None,
     tol_design=1e-4,
-    max_iters=100,
+    max_iters=300,
     disc=None,
 ):
     """Minimize the space-time squared temperature over the design box.

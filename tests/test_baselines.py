@@ -16,7 +16,6 @@ from stheat.baselines import (
     _decay_powers,
     _modal_basis,
     be_adjoint_and_sensitivity,
-    be_aao_solve,
     be_march,
     be_objective,
     fe_assemble,
@@ -154,19 +153,6 @@ def test_aao_matches_marching():
     ref = be_block_elimination(fe, 64)
     scale = np.max(np.abs(march.states))
     assert np.max(np.abs(ref.states - march.states)) <= 1e-12 * scale
-
-
-def test_aao_accounting():
-    spec, _ = smooth_problem(K=50)
-    fe = fe_assemble(spec, np.full(50, 0.5))
-    aao = be_aao_solve(fe, 16384)
-    assert aao.aao_unknowns == 51 * 16385 == 835_635
-    half = be_aao_solve(fe, 8192)
-    assert half.aao_unknowns == 51 * 8193
-    # float64 bytes of the stacked rhs, the two blocks and the history, as
-    # the block-elimination driver allocated them
-    assert (half.aao_memory_bytes, aao.aao_memory_bytes) == (6_595_624, 13_149_224)
-    np.testing.assert_array_equal(aao.states, be_march(fe, 16384).states)
 
 
 def data_problem(K, bc_left, bc_right):

@@ -387,6 +387,20 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, text", [(["--seed", "-1"], None), ([], "[run]\nseed = -5\n")],
+                         ids=["flag", "file"])
+def test_cli_verify_refuses_a_negative_seed(tmp_path, capsys, args, text):
+    # refused before the operator suite runs, not inside NumPy's generator
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+        args = ["--config", str(tmp_path / "run.cfg")]
+    assert main(["verify", *args, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: run.seed") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_typed_numerical_error_is_one_line_and_exit_3(tmp_path, capsys):
     # 1001 time nodes exceed the operator cap before anything is allocated
     cfg = tmp_path / "run.cfg"
