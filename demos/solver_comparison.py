@@ -8,13 +8,13 @@ the marching scheme needs thousands of steps to match.
 """
 
 from stheat.cli import compare
-from stheat.config import parse_config
+from stheat.config import RunConfig
 
-cfg = parse_config(overrides={
-    "nt_nodes_sweep": (9, 11, 13),
-    "nt_steps_sweep": (64, 256, 1024, 4096),
-    "repeats": 1,
-})
+cfg = RunConfig(
+    nt_nodes_sweep=(9, 11, 13),
+    nt_steps_sweep=(64, 256, 1024, 4096),
+    repeats=1,
+).validate()
 cells, _, _ = compare(cfg)
 
 print(f"{'solver':>9} {'Nt':>6} {'J':>12} {'cross-level |d rho|':>20} {'seconds':>8}")

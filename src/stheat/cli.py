@@ -53,7 +53,9 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_summary(out_dir, payload):
+def _write_summary(out_dir, command, cfg, **fields):
+    """``summary.json``: the command, its config and environment, then ``fields``."""
+    payload = {"command": command, "config": asdict(cfg), "environment": _environment(), **fields}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=_jsonable)
 
@@ -102,16 +104,12 @@ def cmd_verify(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "verify.csv"),
                ["check", "value", "tolerance", "status"], rows)
     ok = all(value <= tol for _, value, tol in checks)
-    _write_summary(out_dir, {
-        "command": "verify",
-        "config": asdict(cfg),
-        "environment": _environment(),
-        "checks": [
-            {"name": n, "value": v, "tolerance": t} for n, v, t in checks
-        ],
-        "condition_estimate_two_design_n20": cond,
-        "passed": ok,
-    })
+    _write_summary(
+        out_dir, "verify", cfg,
+        checks=[{"name": n, "value": v, "tolerance": t} for n, v, t in checks],
+        condition_estimate_two_design_n20=cond,
+        passed=ok,
+    )
     for name, value, tol in checks:
         print(f"{'PASS' if value <= tol else 'FAIL'}  {name}: {value:.3e} (tol {tol:.1e})")
     print(f"condition estimate (two-design, n=20): {cond:.3e}")
@@ -125,14 +123,12 @@ def cmd_converge(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "converge.csv"), ["N", "l2_error", "j_error"], rows)
     errs = [p.state_error for p in points]
     ok = monotone_with_plateau(errs) and min(errs) <= 1e-10
-    _write_summary(out_dir, {
-        "command": "converge",
-        "config": asdict(cfg),
-        "environment": _environment(),
-        "monotone_with_plateau": ok,
-        "min_state_error": min(errs),
-        "min_objective_error": min(p.objective_error for p in points),
-    })
+    _write_summary(
+        out_dir, "converge", cfg,
+        monotone_with_plateau=ok,
+        min_state_error=min(errs),
+        min_objective_error=min(p.objective_error for p in points),
+    )
     for p in points:
         print(f"N={p.n:3d}  state={p.state_error:.3e}  J={p.objective_error:.3e}")
     return 0 if ok else 1
@@ -177,20 +173,18 @@ def cmd_optimize(cfg, out_dir):
             for r in trace.records
         ],
     )
-    _write_summary(out_dir, {
-        "command": "optimize",
-        "config": asdict(cfg),
-        "environment": _environment(),
-        "solver": solver,
-        "iterations": trace.iterations,
-        "stop_reason": trace.stop_reason,
-        "converged": trace.converged,
-        "final_objective": trace.final_objective,
-        "final_design": trace.final_rho,
-        "volume": float(trace.final_rho @ spec.element_volumes),
-        "volume_bound": vstar,
-        "ignored_keys": cfg.unread_keys("optimize", solver),
-    })
+    _write_summary(
+        out_dir, "optimize", cfg,
+        solver=solver,
+        iterations=trace.iterations,
+        stop_reason=trace.stop_reason,
+        converged=trace.converged,
+        final_objective=trace.final_objective,
+        final_design=trace.final_rho,
+        volume=float(trace.final_rho @ spec.element_volumes),
+        volume_bound=vstar,
+        ignored_keys=cfg.unread_keys("optimize", solver),
+    )
     print(f"{solver}: J={trace.final_objective:.6f} after {trace.iterations} iterations "
           f"({trace.stop_reason})")
     return 0 if trace.converged else 1
@@ -285,12 +279,7 @@ def cmd_compare(cfg, out_dir):
         ["solver", "Nt", "dof", "wall_s", "delta_rho_inf", "J"],
         rows,
     )
-    _write_summary(out_dir, {
-        "command": "compare",
-        "config": asdict(cfg),
-        "environment": _environment(),
-        "solvers": solvers,
-    })
+    _write_summary(out_dir, "compare", cfg, solvers=solvers)
     for row in rows:
         print(",".join(str(c) for c in row))
     return 0 if converged else 1
@@ -303,20 +292,13 @@ def main(argv=None):
     )
     parser.add_argument("command", choices=["verify", "converge", "optimize", "compare"])
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of verify's random checks, as [run] seed; only verify reads it")
+    parser.add_argument("--out", default=None, help="output directory, as [run] out_dir")
     args = parser.parse_args(argv)
-    overrides = {"seed": args.seed, "out_dir": args.out}
     try:
-        cfg = parse_config(args.config, overrides=overrides)
-        if args.command == "optimize":
-            # optimize runs solvers[0] alone: hold the file's keys to that solver
-            parse_config(args.config, overrides={**overrides, "solvers": cfg.solvers[:1]})
-        if args.command in ("verify", "converge"):
-            # they run no solver, so they refuse every key they do not read
-            unread = cfg.unread_keys(args.command)
-            if unread:
-                raise ConfigError(f"{' '.join(unread)}: not used by {args.command}")
+        flags = {"run.seed": args.seed, "run.out_dir": args.out}
+        cfg = parse_config(args.config, args.command, flags)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -2,13 +2,15 @@
 
 Each ``RunConfig`` field declares, once, its ``section.key`` path in the
 file, the kind of its value, the preset or solver that alone reads it and
-the commands that read it.  Unknown sections or keys fail fast with the
-offending path, as do keys of the problem that no configured preset or
-solver reads: the cooling keys under ``preset = two-design`` and the
-space-time keys when no ``st-se`` solver runs.  A ``run`` key that a
-command or solver skips is reported by the command line, not refused.
-Every value is type checked.  A minimal (or absent) file yields the
-fifty-cell cooling benchmark with its published defaults.
+the commands that read it.  ``parse_config`` holds a command to those
+declarations: the keys set in the file and by the command line's flags
+are checked alike.  Unknown sections or keys fail fast with the offending
+path, as do keys of the problem that no preset or solver the command runs
+reads: the cooling keys under ``preset = two-design`` and the space-time
+keys when no ``st-se`` solver runs.  A ``run`` key that a design command
+or solver skips is reported, not refused.  Every value is type checked.
+A minimal (or absent) file yields the fifty-cell cooling benchmark with
+its published defaults.
 """
 
 import configparser
@@ -56,54 +58,57 @@ class RunConfig:
     repeats: int = _key(3, "run.repeats", int, commands=("compare",))
     seed: int = _key(0, "run.seed", int, commands=("verify",))
     out_dir: str = _key("stheat-out", "run.out_dir", str, commands=_DESIGN + ("verify", "converge"))
-    # not a field: the "section.key" paths that parse_config read from the file
-    file_keys = frozenset()
+    # not a field: the "section.key" paths that parse_config's file and flags set
+    set_keys = frozenset()
 
     def validate(self):
+        """Refuse a value no run can use, naming its ``section.key``."""
+        paths = {f.name: f.metadata["path"] for f in fields(self)}
+
+        def error(name, message):
+            return ConfigError(f"{paths[name]}: {message}")
+
         for f in fields(self):
             value = getattr(self, f.name)
             if f.metadata["kind"] is float and not math.isfinite(value):
-                raise ConfigError(f"{f.metadata['path']}: must be finite, got {value}")
+                raise error(f.name, f"must be finite, got {value}")
         if self.preset not in _PRESETS:
-            raise ConfigError(f"problem.preset: unknown preset {self.preset!r}")
+            raise error("preset", f"unknown preset {self.preset!r}")
         for name in ("elements", "nx", "nt", "max_iters", "repeats"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+                raise error(name, "must be a positive integer")
         if self.seed < 0:  # NumPy's generators take no negative seed
-            raise ConfigError(f"run.seed: must be a non-negative integer, got {self.seed}")
+            raise error("seed", f"must be a non-negative integer, got {self.seed}")
         for name in ("horizon", "volume_bound", "tol_design", "sat_s"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise error(name, "must be positive")
         if self.penalization < 1:  # the power law kappa(rho) needs p >= 1
-            raise ConfigError("problem.penalization must be >= 1")
+            raise error("penalization", "must be >= 1")
         if self.sat_safety < 1:
-            raise ConfigError("sat.safety must be >= 1")
+            raise error("sat_safety", "must be >= 1")
         if self.sigma_0 <= 0.5:
-            raise ConfigError("sat.sigma_0 must exceed 1/2, where the energy estimate holds")
+            raise error("sigma_0", "must exceed 1/2, where the energy estimate holds")
         if not 0 <= self.kappa_min_ratio < 1:
-            raise ConfigError("kappa_min_ratio must lie in [0, 1)")
+            raise error("kappa_min_ratio", "must lie in [0, 1)")
         for s in self.solvers:
             if s not in _SOLVERS:
-                raise ConfigError(f"run.solvers: unknown solver {s!r}")
-        if not self.solvers or not self.nt_nodes_sweep or not self.nt_steps_sweep:
-            raise ConfigError("sweep lists must be nonempty")
-        if not self.converge_n:
-            raise ConfigError("converge sweep must be nonempty")
-        for name in ("nt_nodes_sweep", "nt_steps_sweep", "converge_n"):
-            if min(getattr(self, name)) < 1:
-                raise ConfigError(f"run.{name}: entries must be positive integers")
-        # a repeat would run the same cell twice and list it twice
+                raise error("solvers", f"unknown solver {s!r}")
         for name in ("solvers", "nt_nodes_sweep", "nt_steps_sweep", "converge_n"):
             values = getattr(self, name)
+            if not values:
+                raise error(name, "must not be empty")
+            if name != "solvers" and min(values) < 1:
+                raise error(name, "entries must be positive integers")
+            # a repeat would run the same cell twice and list it twice
             if len(set(values)) < len(values):
-                raise ConfigError(f"run.{name}: entries must not repeat")
+                raise error(name, "entries must not repeat")
         return self
 
     def unread_keys(self, command, solver=None):
-        """The paths set in the file that ``command`` never reads when it runs ``solver``."""
+        """The set keys that ``command`` never reads when it runs ``solver``."""
         return sorted(
             f.metadata["path"] for f in fields(self)
-            if f.metadata["path"] in self.file_keys
+            if f.metadata["path"] in self.set_keys
             and (command not in f.metadata["commands"]
                  or f.metadata["only"] not in (None, self.preset, solver))
         )
@@ -129,19 +134,15 @@ def _convert(kind, raw, path):
     raise AssertionError(kind)
 
 
-def _refuse_unused(from_file, names, used, message):
-    """Refuse a problem key from the file that only a preset or solver in
-    ``names`` but not in ``used`` reads."""
-    for path, f in _FIELDS.items():
-        only = f.metadata["only"]
-        if path in from_file and not path.startswith("run.") and only in names and only not in used:
-            raise ConfigError(f"{path}: {message}")
+def parse_config(path=None, command="compare", flags=None):
+    """Load and validate the RunConfig that ``command`` runs.
 
-
-def parse_config(path=None, overrides=None):
-    """Load and validate a RunConfig; ``overrides`` wins over the file."""
+    ``flags`` maps ``section.key`` paths to the command line's values (None:
+    not given); they win over the file, and their keys count as set, as the
+    file's do.
+    """
     cfg = RunConfig()
-    from_file = set()
+    set_keys = set()
     if path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -160,19 +161,24 @@ def parse_config(path=None, overrides=None):
                     raise ConfigError(f"unknown key {key_path}")
                 f = _FIELDS[key_path]
                 setattr(cfg, f.name, _convert(f.metadata["kind"], raw, key_path))
-                from_file.add(key_path)
-    cfg.file_keys = frozenset(from_file)
-    if cfg.preset in _PRESETS:  # validate names an unknown preset
-        _refuse_unused(from_file, _PRESETS, (cfg.preset,), f"not used by preset {cfg.preset}")
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if not any(f.name == key for f in fields(RunConfig)):
-            raise ConfigError(f"unknown override {key}")
-        setattr(cfg, key, value)
-    _refuse_unused(from_file, _SOLVERS, cfg.solvers,
-                   f"not used by solvers {' '.join(cfg.solvers)}")
-    return cfg.validate()
+                set_keys.add(key_path)
+    for key_path, value in (flags or {}).items():
+        if value is not None:
+            setattr(cfg, _FIELDS[key_path].name, value)
+            set_keys.add(key_path)
+    cfg.set_keys = frozenset(set_keys)
+    cfg.validate()
+    if command in _DESIGN:
+        # refuse a problem key that no run reads; unread_keys reports the rest a run skips
+        solvers = cfg.solvers[:1] if command == "optimize" else cfg.solvers
+        unused = sorted(p for p in set_keys if not p.startswith("run.")
+                        and _FIELDS[p].metadata["only"] not in (None, cfg.preset, *solvers))
+        runs = f" (preset {cfg.preset}, solvers {' '.join(solvers)})"
+    else:  # verify and converge run no solver: they refuse every key they skip
+        unused, runs = cfg.unread_keys(command), ""
+    if unused:
+        raise ConfigError(f"{' '.join(unused)}: not used by {command}{runs}")
+    return cfg
 
 
 def problem_from_config(cfg):

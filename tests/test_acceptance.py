@@ -24,7 +24,7 @@ from stheat.assembly import Discretization, assemble_global
 from stheat.baselines import be_adjoint_and_sensitivity, be_march, be_objective, fe_assemble
 from stheat.blocksolve import solve_system
 from stheat.cli import compare
-from stheat.config import parse_config
+from stheat.config import RunConfig
 from stheat.presets import cooling_benchmark, two_design_benchmark, two_domain_problem
 from stheat.problem import MaterialModel, ProblemSpec
 from stheat.twodomain import transient_eigenvalue, two_domain_solution
@@ -257,7 +257,7 @@ def comparison():
     # the default config is the stheat compare sweep: st-se at Nt = 11, 13,
     # 15 time nodes and be-fe at 8 .. 16384 steps on the cooling preset
     t0 = time.perf_counter()
-    _, solvers, converged = compare(parse_config(overrides={"repeats": 1}))
+    _, solvers, converged = compare(RunConfig(repeats=1).validate())
     return {"solvers": solvers, "converged": converged, "elapsed": time.perf_counter() - t0}
 
 

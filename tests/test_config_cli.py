@@ -112,8 +112,8 @@ def test_space_time_keys_accepted_with_st_se_or_as_overrides(tmp_path):
     path.write_text("[problem]\nnx = 9\n[sat]\ns = 2.0\n[run]\nsolvers = be-fe st-se\n")
     cfg = parse_config(str(path))
     assert cfg.nx == 9 and cfg.sat_s == 2.0
-    # only keys read from the file are held to the configured solvers
-    cfg = parse_config(overrides={"solvers": ("be-fe",), "nx": 9, "nt": 7, "sat_s": 2.0})
+    # a config built in Python is not held to its solvers
+    cfg = RunConfig(solvers=("be-fe",), nx=9, nt=7, sat_s=2.0).validate()
     assert cfg.nx == 9 and cfg.nt == 7 and cfg.sat_s == 2.0
 
 
@@ -153,7 +153,7 @@ def test_cli_rejects_nonpositive_sweep_entries(tmp_path, capsys, key, value):
 
 def test_optimize_once_takes_zero_steps_literally():
     # 0 steps is an error of the caller, which the backward-Euler loop refuses
-    cfg = parse_config(overrides={"solvers": ("be-fe",), "elements": 4, "max_iters": 1})
+    cfg = RunConfig(solvers=("be-fe",), elements=4, max_iters=1).validate()
     with pytest.raises(ValueError, match="at least one time step"):
         _optimize_once(cfg, "be-fe", n_steps=0)
 
@@ -258,7 +258,7 @@ def test_cli_optimize_sat_keys_reach_the_discretization(tmp_path, key, value):
         path.write_text(text)
         main(["optimize", "--config", str(path), "--out", str(tmp_path / name)])
         final_j.append(json.loads((tmp_path / name / "summary.json").read_text())["final_objective"])
-    spec, vstar = problem_from_config(parse_config(overrides={"elements": 4, "nx": 3, "nt": 4}))
+    spec, vstar = problem_from_config(RunConfig(elements=4, nx=3, nt=4).validate())
     direct = run_topology_optimization(
         spec, vstar, tol_design=1e-4, max_iters=3, disc=Discretization(spec, **{key: value}))
     assert final_j[1] != final_j[0]
@@ -331,10 +331,10 @@ def test_cli_compare_small_table_deterministic(tmp_path):
 
 def test_compare_cells_are_the_direct_runs_and_leave_the_config():
     # acceptance criteria 7 and 8 read compare's cells as these direct runs
-    cfg = parse_config(overrides={
-        "elements": 6, "nx": 2, "nt": 5, "tol_design": 1e-3, "max_iters": 60,
-        "nt_nodes_sweep": (4, 3), "nt_steps_sweep": (4, 8), "repeats": 1,
-    })
+    cfg = RunConfig(
+        elements=6, nx=2, nt=5, tol_design=1e-3, max_iters=60,
+        nt_nodes_sweep=(4, 3), nt_steps_sweep=(4, 8), repeats=1,
+    ).validate()
     before = asdict(cfg)
     cells, _, converged = compare(cfg)
     assert asdict(cfg) == before and converged
@@ -385,6 +385,24 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, text, key):
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("problem.elements", "0"), ("problem.nx", "0"), ("problem.nt", "0"),
+    ("optimizer.max_iters", "0"), ("run.repeats", "0"),
+    ("problem.horizon", "0"), ("problem.volume_bound", "0"), ("optimizer.tol_design", "0"),
+    ("sat.s", "0"), ("problem.penalization", "0.5"), ("sat.safety", "0.5"),
+    ("sat.sigma_0", "0.5"), ("problem.kappa_min_ratio", "1"),
+    ("run.solvers", ""), ("run.nt_nodes_sweep", ""), ("run.nt_steps_sweep", ""),
+    ("run.converge_n", ""),
+])
+def test_cli_validation_errors_name_the_key(tmp_path, capsys, key, value):
+    # each message starts with the section.key a file writes, not a field name
+    section, name = key.split(".")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{name} = {value}\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
 
 
 @pytest.mark.parametrize("args, text", [(["--seed", "-1"], None), ([], "[run]\nseed = -5\n")],
@@ -598,18 +616,22 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "command, text, key",
-    [("verify", "[problem]\nnx = 9\n", "problem.nx"),
-     ("verify", "[sat]\ns = 2.0\n", "sat.s"),
-     ("verify", "[run]\nconverge_n = 4 6\n", "run.converge_n"),
-     ("converge", "[problem]\nelements = 4\n[run]\nconverge_n = 4 6\n", "problem.elements"),
-     ("converge", "[run]\nseed = 3\n", "run.seed")],
-    ids=["verify-nx", "verify-sat-s", "verify-converge_n", "converge-elements", "converge-seed"],
+    "command, text, flags, key",
+    [("verify", "[problem]\nnx = 9\n", [], "problem.nx"),
+     ("verify", "[sat]\ns = 2.0\n", [], "sat.s"),
+     ("verify", "[run]\nconverge_n = 4 6\n", [], "run.converge_n"),
+     ("converge", "[problem]\nelements = 4\n[run]\nconverge_n = 4 6\n", [], "problem.elements"),
+     ("converge", "[run]\nseed = 3\n", [], "run.seed"),
+     # a flag sets its key as the file does
+     ("converge", "[run]\nconverge_n = 4 6\n", ["--seed", "7"], "run.seed")],
+    ids=["verify-nx", "verify-sat-s", "verify-converge_n", "converge-elements", "converge-seed",
+         "converge-seed-flag"],
 )
-def test_cli_verify_and_converge_reject_keys_they_do_not_read(tmp_path, capsys, command, text, key):
+def test_cli_verify_and_converge_reject_keys_they_do_not_read(tmp_path, capsys, command, text,
+                                                              flags, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "out")]) == 2
     assert f"{key}: not used by {command}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -630,43 +652,50 @@ def test_cli_compare_two_design_dof(tmp_path):
 
 def test_cli_compare_names_keys_each_solver_ignored(tmp_path):
     cfg = tmp_path / "mixed.cfg"
-    cfg.write_text(
-        "[problem]\nelements = 4\nnx = 2\nnt = 3\n[sat]\nsafety = 2.0\n"
-        "[optimizer]\nmax_iters = 1\n"
-        "[run]\nsolvers = st-se be-fe\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\nrepeats = 1\n"
-        "seed = 3\nconverge_n = 4 6\n"
-    )
-    main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    solvers = json.loads((tmp_path / "out" / "summary.json").read_text())["solvers"]
-    # st-se sweeps nt itself; the backward-Euler cells read no space-time
-    # key; the seed is verify's and converge_n converge's
-    assert solvers["st-se"]["ignored_keys"] == [
-        "problem.nt", "run.converge_n", "run.nt_steps_sweep", "run.seed"
-    ]
-    assert solvers["be-fe"]["ignored_keys"] == [
-        "problem.nt", "problem.nx", "run.converge_n", "run.nt_nodes_sweep", "run.seed",
-        "sat.safety"
-    ]
+    # the seed is set in the file, then by the flag, which counts alike
+    for out, seed_line, flags in (("file", "seed = 3\n", []), ("flag", "", ["--seed", "3"])):
+        cfg.write_text(
+            "[problem]\nelements = 4\nnx = 2\nnt = 3\n[sat]\nsafety = 2.0\n"
+            "[optimizer]\nmax_iters = 1\n"
+            "[run]\nsolvers = st-se be-fe\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\nrepeats = 1\n"
+            f"{seed_line}converge_n = 4 6\n"
+        )
+        main(["compare", "--config", str(cfg), *flags, "--out", str(tmp_path / out)])
+        solvers = json.loads((tmp_path / out / "summary.json").read_text())["solvers"]
+        # st-se sweeps nt itself; the backward-Euler cells read no space-time
+        # key; the seed is verify's and converge_n converge's
+        assert solvers["st-se"]["ignored_keys"] == [
+            "problem.nt", "run.converge_n", "run.nt_steps_sweep", "run.seed"
+        ]
+        assert solvers["be-fe"]["ignored_keys"] == [
+            "problem.nt", "problem.nx", "run.converge_n", "run.nt_nodes_sweep", "run.seed",
+            "sat.safety"
+        ]
 
 
 @pytest.mark.parametrize(
-    "solvers, space_time, ignored",
-    [("st-se be-fe", "nx = 2\nnt = 3\n",
+    "solvers, space_time, flags, ignored",
+    [("st-se be-fe", "nx = 2\nnt = 3\n", [],
       ["run.converge_n", "run.nt_nodes_sweep", "run.nt_steps_sweep", "run.repeats", "run.seed"]),
-     ("be-fe st-se", "",
+     ("be-fe st-se", "", [],
+      ["run.converge_n", "run.nt_nodes_sweep", "run.repeats", "run.seed"]),
+     # the flag sets run.seed as the file's line does
+     ("be-fe st-se", "", ["--seed", "3"],
       ["run.converge_n", "run.nt_nodes_sweep", "run.repeats", "run.seed"])],
-    ids=["st-se", "be-fe"],
+    ids=["st-se", "be-fe", "be-fe-seed-flag"],
 )
-def test_cli_optimize_reports_run_keys_it_does_not_read(tmp_path, solvers, space_time, ignored):
+def test_cli_optimize_reports_run_keys_it_does_not_read(tmp_path, solvers, space_time, flags,
+                                                        ignored):
     # optimize runs solvers[0] once: it reports the run keys it skips, and
     # accepts them, since the same file also serves compare
     cfg = tmp_path / "run.cfg"
+    seed_line = "" if flags else "seed = 3\n"
     cfg.write_text(
         f"[problem]\nelements = 4\n{space_time}[optimizer]\nmax_iters = 1\n"
         f"[run]\nsolvers = {solvers}\nnt_nodes_sweep = 3\nnt_steps_sweep = 4\n"
-        "repeats = 1\nseed = 3\nconverge_n = 4 6\n"
+        f"repeats = 1\n{seed_line}converge_n = 4 6\n"
     )
-    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) != 2
+    assert main(["optimize", "--config", str(cfg), *flags, "--out", str(tmp_path / "out")]) != 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["ignored_keys"] == ignored
 
