@@ -23,14 +23,7 @@ from .baselines import (
     fe_assemble,
     run_topology_optimization_be,
 )
-from .blocksolve import (
-    SchurFactorization,
-    condition_estimate,
-    factor,
-    solve,
-    solve_system,
-    solve_transposed,
-)
+from .blocksolve import SchurFactorization, factor, solve, solve_system, solve_transposed
 from .errors import ConfigError, NumericalError, ResourceLimitError, SingularSystemError
 from .mma import MmaState, mma_update, scalar_minimize
 from .optimize import OptimizationTrace, run_topology_optimization, uniform_feasible_design

@@ -24,6 +24,10 @@ smaller than the matrix, as on the fifty-element cooling preset, ``zgbtrf``
 factors each mode in that storage.  Where the band spans the matrix, as on
 two elements, SuperLU factors it in its natural column order.
 
+The module holds only what a design runs: ``factor`` and the two solves.
+``stheat verify`` logs the exact 1-norm condition number of one fixed
+system from its dense matrix, not through these factors.
+
 SciPy's subpackages are reached as attributes of ``scipy``; every system
 solved here has a ``Discretization``, whose construction has loaded them
 (``assembly.load_scipy``).
@@ -202,27 +206,3 @@ def solve_system(system):
     fact = factor(system)
     return solve(fact, system.rhs), fact
 
-
-def one_norm(system):
-    """Exact 1-norm of A, from its sparse Kronecker form."""
-    disc = system.disc
-    sp = scipy.sparse
-    A = sp.kron(disc.T, sp.diags(disc.W)) + sp.kron(sp.diags(disc.op_t.weights), system.M)
-    return float(abs(A).sum(axis=0).max())
-
-
-def condition_estimate(system):
-    """Hager-style 1-norm condition estimate via forward/transpose solves."""
-    try:
-        fact = factor(system)
-    except SingularSystemError:
-        return np.inf
-    m = system.n_unknowns
-    inv_op = scipy.sparse.linalg.LinearOperator(
-        (m, m),
-        matvec=lambda v: solve(fact, np.ravel(v)),
-        rmatvec=lambda v: solve_transposed(fact, np.ravel(v)),
-        dtype=float,
-    )
-    inv_norm = scipy.sparse.linalg.onenormest(inv_op)
-    return one_norm(system) * inv_norm

@@ -79,6 +79,8 @@ class RunConfig:
                 raise error(name, "must be a positive integer")
         if self.seed < 0:  # NumPy's generators take no negative seed
             raise error("seed", f"must be a non-negative integer, got {self.seed}")
+        if not self.out_dir:
+            raise error("out_dir", "must not be empty")
         for name in ("horizon", "volume_bound", "tol_design", "sat_s"):
             if getattr(self, name) <= 0:
                 raise error(name, "must be positive")

@@ -170,18 +170,20 @@ def cosine_initial_spec(n_elements, coeffs):
     )
 
 
-def energy_margin_sweep(rng, draws, degree):
+def energy_margin_sweep(rng, draws, degree, ends=("dirichlet", "dirichlet")):
     """Worst relative margin (energy - bound) / bound of the terminal-energy
     bound over ``draws`` random problems each on 1, 2 and 5 elements.
 
     Each problem is a ``cosine_initial_spec`` of ``degree`` coefficients at a
-    random design; ``rng`` draws the coefficients, then the design.  A
-    margin above 0 violates the bound.
+    random design, with the (left, right) boundary conditions ``ends``;
+    ``rng`` draws the coefficients, then the design.  A margin above 0
+    violates the bound.
     """
     worst = -np.inf
     for K in (1, 2, 5):
         for _ in range(draws):
-            spec = cosine_initial_spec(K, rng.standard_normal(degree))
+            spec = replace(cosine_initial_spec(K, rng.standard_normal(degree)),
+                           bc_left=ends[0], bc_right=ends[1])
             lhs, bound = energy_estimate_sides(spec, rng.uniform(0.0, 1.0, K))
             worst = max(worst, (lhs - bound) / max(bound, 1e-300))
     return float(worst)

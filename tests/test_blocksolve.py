@@ -12,14 +12,7 @@ from scipy.linalg import lapack
 
 from oracle import to_dense
 from stheat.assembly import Discretization, GlobalSystem, assemble_global
-from stheat.blocksolve import (
-    condition_estimate,
-    factor,
-    one_norm,
-    solve,
-    solve_system,
-    solve_transposed,
-)
+from stheat.blocksolve import factor, solve, solve_system, solve_transposed
 from stheat.errors import NumericalError, ResourceLimitError, SingularSystemError
 from stheat.presets import cooling_benchmark, two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
@@ -160,57 +153,6 @@ def test_solve_rejects_bad_rhs_length():
         solve(f, np.zeros(5))
     with pytest.raises(ValueError):
         solve_transposed(f, np.zeros(5))
-
-
-def _condition_cases():
-    rng = np.random.default_rng(11)
-    spec, _ = two_design_benchmark(nx=6, nt=6)
-    scaled = random_system(rng, K=2, nx=3, nt=3)
-    # spatial rows scaled over six decades make A badly conditioned
-    scaled.M = sp.csc_matrix(np.diag(np.logspace(0, 6, scaled.M.shape[0])) @ scaled.M.toarray())
-    return {
-        "random": random_system(rng, K=3, nx=3, nt=4),
-        "scaled": scaled,
-        "two-design": assemble_global(Discretization(spec), np.array([0.45, 0.3])),
-        "two-design-kappa-0": assemble_global(Discretization(spec), np.array([0.0, 1.0])),
-        "cooling": assemble_global(
-            Discretization(cooling_benchmark(n_elements=4)[0]), np.array([0.0, 0.3, 1.0, 0.6])
-        ),
-    }
-
-
-@pytest.mark.parametrize("case", ["random", "scaled", "two-design", "two-design-kappa-0", "cooling"])
-def test_condition_estimate_matches_exact(case):
-    system = _condition_cases()[case]
-    exact = np.linalg.cond(to_dense(system), 1)
-    est = condition_estimate(system)
-    # Hager's estimate is a lower bound on the 1-norm of the inverse
-    assert exact / 3 <= est <= exact * (1 + 1e-8)
-
-
-def test_condition_identity():
-    system = diagonal_system(K=3, nx=3, diagonal=np.ones(12))
-    est = condition_estimate(system)
-    assert 0.5 <= est <= 2.0
-
-
-def test_condition_known_diagonal():
-    system = diagonal_system(K=2, nx=3, diagonal=np.logspace(0, 6, 8))
-    assert np.linalg.cond(to_dense(system), 1) == pytest.approx(1e6, rel=1e-12)
-    est = condition_estimate(system)
-    assert 1e5 <= est <= 1e7
-
-
-def test_condition_singular_is_inf():
-    assert condition_estimate(singular_system()) == np.inf
-
-
-def test_one_norm_matches_dense():
-    cases = _condition_cases()
-    for case in ["random", "scaled", "two-design", "cooling"]:
-        system = cases[case]
-        dense = to_dense(system)
-        assert one_norm(system) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14), case
 
 
 def assert_solves_exact(system, rng):

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stheat.assembly import Discretization
+from oracle import kronecker_dense
+from stheat.assembly import Discretization, assemble_global
 from stheat.baselines import run_topology_optimization_be
 from stheat.cli import _optimize_once, compare, declared_convergence_level, main
 from stheat.config import RunConfig, parse_config, problem_from_config
 from stheat.errors import ConfigError
 from stheat.optimize import run_topology_optimization
-from stheat.presets import cooling_benchmark
+from stheat.presets import cooling_benchmark, two_design_benchmark
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -184,6 +185,21 @@ def test_cli_verify_passes(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["passed"] is True
     assert np.isfinite(summary["condition_estimate_two_design_n20"])
+
+
+def test_cli_verify_logs_the_exact_condition_number(tmp_path):
+    # kappa_1 of the fixed two-design system, whatever NumPy's global RNG holds
+    spec, _ = two_design_benchmark(nx=20, nt=20)
+    system = assemble_global(Discretization(spec), np.array([0.45, 0.3]))
+    exact = np.linalg.cond(kronecker_dense(system), 1)
+    logged = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        assert main(["verify", "--out", str(tmp_path / str(seed))]) == 0
+        summary = json.loads((tmp_path / str(seed) / "summary.json").read_text())
+        logged.append(summary["condition_estimate_two_design_n20"])
+    assert logged[0] == logged[1]
+    assert logged[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_cli_optimize_writes_design(tmp_path):
@@ -613,6 +629,23 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, key, value):
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"{key}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, text", [(["--out", ""], None), ([], "[run]\nout_dir =\n"),
+                                        (["--out", "{file}/sub"], None)],
+                         ids=["empty-flag", "empty-file", "below-a-file"])
+def test_cli_refuses_an_output_directory_it_cannot_make(tmp_path, capsys, args, text):
+    # one configuration error line, not the traceback of os.makedirs
+    (tmp_path / "file").write_text("")
+    args = [arg.format(file=tmp_path / "file") for arg in args]
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: run.out_dir: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
