@@ -133,6 +133,9 @@ class Discretization:
         self.op_t = build_sbp_1d(spec.nt + 1, (0.0, spec.horizon))
         self.op_x = build_sbp_elements(self.n_x, spec.element_edges)
         self.sat = choose_sat_coefficients(self.op_x, spec.material, s, safety, sigma_0)
+        # each end's SAT coefficient on M and data: a penalty or -outward (ROADMAP item 1's defect)
+        self._end_sats = [(end, sigma if end.kind == "dirichlet" else -end.outward)
+                          for end, sigma in zip(spec.ends, (self.sat.sigma_w, self.sat.sigma_e))]
         load_scipy()
 
     @property
@@ -194,8 +197,7 @@ class Discretization:
         The source enters on every node, the initial penalty on time level 0
         and the boundary data on the first and last spatial nodes.
         """
-        spec, sat = self.spec, self.sat
-        wt = self.op_t.weights
+        spec, wt = self.spec, self.op_t.weights
         n_t, n_s = wt.size, self.W.size
         X, T = self.coordinates()
         if getattr(spec.f, "element_aware", False):
@@ -206,11 +208,9 @@ class Discretization:
         else:
             f_vals = spec.f(X, T)
         B = (self.global_p() * np.asarray(f_vals, dtype=float)).reshape(n_t, n_s)
-        B[0] += sat.sigma_0 * (self.W * np.asarray(spec.q(X[:n_s]), dtype=float))
-        scale = sat.sigma_w if spec.bc_left == "dirichlet" else 1.0
-        B[:, 0] += scale * (wt * np.asarray(spec.h(self.op_t.nodes), dtype=float))
-        scale = sat.sigma_e if spec.bc_right == "dirichlet" else -1.0
-        B[:, -1] += scale * (wt * np.asarray(spec.g(self.op_t.nodes), dtype=float))
+        B[0] += self.sat.sigma_0 * (self.W * np.asarray(spec.q(X[:n_s]), dtype=float))
+        for end, sigma in self._end_sats:
+            B[:, end.node] += sigma * (wt * np.asarray(end.data(self.op_t.nodes), dtype=float))
         rhs = B.ravel()
         rhs.flags.writeable = False
         return rhs
@@ -230,24 +230,22 @@ class Discretization:
         element by element, term by term, each term's nonzero entries row by
         row: the order of a loop over the elements and their dense factors.
         """
-        spec, sat, n, D = self.spec, self.sat, self.n_x, self.op_x.D
+        sat, n, D = self.sat, self.n_x, self.op_x.D
         k = np.arange(self.n_elements)[:, None]
         node, one = np.arange(n), np.ones((k.size, 1))
         # (elements, column-element offset, local rows, local columns, factor
         #  of shape (K, m), coefficient, owner offset or None for M0)
         terms = [(k >= 0, 0, np.repeat(node, n), np.tile(node, n),
                   -(self.op_x.Q @ D).reshape(k.size, -1), 1.0, 0)]  # -kappa P D_x^2
-        for inner, bc, near, far, offset, s_a, s_b, t, sigma, flux in (
-            (k > 0, spec.bc_left, 0, n - 1, -1,
-             sat.sigma_1, sat.sigma_2, sat.tau_1, sat.sigma_w, 1.0),
-            (k < k.size - 1, spec.bc_right, n - 1, 0, 1,
-             sat.sigma_3, sat.sigma_4, sat.tau_2, sat.sigma_e, -1.0),
-        ):
+        for (end, sigma), (s_a, s_b, t) in zip(self._end_sats, (
+                (sat.sigma_1, sat.sigma_2, sat.tau_1), (sat.sigma_3, sat.sigma_4, sat.tau_2))):
+            near, far, offset = end.node % n, (-1 - end.node) % n, end.outward
+            inner = k != end.node % k.size  # the elements with a neighbour `offset` away
             # the near end's row of each D_x, and the far end's row of the neighbour's
             Dn, Df = D[:, near], np.roll(D[:, far], -offset, axis=0)
             terms += [
-                (~inner, 0, near, near, one, sigma, None) if bc == "dirichlet"
-                else (~inner, 0, near, node, Dn, flux, 0),
+                (~inner, 0, near, near, one, sigma, None) if end.kind == "dirichlet"
+                else (~inner, 0, near, node, Dn, sigma, 0),
                 (inner, 0, near, near, one, s_a, None),
                 (inner, 0, near, node, Dn, s_b, 0),
                 (inner, 0, node, near, Dn, t, 0),

@@ -108,16 +108,10 @@ def fe_assemble(spec, rho):
     if rho.shape != (spec.n_elements,):
         raise ValueError(f"design must have {spec.n_elements} entries, got shape {rho.shape}")
     nodes = spec.element_edges
-    n = nodes.size
     h = np.diff(nodes)
     w = kappa(rho, spec.material) / h
-    fixed = []
-    if spec.bc_left == "dirichlet":
-        fixed.append(0)
-    if spec.bc_right == "dirichlet":
-        fixed.append(n - 1)
-    dirichlet = np.array(fixed, dtype=int)
-    free = np.setdiff1d(np.arange(n), dirichlet)
+    dirichlet = np.arange(nodes.size)[[end.node for end in spec.ends if end.kind == "dirichlet"]]
+    free = np.setdiff1d(np.arange(nodes.size), dirichlet)
     return FeDiscretization(
         spec=spec, nodes=nodes, mass=_p1_matrix(h / 3.0, h / 6.0), stiffness=_p1_matrix(w, -w),
         free=free, dirichlet=dirichlet,
@@ -175,23 +169,19 @@ class MarchingSolution:
 def _dirichlet_values(fe, times):
     """Dirichlet data of every level, one row per level."""
     vals = np.empty((times.size, fe.dirichlet.size))
-    for i, node in enumerate(fe.dirichlet):
-        data = fe.spec.h if node == 0 else fe.spec.g
-        vals[:, i] = np.asarray(data(times), dtype=float)
+    for i, end in enumerate(end for end in fe.spec.ends if end.kind == "dirichlet"):
+        vals[:, i] = np.asarray(end.data(times), dtype=float)
     return vals
 
 
 def _load_matrix(fe, times):
     """Nodal loads M f(t_n) plus Neumann flux data, one row per level."""
-    spec = fe.spec
     # the source broadcasts a row of nodes against a column of times, so a
     # term in t alone is evaluated once per level, not once per node
-    f_nodes = np.asarray(spec.f(fe.nodes[None, :], times[:, None]), dtype=float)
+    f_nodes = np.asarray(fe.spec.f(fe.nodes[None, :], times[:, None]), dtype=float)
     loads = np.broadcast_to(f_nodes, (times.size, fe.n_nodes)) @ fe.mass  # M is symmetric
-    if spec.bc_left == "neumann":
-        loads[:, 0] -= np.asarray(spec.h(times), dtype=float)
-    if spec.bc_right == "neumann":
-        loads[:, -1] += np.asarray(spec.g(times), dtype=float)
+    for end in (end for end in fe.spec.ends if end.kind == "neumann"):
+        loads[:, end.node] += end.outward * np.asarray(end.data(times), dtype=float)
     return loads
 
 

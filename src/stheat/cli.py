@@ -198,7 +198,7 @@ def cmd_optimize(cfg, out_dir):
 
 def _compare_point(cfg, solver, level):
     """One (solver, level) cell of the comparison table."""
-    if solver == "st-se":  # its levels are time node counts; be-fe's are step counts
+    if solver == "st-se":  # its levels set nt, the time degree (nt + 1 nodes); be-fe's: steps
         cfg = replace(cfg, nt=level)
     times = []
     for _ in range(cfg.repeats):

@@ -49,6 +49,7 @@ class RunConfig:
     tol_design: float = _key(1e-4, "optimizer.tol_design", float)
     max_iters: int = _key(300, "optimizer.max_iters", int)
     solvers: tuple = _key(_SOLVERS, "run.solvers", "strlist")
+    # compare's st-se levels: each sets nt, the time degree, so level n has n + 1 time nodes
     nt_nodes_sweep: tuple = _key((11, 13, 15), "run.nt_nodes_sweep", "intlist",
                                  only="st-se", commands=("compare",))
     nt_steps_sweep: tuple = _key((8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384),
@@ -81,9 +82,11 @@ class RunConfig:
             raise error("seed", f"must be a non-negative integer, got {self.seed}")
         if not self.out_dir:
             raise error("out_dir", "must not be empty")
-        for name in ("horizon", "volume_bound", "tol_design", "sat_s"):
+        for name in ("volume_bound", "tol_design", "sat_s"):
             if getattr(self, name) <= 0:
                 raise error(name, "must be positive")
+        if not 1e-6 <= self.horizon <= 1e6:  # six decades either side of L^2 / kappa_max = 1
+            raise error("horizon", f"must lie in [1e-6, 1e6], got {self.horizon:g}")
         if self.penalization < 1:  # the power law kappa(rho) needs p >= 1
             raise error("penalization", "must be >= 1")
         if self.sat_safety < 1:

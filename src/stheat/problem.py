@@ -11,9 +11,12 @@ SAT penalty coefficients of the scheme are derived here from the material
 and the spatial operators of the elements they act on.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+
+BoundaryEnd = namedtuple("BoundaryEnd", "node kind data outward")  # see ProblemSpec.ends
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,11 @@ class ProblemSpec:
                 raise ValueError("breakpoints must have n_elements + 1 entries")
             if not (np.all(np.diff(edges) > 0) and edges[0] == a and edges[-1] == b):
                 raise ValueError("breakpoints must increase from a to b")
+
+    @property
+    def ends(self):
+        """Left, then right end: node, kind, data, outward normal. The solvers read nothing else."""
+        return (BoundaryEnd(0, self.bc_left, self.h, -1), BoundaryEnd(-1, self.bc_right, self.g, 1))
 
     @property
     def element_edges(self):

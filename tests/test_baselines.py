@@ -8,7 +8,13 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import be_block_back_substitution, be_block_elimination, be_block_system
+from oracle import (
+    be_block_back_substitution,
+    be_block_elimination,
+    be_block_system,
+    fitted_slope,
+    smooth_problem,
+)
 
 from stheat import baselines
 from stheat.baselines import (
@@ -27,26 +33,6 @@ from stheat.problem import MaterialModel, ProblemSpec, dkappa_drho
 from stheat.verification import forward_convergence_spec
 
 UNIT = MaterialModel(kappa_min=1.0, kappa_max=1.0, p=1.0)
-
-
-def smooth_problem(K=16, bc_left="dirichlet", material=None):
-    # u = sin(pi x) exp(-t) solves u_t - kappa u_xx = f with the source below
-    kap = 1.0
-
-    def exact(x, t):
-        return np.sin(np.pi * x) * np.exp(-t)
-
-    def f(x, t):
-        return (-1.0 + kap * np.pi**2) * np.sin(np.pi * x) * np.exp(-t)
-
-    spec = ProblemSpec(
-        domain=(0.0, 1.0), horizon=1.0, n_elements=K, nx=1, nt=1,
-        material=material or UNIT,
-        bc_left=bc_left,
-        q=lambda x: np.sin(np.pi * np.asarray(x, float)),
-        f=f,
-    )
-    return spec, exact
 
 
 def st_error(fe, sol, exact):
@@ -128,6 +114,20 @@ def test_first_order_in_time_second_in_space():
         errs_x.append(st_error(fe, be_march(fe, 4096), exact))
     slope_x = np.polyfit(np.log([4, 8, 16, 32]), np.log(errs_x), 1)[0]
     assert -slope_x == pytest.approx(2.0, abs=0.2)
+
+
+def test_neumann_data_converges_at_second_order():
+    # the left end's flux data h = kappa u_x(0, t) enters the loads along the
+    # outward normal; a wrong sign there leaves an O(1) error at every K
+    errs = []
+    for K in (8, 16, 32, 64):
+        spec, exact = smooth_problem(K=K, bc_left="neumann")
+        fe = fe_assemble(spec, np.ones(K))
+        sol = be_march(fe, 4096)
+        errs.append(np.max(np.abs(sol.states[:, -1] - exact(fe.nodes, spec.horizon))))
+    # measured 1.95e-2, 4.86e-3, 1.20e-3, 2.86e-4
+    assert errs[-1] <= 3e-4
+    assert fitted_slope([8, 16, 32, 64], errs, floor=0.0) >= 1.9
 
 
 def test_unconditional_energy_decay():

@@ -421,6 +421,37 @@ def test_cli_validation_errors_name_the_key(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
 
 
+@pytest.mark.parametrize("horizon", ["1e-300", "1e300"])
+def test_cli_refuses_a_horizon_outside_its_range(tmp_path, capsys, horizon):
+    # on 4-element cooling at nx = nt = 3 the parent ran both to exit 0:
+    # J = 0 after one iteration, and J = 5.2e302 on st-se
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\nhorizon = {horizon}\nelements = 4\nnx = 3\nnt = 3\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("configuration error: problem.horizon: must lie in "
+                                       f"[1e-6, 1e6], got {float(horizon):g}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_horizon_range_is_inclusive():
+    for horizon in (1e-6, 1e6):
+        RunConfig(horizon=horizon).validate()
+    for horizon in (np.nextafter(1e-6, 0.0), np.nextafter(1e6, np.inf)):
+        with pytest.raises(ConfigError, match=r"^problem\.horizon: must lie in \[1e-6, 1e6\]"):
+            RunConfig(horizon=float(horizon)).validate()
+
+
+@pytest.mark.parametrize("horizon", [1e-6, 1e6], ids=["shortest", "longest"])
+@pytest.mark.parametrize("solver", ["st-se", "be-fe"])
+def test_both_solvers_converge_at_the_ends_of_the_horizon_range(solver, horizon):
+    # 4-element cooling at nx = nt = 3 and 64 steps: J reads 3.5e-17 and 3.3e-17
+    # at the short end, 4.3e8 and 3.7e8 at the long one
+    cfg = RunConfig(horizon=horizon, elements=4, nx=3, nt=3).validate()
+    _, _, trace = _optimize_once(cfg, solver, n_steps=64)
+    assert trace.converged
+    assert np.finfo(float).tiny <= trace.final_objective < np.inf
+
+
 @pytest.mark.parametrize("args, text", [(["--seed", "-1"], None), ([], "[run]\nseed = -5\n")],
                          ids=["flag", "file"])
 def test_cli_verify_refuses_a_negative_seed(tmp_path, capsys, args, text):
@@ -449,14 +480,16 @@ def test_cli_typed_numerical_error_is_one_line_and_exit_3(tmp_path, capsys):
     ("source_offset = 1e300", "st-se", "", "the objective J = inf is not finite"),
     ("source_offset = 1e300", "be-fe", "nt_steps_sweep = 16\n",
      "the objective J = inf is not finite"),
-    ("horizon = 1e300", "be-fe", "nt_steps_sweep = 16\n", "the gradient dJ/drho is not finite"),
+    ("penalization = 1e308\nvolume_bound = 1", "be-fe", "nt_steps_sweep = 16\n",
+     "the gradient dJ/drho is not finite"),
 ], ids=["st-se", "be-fe", "be-fe-gradient"])
 def test_cli_non_finite_objective_is_one_line_and_exit_3(tmp_path, capsys, problem, solver, sweep,
                                                          message):
     # a source of 1e300 overflows J in the first forward solve: refused there,
-    # before any gradient.  A horizon of 1e300 leaves J finite but overflows
-    # the adjoint sweep: refused before the MMA update.  Neither warns on the
-    # way (pyproject turns every warning into an error)
+    # before any gradient.  A penalization of 1e308 at the full design (rho = 1,
+    # where dkappa/drho = p) leaves J finite but overflows the gradient:
+    # refused before the MMA update.  Neither warns on the way (pyproject
+    # turns every warning into an error)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[problem]\n{problem}\n[run]\nsolvers = {solver}\n{sweep}")
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
