@@ -11,9 +11,9 @@ import numpy as np
 
 from stheat import Discretization, assemble_global, solve_system
 from stheat.presets import two_domain_problem
-from stheat.twodomain import two_domain_solution
+from stheat.twodomain import TwoDomainSolution
 
-sol = two_domain_solution(kappa_1=0.45, kappa_2=0.30, interface=0.5, source=1.0, u_right=1.0)
+sol = TwoDomainSolution(kappa_1=0.45, kappa_2=0.30, interface=0.5, source=1.0, u_right=1.0)
 print(f"decay rate lambda = {sol.lam:.12f}")
 print(f"steady coefficients: A1={sol.A1:.6f} A2={sol.A2:.6f} B2={sol.B2:.6f}")
 

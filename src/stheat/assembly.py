@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from .errors import ResourceLimitError
-from .problem import choose_sat_coefficients, kappa
+from .problem import choose_sat_coefficients
 from .sbp import build_sbp_1d, build_sbp_elements
 
 # cap on the values of one run's states (K n_x n_t values each) and element
@@ -150,14 +150,6 @@ class Discretization:
     def n_unknowns(self):
         return self.n_elements * self.block_size
 
-    def kappa_of(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != (self.n_elements,):
-            raise ValueError(
-                f"design must have {self.n_elements} entries, got shape {rho.shape}"
-            )
-        return kappa(rho, self.spec.material)
-
     def coordinates(self):
         """Flat (X, T) coordinates of every node, in the order of a state."""
         x = self.op_x.nodes.ravel()
@@ -272,7 +264,7 @@ class Discretization:
 
 def assemble_global(disc, rho):
     """The design's spatial operator M(kappa) and the design-independent rhs."""
-    return GlobalSystem(disc=disc, M=disc.spatial_operator(disc.kappa_of(rho)), rhs=disc.rhs)
+    return GlobalSystem(disc=disc, M=disc.spatial_operator(disc.spec.kappa(rho)), rhs=disc.rhs)
 
 
 def residual(u, system):

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .optimize import _run_design_loop
-from .problem import dkappa_drho, kappa
+from .problem import dkappa_drho
 
 # cap on the (levels x nodes) values of one march array, and on the (nodes x
 # nodes) values of one dense FE matrix: 160 MB of float64, of which a march
@@ -104,12 +104,9 @@ def _differences(n_nodes):
 
 def fe_assemble(spec, rho):
     """Assemble consistent mass and design-dependent stiffness matrices."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (spec.n_elements,):
-        raise ValueError(f"design must have {spec.n_elements} entries, got shape {rho.shape}")
     nodes = spec.element_edges
     h = np.diff(nodes)
-    w = kappa(rho, spec.material) / h
+    w = spec.kappa(rho) / h
     dirichlet = np.arange(nodes.size)[[end.node for end in spec.ends if end.kind == "dirichlet"]]
     free = np.setdiff1d(np.arange(nodes.size), dirichlet)
     return FeDiscretization(

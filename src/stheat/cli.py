@@ -26,7 +26,7 @@ from .config import parse_config, problem_from_config
 from .errors import ConfigError, NumericalError, ResourceLimitError, SingularSystemError
 from .optimize import run_topology_optimization
 from .presets import two_design_benchmark
-from .problem import MaterialModel, ProblemSpec
+from .problem import MaterialModel, ProblemSpec, constant
 from .verification import (
     convergence_study,
     energy_margin_sweep,
@@ -79,12 +79,9 @@ def cmd_verify(cfg, out_dir):
 
     # constant-state exactness on a heterogeneous design
     c = 2.0
-    const_t = lambda t: np.full_like(np.asarray(t, float), c)
     spec = ProblemSpec(
         domain=(0.0, 1.0), horizon=1.0, n_elements=3, nx=5, nt=5,
-        material=MaterialModel(0.0, 1.0, 3.0),
-        h=const_t, g=const_t,
-        q=lambda x: np.full_like(np.asarray(x, float), c),
+        material=MaterialModel(0.0, 1.0, 3.0), h=constant(c), g=constant(c), q=constant(c),
     )
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.2, 0.8, 0.5]))

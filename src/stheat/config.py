@@ -87,8 +87,10 @@ class RunConfig:
                 raise error(name, "must be positive")
         if not 1e-6 <= self.horizon <= 1e6:  # six decades either side of L^2 / kappa_max = 1
             raise error("horizon", f"must lie in [1e-6, 1e6], got {self.horizon:g}")
-        if self.penalization < 1:  # the power law kappa(rho) needs p >= 1
-            raise error("penalization", "must be >= 1")
+        # the power law kappa(rho) needs p >= 1; above 100, dkappa/drho ~ rho^(p - 1)
+        # underflows inside (0, 1) (0.5^1999 = 0), and MMA stalls at the start design
+        if not 1 <= self.penalization <= 100:
+            raise error("penalization", f"must lie in [1, 100], got {self.penalization!r}")
         if self.sat_safety < 1:
             raise error("sat_safety", "must be >= 1")
         if self.sigma_0 <= 0.5:

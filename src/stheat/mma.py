@@ -61,7 +61,6 @@ class MmaState:
     distance between the two duals.
     """
 
-    iteration: int = 0
     x_prev1: np.ndarray = None
     x_prev2: np.ndarray = None
     low: np.ndarray = None
@@ -71,7 +70,7 @@ class MmaState:
 
 
 def _update_asymptotes(x, state):
-    if state.iteration < 2 or state.x_prev2 is None:
+    if state.x_prev2 is None:
         low = x - _ASY_INIT
         upp = x + _ASY_INIT
     else:
@@ -219,7 +218,6 @@ def mma_update(rho, dj, volumes, volume_bound, state):
     if state.gradient_scale is None:
         scale = np.max(np.abs(dj))
         if scale == 0.0:
-            state.iteration += 1
             state.x_prev2, state.x_prev1 = state.x_prev1, rho.copy()
             return rho.copy()
         state.gradient_scale = scale
@@ -242,7 +240,6 @@ def mma_update(rho, dj, volumes, volume_bound, state):
 
     state.low, state.upp = low, upp
     state.x_prev2, state.x_prev1 = state.x_prev1, rho.copy()
-    state.iteration += 1
     return new_rho
 
 

@@ -2,16 +2,8 @@
 
 import numpy as np
 
-from .problem import MaterialModel, ProblemSpec
-from .twodomain import two_domain_solution
-
-
-def _const_t(value):
-    return lambda t: np.full_like(np.asarray(t, dtype=float), value)
-
-
-def _const_xt(value):
-    return lambda x, t: np.full_like(np.asarray(x, dtype=float), value)
+from .problem import MaterialModel, ProblemSpec, constant
+from .twodomain import TwoDomainSolution
 
 
 def two_domain_problem(sol, nx, nt, horizon=1.0):
@@ -29,9 +21,9 @@ def two_domain_problem(sol, nx, nt, horizon=1.0):
         nx=nx,
         nt=nt,
         material=MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0),
-        g=_const_t(sol.u_right),
+        g=constant(sol.u_right),
         q=sol.initial,
-        f=_const_xt(sol.source),
+        f=constant(sol.source),
     )
 
 
@@ -43,7 +35,7 @@ def two_design_benchmark(nx=40, nt=30, horizon=1.0):
     optimizers minimize the identical function of (rho_1, rho_2).  Volume
     bound 0.375 makes the constraint equivalent to kappa_1 + kappa_2 <= 0.75.
     """
-    return two_domain_problem(two_domain_solution(0.375, 0.375), nx, nt, horizon), 0.375
+    return two_domain_problem(TwoDomainSolution(0.375, 0.375), nx, nt, horizon), 0.375
 
 
 def cooling_benchmark(nx=5, nt=15, n_elements=50, p=3.0, kappa_min_ratio=1e-3,

@@ -55,16 +55,9 @@ def dkappa_drho(rho_k, material):
     return material.p * (material.kappa_max - material.kappa_min) * rho_k ** (material.p - 1)
 
 
-def _zero_t(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
-
-
-def _zero_x(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _zero_xt(x, t):
-    return np.zeros_like(np.asarray(x, dtype=float))
+def constant(value):
+    """Problem data equal to ``value``, shaped like its first argument (x or t)."""
+    return lambda first, *rest: np.full_like(np.asarray(first, dtype=float), value)
 
 
 @dataclass(frozen=True)
@@ -85,10 +78,10 @@ class ProblemSpec:
     material: MaterialModel
     bc_left: str = "dirichlet"
     bc_right: str = "dirichlet"
-    h: callable = _zero_t
-    g: callable = _zero_t
-    q: callable = _zero_x
-    f: callable = _zero_xt
+    h: callable = constant(0.0)
+    g: callable = constant(0.0)
+    q: callable = constant(0.0)
+    f: callable = constant(0.0)
     breakpoints: tuple = None
 
     def __post_init__(self):
@@ -106,6 +99,13 @@ class ProblemSpec:
                 raise ValueError("breakpoints must have n_elements + 1 entries")
             if not (np.all(np.diff(edges) > 0) and edges[0] == a and edges[-1] == b):
                 raise ValueError("breakpoints must increase from a to b")
+
+    def kappa(self, rho):
+        """The diffusivity of a design of one value per element."""
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != (self.n_elements,):
+            raise ValueError(f"design must have {self.n_elements} entries, got shape {rho.shape}")
+        return kappa(rho, self.material)
 
     @property
     def ends(self):

@@ -32,7 +32,6 @@ MAX_OPERATOR_NODES = 1000
 class LglRule:
     """Legendre-Gauss-Lobatto quadrature rule on the reference interval [-1, 1]."""
 
-    n_nodes: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -50,9 +49,8 @@ class SbpOperator1D:
     interval : (a, b) with a < b; two arrays of shape (K,) when stacked.
     nodes    : mapped LGL nodes, shape (n,).
     weights  : mapped LGL weights = diagonal of P, shape (n,).
-    D        : differentiation matrix, exact for monomials up to ``degree``.
+    D        : differentiation matrix, exact for monomials up to degree n_nodes - 1.
     Q        : P @ D, the nearly skew-symmetric part (Q + Q.T = E).
-    degree   : polynomial exactness degree, n_nodes - 1.
     """
 
     interval: tuple
@@ -60,7 +58,6 @@ class SbpOperator1D:
     weights: np.ndarray
     D: np.ndarray
     Q: np.ndarray
-    degree: int
 
     @property
     def n_nodes(self):
@@ -125,7 +122,7 @@ def lgl_rule(n_nodes):
     w = 2.0 / (n * (n - 1) * p**2)
     x.flags.writeable = False
     w.flags.writeable = False
-    return LglRule(n_nodes=n, nodes=x, weights=w)
+    return LglRule(nodes=x, weights=w)
 
 
 def _barycentric_diff(x):
@@ -185,7 +182,7 @@ def build_sbp_elements(n_nodes, edges):
     # doubling is exact and halves D exactly: bitwise the D of [-1, 1] / scale
     D = _barycentric_diff(2.0 * rule.nodes) / (0.5 * scale)[:, None, None]
     Q = weights[:, :, None] * D
-    return SbpOperator1D((a, b), nodes, weights, D, Q, n_nodes - 1)
+    return SbpOperator1D((a, b), nodes, weights, D, Q)
 
 
 def build_sbp_1d(n_nodes, interval):
@@ -193,22 +190,21 @@ def build_sbp_1d(n_nodes, interval):
     one-interval case of ``build_sbp_elements``, its element axis dropped."""
     op = build_sbp_elements(n_nodes, (interval[0], interval[1]))
     (a,), (b,) = op.interval
-    return SbpOperator1D((float(a), float(b)), op.nodes[0], op.weights[0], op.D[0], op.Q[0],
-                         op.degree)
+    return SbpOperator1D((float(a), float(b)), op.nodes[0], op.weights[0], op.D[0], op.Q[0])
 
 
 def verify_sbp(op):
     """Return the maximum violation of each SBP invariant of a one-interval operator.
 
     Keys: ``sbp_identity`` for ||Q + Q.T - E||_max, ``accuracy`` for the
-    worst monomial differentiation error up to the operator degree, and
+    worst monomial differentiation error up to degree n_nodes - 1, and
     ``spd`` for any non-positivity of the quadrature weights.
     """
     e = op.E
     sbp_identity = np.max(np.abs(op.Q + op.Q.T - e))
     acc = 0.0
     x = op.nodes
-    for s in range(op.degree + 1):
+    for s in range(op.n_nodes):
         exact = np.zeros_like(x) if s == 0 else s * x ** (s - 1)
         # scale by the monomial magnitude so the metric stays meaningful on
         # intervals reaching outside [-1, 1]

@@ -13,7 +13,7 @@ diffusivities.  This exact solution drives the forward-solver convergence
 checks and the two-design optimization cross-validation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,18 +22,34 @@ from .errors import NumericalError
 
 @dataclass(frozen=True)
 class TwoDomainSolution:
+    """The closed form of five inputs; the other fields derive from them on construction.
+
+    ``dataclasses.replace`` re-derives them too, so a solution never holds
+    coefficients or a decay rate of other inputs.
+    """
+
     kappa_1: float
     kappa_2: float
-    interface: float
-    source: float
-    u_right: float
-    A1: float
-    A2: float
-    B2: float
-    lam: float
-    alpha_1: float
-    alpha_2: float
-    amplitude_ratio: float
+    interface: float = 0.5
+    source: float = 1.0
+    u_right: float = 1.0
+    A1: float = field(init=False)
+    A2: float = field(init=False)
+    B2: float = field(init=False)
+    lam: float = field(init=False)
+    alpha_1: float = field(init=False)
+    alpha_2: float = field(init=False)
+    amplitude_ratio: float = field(init=False)
+
+    def __post_init__(self):
+        k1, k2, xi = self.kappa_1, self.kappa_2, self.interface
+        a1, a2, b2 = steady_coefficients(k1, k2, xi, self.source, self.u_right)
+        lam = transient_eigenvalue(k1, k2, xi)
+        alpha_1, alpha_2 = np.sqrt(lam / k1), np.sqrt(lam / k2)
+        ratio = np.sin(alpha_1 * xi) / np.sin(alpha_2 * (1.0 - xi))
+        for name, value in (("A1", a1), ("A2", a2), ("B2", b2), ("lam", lam), ("alpha_1", alpha_1),
+                            ("alpha_2", alpha_2), ("amplitude_ratio", ratio)):
+            object.__setattr__(self, name, value)  # frozen: set here, once
 
     def steady(self, x):
         x = np.asarray(x, dtype=float)
@@ -128,26 +144,3 @@ def transient_eigenvalue(kappa_1, kappa_2, interface):
             break
         lam -= step
     return lam
-
-
-def two_domain_solution(kappa_1, kappa_2, interface=0.5, source=1.0, u_right=1.0):
-    """Bundle the steady coefficients and transient mode into one solution."""
-    a1, a2, b2 = steady_coefficients(kappa_1, kappa_2, interface, source, u_right)
-    lam = transient_eigenvalue(kappa_1, kappa_2, interface)
-    alpha_1 = np.sqrt(lam / kappa_1)
-    alpha_2 = np.sqrt(lam / kappa_2)
-    ratio = np.sin(alpha_1 * interface) / np.sin(alpha_2 * (1.0 - interface))
-    return TwoDomainSolution(
-        kappa_1=kappa_1,
-        kappa_2=kappa_2,
-        interface=interface,
-        source=source,
-        u_right=u_right,
-        A1=a1,
-        A2=a2,
-        B2=b2,
-        lam=lam,
-        alpha_1=alpha_1,
-        alpha_2=alpha_2,
-        amplitude_ratio=ratio,
-    )

@@ -20,7 +20,7 @@ from .assembly import Discretization, assemble_global, north_trace
 from .blocksolve import solve_system
 from .mma import scalar_minimize
 from .presets import manufactured_design, manufactured_state, two_design_benchmark
-from .problem import MaterialModel, ProblemSpec, kappa
+from .problem import MaterialModel, ProblemSpec
 from .sbp import build_sbp_1d, verify_sbp
 
 
@@ -49,7 +49,7 @@ def mms_source(u_exact, u_t, u_x, u_xx, rho, spec):
     ):
         if np.max(np.abs(fd - exact)) > 1e-6 * scale:
             raise ValueError(f"derivative callable {name} disagrees with finite differences")
-    kap = kappa(np.asarray(rho, dtype=float), spec.material)
+    kap = spec.kappa(rho)
 
     def source(x, t, element=None):
         x = np.asarray(x, dtype=float)

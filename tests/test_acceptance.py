@@ -27,7 +27,7 @@ from stheat.cli import compare
 from stheat.config import RunConfig
 from stheat.presets import cooling_benchmark, two_design_benchmark, two_domain_problem
 from stheat.problem import MaterialModel, ProblemSpec
-from stheat.twodomain import transient_eigenvalue, two_domain_solution
+from stheat.twodomain import TwoDomainSolution, transient_eigenvalue
 from stheat.verification import (
     convergence_study,
     cosine_initial_spec,
@@ -91,12 +91,12 @@ def test_criterion_3_two_domain_solution():
     ]
     het_ok = True
     for k1, k2 in ((0.45, 0.30), (4.0, 1.0), (0.8, 0.15)):
-        sol = two_domain_solution(k1, k2)
+        sol = TwoDomainSolution(k1, k2)
         xi_l, xi_r = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
         flux_jump = abs(mode_flux(sol, xi_l) - mode_flux(sol, xi_r))
         het_ok &= eigencondition_residual(sol) <= 1e-12 and flux_jump <= 1e-10
 
-    sol = two_domain_solution(0.45, 0.30)
+    sol = TwoDomainSolution(0.45, 0.30)
     errors = []
     for n in (4, 8, 12, 16):
         disc = Discretization(two_domain_problem(sol, n, n))

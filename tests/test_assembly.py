@@ -16,7 +16,7 @@ from stheat.assembly import Discretization, assemble_global, north_trace, residu
 from stheat.blocksolve import solve_system
 from stheat.presets import cooling_benchmark, two_design_benchmark, two_domain_problem
 from stheat.problem import MaterialModel, ProblemSpec
-from stheat.twodomain import two_domain_solution
+from stheat.twodomain import TwoDomainSolution
 from stheat.verification import energy_estimate_sides, energy_margin_sweep
 
 LINEAR = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=1.0)
@@ -151,7 +151,7 @@ def test_spatial_terms_are_bitwise_the_per_element_loop(nx, bcs, start, widths, 
 def test_spatial_operator_is_bitwise_the_per_element_loop(preset):
     disc = Discretization(preset()[0])
     assert_terms_bitwise_the_oracle(disc)
-    kap = disc.kappa_of(np.random.default_rng(4).uniform(0.0, 1.0, disc.n_elements))
+    kap = disc.spec.kappa(np.random.default_rng(4).uniform(0.0, 1.0, disc.n_elements))
     rows, cols, values, owner = spatial_terms_by_element(disc)
     n_s = disc.W.size
     want = sp.csc_matrix((values * np.append(kap, 1.0)[owner], (rows, cols)), shape=(n_s, n_s))
@@ -162,7 +162,7 @@ def test_spatial_operator_is_bitwise_the_per_element_loop(preset):
 
 def test_rhs_independent_of_design():
     """The rhs is built on the first assembly, kept read-only, and shared by every design."""
-    spec = two_domain_problem(two_domain_solution(0.4, 0.35), nx=5, nt=5)
+    spec = two_domain_problem(TwoDomainSolution(0.4, 0.35), nx=5, nt=5)
     disc = Discretization(spec)
     assert "rhs" not in vars(disc)  # set-up builds no rhs
     b1 = assemble_global(disc, np.array([0.2, 0.9])).rhs_vector()
@@ -193,7 +193,7 @@ def test_residual_shape_and_linearity():
 
 
 def test_forward_solve_matches_analytic_heterogeneous():
-    sol = two_domain_solution(0.45, 0.30)
+    sol = TwoDomainSolution(0.45, 0.30)
     spec = two_domain_problem(sol, nx=16, nt=16)
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([sol.kappa_1, sol.kappa_2]))
@@ -203,7 +203,7 @@ def test_forward_solve_matches_analytic_heterogeneous():
 
 
 def test_forward_solve_spectral_residual_decay():
-    sol = two_domain_solution(0.6, 0.2)
+    sol = TwoDomainSolution(0.6, 0.2)
     errs = []
     for n in (4, 8, 12, 16):
         spec = two_domain_problem(sol, nx=n, nt=n)
@@ -220,7 +220,7 @@ def test_uniform_kappa_matches_single_element():
     # interface SATs must be internally consistent: a uniform-material
     # multi-element solve agrees with a converged single-element solve
     kap = 0.7
-    sol = two_domain_solution(kap, kap)
+    sol = TwoDomainSolution(kap, kap)
 
     def objective_for(K, nx, nt):
         spec = ProblemSpec(
@@ -324,7 +324,7 @@ def test_spatial_operator_symmetric_part_semidefinite(bcs, case):
         bc_left=bcs[0], bc_right=bcs[1], breakpoints=edges,
     )
     disc = Discretization(spec)
-    M = disc.spatial_operator(disc.kappa_of(np.array(rho))).toarray()
+    M = disc.spatial_operator(disc.spec.kappa(np.array(rho))).toarray()
     S = 0.5 * (M + M.T)
     assert np.linalg.eigvalsh(S)[0] >= -1e-12 * np.abs(S).max()
 
@@ -398,7 +398,7 @@ def test_design_length_checked():
 
 
 def test_restrict_consistency_with_solution_blocks():
-    sol = two_domain_solution(0.5, 0.25)
+    sol = TwoDomainSolution(0.5, 0.25)
     spec = two_domain_problem(sol, nx=10, nt=10)
     disc = Discretization(spec)
     system = assemble_global(disc, np.array([0.5, 0.25]))

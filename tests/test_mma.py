@@ -115,11 +115,11 @@ def mma_inputs(draw):
     slack = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     bound = rho @ volumes + slack * (volumes.sum() - rho @ volumes)
     state = MmaState(mu=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e12, exclude_min=True))))
-    state.iteration = draw(st.integers(0, 2))
-    if state.iteration >= 1:
+    history = draw(st.integers(0, 2))
+    if history >= 1:
         state.gradient_scale = draw(st.floats(1e-3, 1e3))
         state.x_prev1 = vector(unit)
-    if state.iteration == 2:
+    if history == 2:
         state.x_prev2 = vector(unit)
         state.low = state.x_prev1 - vector(st.floats(1e-5, 2.0))
         state.upp = state.x_prev1 + vector(st.floats(1e-5, 2.0))
@@ -244,7 +244,7 @@ def test_update_refuses_move_limits_that_leave_no_feasible_update():
     """
     rho, volumes = np.array([0.5]), np.array([0.01])
     state = MmaState(
-        iteration=2, x_prev1=rho.copy(), x_prev2=rho.copy(), low=rho - 1e-6, upp=rho + 1e-6,
+        x_prev1=rho.copy(), x_prev2=rho.copy(), low=rho - 1e-6, upp=rho + 1e-6,
         gradient_scale=1.0,
     )
     with mock.patch.object(mma, "_subproblem_minimizer", wraps=mma._subproblem_minimizer) as solves:

@@ -84,7 +84,7 @@ def assert_element_operators_bitwise_alone(spec):
         a, b = float(edges[k]), float(edges[k + 1])
         alone = build_sbp_1d(disc.n_x, (a, b))
         assert (op.interval[0][k], op.interval[1][k]) == alone.interval == (a, b)
-        assert op.degree == alone.degree == disc.n_x - 1
+        assert op.n_nodes == alone.n_nodes == disc.n_x
         for name, want in zip(("nodes", "weights", "D", "Q"), per_element_operator(disc.n_x, a, b)):
             assert getattr(op, name)[k].tobytes() == want.tobytes() == getattr(alone, name).tobytes()
 

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracle import eigencondition_residual, mode_flux, steady_flux, time_derivative
 
 from stheat.twodomain import (
+    TwoDomainSolution,
     _eigencondition,
     steady_coefficients,
     transient_eigenvalue,
-    two_domain_solution,
 )
 
 
@@ -22,7 +24,7 @@ def test_steady_parabolic_profile():
     a1, a2, b2 = steady_coefficients(1.0, 1.0, 0.5, source=2.0, u_right=0.0)
     assert a1 == pytest.approx(1.0)
     x = np.linspace(0, 1, 11)
-    sol = two_domain_solution(1.0, 1.0, 0.5, source=2.0, u_right=0.0)
+    sol = TwoDomainSolution(1.0, 1.0, 0.5, source=2.0, u_right=0.0)
     np.testing.assert_allclose(sol.steady(x), -(x**2) + x, atol=1e-13)
 
 
@@ -31,7 +33,7 @@ def test_steady_parabolic_profile():
     [(1.0, 1.0, 0.5, 2.0, 0.0), (4.0, 1.0, 0.5, 1.0, 1.0), (0.4, 0.35, 0.3, 3.0, -0.5)],
 )
 def test_steady_invariants(k1, k2, xi, f, ur):
-    sol = two_domain_solution(k1, k2, xi, source=f, u_right=ur)
+    sol = TwoDomainSolution(k1, k2, xi, source=f, u_right=ur)
     # ODE residual in each subdomain: kappa u_s'' + f = 0
     h = 1e-5
     for kap, xs in (
@@ -71,7 +73,7 @@ def test_homogeneous_eigenvalue_scales_with_kappa(kap):
 
 
 def test_heterogeneous_eigenvalue_selfconsistent():
-    sol = two_domain_solution(4.0, 1.0, 0.5)
+    sol = TwoDomainSolution(4.0, 1.0, 0.5)
     assert eigencondition_residual(sol) <= 1e-12
     # flux continuity of the transient mode at the interface
     xi = sol.interface
@@ -81,7 +83,7 @@ def test_heterogeneous_eigenvalue_selfconsistent():
 
 
 def test_transient_satisfies_heat_equation_pointwise():
-    sol = two_domain_solution(1.7, 0.6, 0.45)
+    sol = TwoDomainSolution(1.7, 0.6, 0.45)
     rng = np.random.default_rng(8)
     h = 1e-4
     for _ in range(50):
@@ -97,7 +99,7 @@ def test_transient_satisfies_heat_equation_pointwise():
 
 
 def test_solution_boundary_and_longtime():
-    sol = two_domain_solution(0.9, 0.3, 0.5, source=1.0, u_right=1.0)
+    sol = TwoDomainSolution(0.9, 0.3, 0.5, source=1.0, u_right=1.0)
     t = np.array([0.0, 0.3, 2.0])
     np.testing.assert_allclose(sol(np.zeros(3), t), 0.0, atol=1e-12)
     np.testing.assert_allclose(sol(np.ones(3), t), 1.0, atol=1e-12)
@@ -106,7 +108,7 @@ def test_solution_boundary_and_longtime():
 
 
 def test_interface_jump_of_full_solution():
-    sol = two_domain_solution(2.5, 0.8, 0.6, source=2.0, u_right=0.5)
+    sol = TwoDomainSolution(2.5, 0.8, 0.6, source=2.0, u_right=0.5)
     xi = sol.interface
     left, right = np.nextafter(xi, 0.0), np.nextafter(xi, 1.0)
     for t in (0.0, 0.4):
@@ -122,3 +124,16 @@ def test_bad_arguments():
         steady_coefficients(-1.0, 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         transient_eigenvalue(1.0, 1.0, 1.5)
+    for interface in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="interface must lie inside"):
+            TwoDomainSolution(0.45, 0.30, interface)
+
+
+def test_replaced_input_rederives_every_field():
+    # the coefficients and the decay rate are never stale: replacing an input
+    # builds the solution of the new inputs
+    replaced = dataclasses.replace(TwoDomainSolution(0.45, 0.30), kappa_1=0.6)
+    fresh = TwoDomainSolution(0.6, 0.30)
+    for f in dataclasses.fields(TwoDomainSolution):
+        assert getattr(replaced, f.name) == getattr(fresh, f.name), f.name
+    assert replaced == fresh
