@@ -15,7 +15,7 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .assembly import Discretization, assemble_global, load_scipy, residual
 from .baselines import run_topology_optimization_be
 from .config import parse_config, problem_from_config
 from .errors import ConfigError, NumericalError, ResourceLimitError, SingularSystemError
-from .optimize import run_topology_optimization
+from .optimize import IterationRecord, run_topology_optimization
 from .presets import two_design_benchmark
 from .problem import MaterialModel, ProblemSpec, constant
 from .verification import (
@@ -137,26 +137,31 @@ def cmd_converge(cfg, out_dir):
     return 0 if ok else 1
 
 
-def _optimize_once(cfg, solver, n_steps):
-    """One design loop of ``solver``; be-fe alone reads ``n_steps``."""
-    spec, vstar = problem_from_config(cfg)
+def _optimize_once(cfg, solver, level=None):
+    """One design loop of ``solver`` at ``level``: st-se's sets nt, the time
+    degree (nt + 1 nodes), be-fe's is its step count, and None is optimize's,
+    ``cfg.nt`` or the largest of ``nt_steps_sweep``.  Returns the spec, volume
+    bound, trace and the unknowns of one forward solve."""
     if solver == "st-se":
+        spec, vstar = problem_from_config(cfg if level is None else replace(cfg, nt=level))
         disc = Discretization(spec, s=cfg.sat_s, safety=cfg.sat_safety, sigma_0=cfg.sigma_0)
         trace = run_topology_optimization(
             spec, vstar, tol_design=cfg.tol_design, max_iters=cfg.max_iters, disc=disc
         )
-    else:
-        trace = run_topology_optimization_be(
-            spec, vstar, n_steps, tol_design=cfg.tol_design, max_iters=cfg.max_iters,
-        )
-    return spec, vstar, trace
+        return spec, vstar, trace, disc.n_unknowns
+    spec, vstar = problem_from_config(cfg)
+    n_steps = max(cfg.nt_steps_sweep) if level is None else level
+    trace = run_topology_optimization_be(
+        spec, vstar, n_steps, tol_design=cfg.tol_design, max_iters=cfg.max_iters,
+    )
+    return spec, vstar, trace, spec.n_elements + 1
 
 
 def cmd_optimize(cfg, out_dir):
     """Run the configured design problem once and dump design and trace;
     exit 1 if it stopped at ``max_iters`` instead of converging."""
     solver = cfg.solvers[0]
-    spec, vstar, trace = _optimize_once(cfg, solver, max(cfg.nt_steps_sweep))
+    spec, vstar, trace, _ = _optimize_once(cfg, solver)
     edges = spec.element_edges
     rows = [
         (k + 1, f"{edges[k]:.16e}", f"{edges[k + 1]:.16e}", f"{r:.16e}")
@@ -164,17 +169,12 @@ def cmd_optimize(cfg, out_dir):
     ]
     _write_csv(os.path.join(out_dir, "design.csv"),
                ["element", "x_left", "x_right", "rho"], rows)
+    columns = [f for f in fields(IterationRecord) if "column" in f.metadata]
     _write_csv(
         os.path.join(out_dir, "trace.csv"),
-        ["iter", "J", "delta_rho_inf", "J_rel", "wall_s", "forward_s", "gradient_s", "update_s",
-         "mu", "volume_slack"],
-        [
-            (r.iteration, f"{r.objective:.16e}", f"{r.design_change:.16e}",
-             f"{r.objective_rel_change:.16e}", f"{r.wall_time:.4f}",
-             f"{r.forward_s:.4f}", f"{r.gradient_s:.4f}", f"{r.update_s:.4f}",
-             f"{r.mu:.16e}", f"{r.volume_slack:.16e}")
-            for r in trace.records
-        ],
+        [f.metadata["column"] for f in columns],
+        [[format(getattr(r, f.name), f.metadata["format"]) for f in columns]
+         for r in trace.records],
     )
     _write_summary(
         out_dir, "optimize", cfg,
@@ -195,17 +195,11 @@ def cmd_optimize(cfg, out_dir):
 
 def _compare_point(cfg, solver, level):
     """One (solver, level) cell of the comparison table."""
-    if solver == "st-se":  # its levels set nt, the time degree (nt + 1 nodes); be-fe's: steps
-        cfg = replace(cfg, nt=level)
     times = []
     for _ in range(cfg.repeats):
         t0 = time.perf_counter()
-        spec, vstar, trace = _optimize_once(cfg, solver, n_steps=level)
+        _, _, trace, dof = _optimize_once(cfg, solver, level)
         times.append(time.perf_counter() - t0)
-    if solver == "st-se":
-        dof = spec.n_elements * (spec.nx + 1) * (spec.nt + 1)
-    else:
-        dof = spec.n_elements + 1
     return {
         "solver": solver,
         "level": level,
@@ -288,12 +282,16 @@ def cmd_compare(cfg, out_dir):
     return 0 if converged else 1
 
 
+COMMANDS = {"verify": cmd_verify, "converge": cmd_converge, "optimize": cmd_optimize,
+            "compare": cmd_compare}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="stheat",
         description="Space-time spectral-element topology optimization of 1D heat conduction",
     )
-    parser.add_argument("command", choices=["verify", "converge", "optimize", "compare"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed of verify's random checks, as [run] seed; only verify reads it")
@@ -309,14 +307,8 @@ def main(argv=None):
     except OSError as err:  # out_dir names a path no directory can be made at
         print(f"configuration error: run.out_dir: {err}", file=sys.stderr)
         return 2
-    command = {
-        "verify": cmd_verify,
-        "converge": cmd_converge,
-        "optimize": cmd_optimize,
-        "compare": cmd_compare,
-    }[args.command]
     try:
-        return command(cfg, cfg.out_dir)
+        return COMMANDS[args.command](cfg, cfg.out_dir)
     except (NumericalError, SingularSystemError, ResourceLimitError) as err:
         # the input is beyond what the numerics can do; any other error is a bug
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

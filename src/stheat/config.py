@@ -1,10 +1,10 @@
 """Run configuration: plain-text key=value files with section headers.
 
 Each ``RunConfig`` field declares, once, its ``section.key`` path in the
-file, the kind of its value, the preset or solver that alone reads it and
-the commands that read it.  ``parse_config`` holds a command to those
-declarations: the keys set in the file and by the command line's flags
-are checked alike.  Unknown sections or keys fail fast with the offending
+file, its default, whose type is the value's, the preset or solver that
+alone reads it and the commands that read it.  ``parse_config`` holds a
+command to those declarations: the keys set in the file and by the command
+line's flags are checked alike.  Unknown sections or keys fail fast with the offending
 path, as do keys of the problem that no preset or solver the command runs
 reads: the cooling keys under ``preset = two-design`` and the space-time
 keys when no ``st-se`` solver runs.  A ``run`` key that a design command
@@ -24,41 +24,41 @@ _PRESETS = ("cooling", "two-design")
 _DESIGN = ("optimize", "compare")  # the commands that run design loops
 
 
-def _key(default, path, kind, only=None, commands=_DESIGN):
-    """A field read from ``path`` of the file, by ``commands`` alone and, when
-    ``only`` names a preset or solver, only where that one runs."""
-    meta = {"path": path, "kind": kind, "only": only, "commands": commands}
+def _key(default, path, only=None, commands=_DESIGN):
+    """A field of ``default``'s type read from ``path`` of the file, by
+    ``commands`` alone and, when ``only`` names a preset or solver, only
+    where that one runs."""
+    meta = {"path": path, "only": only, "commands": commands}
     return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    preset: str = _key("cooling", "problem.preset", str)
-    elements: int = _key(50, "problem.elements", int, only="cooling")
-    nx: int = _key(5, "problem.nx", int, only="st-se")
+    preset: str = _key("cooling", "problem.preset")
+    elements: int = _key(50, "problem.elements", only="cooling")
+    nx: int = _key(5, "problem.nx", only="st-se")
     # compare's st-se cells set nt to their level
-    nt: int = _key(15, "problem.nt", int, only="st-se", commands=("optimize",))
-    horizon: float = _key(1.0, "problem.horizon", float)
-    kappa_min_ratio: float = _key(1e-3, "problem.kappa_min_ratio", float, only="cooling")
-    penalization: float = _key(3.0, "problem.penalization", float, only="cooling")
-    volume_bound: float = _key(0.5, "problem.volume_bound", float)
-    source_offset: float = _key(10.0, "problem.source_offset", float, only="cooling")
-    sigma_0: float = _key(1.0, "sat.sigma_0", float, only="st-se")
-    sat_s: float = _key(0.5, "sat.s", float, only="st-se")
-    sat_safety: float = _key(1.0, "sat.safety", float, only="st-se")
-    tol_design: float = _key(1e-4, "optimizer.tol_design", float)
-    max_iters: int = _key(300, "optimizer.max_iters", int)
-    solvers: tuple = _key(_SOLVERS, "run.solvers", "strlist")
+    nt: int = _key(15, "problem.nt", only="st-se", commands=("optimize",))
+    horizon: float = _key(1.0, "problem.horizon")
+    kappa_min_ratio: float = _key(1e-3, "problem.kappa_min_ratio", only="cooling")
+    penalization: float = _key(3.0, "problem.penalization", only="cooling")
+    volume_bound: float = _key(0.5, "problem.volume_bound")
+    source_offset: float = _key(10.0, "problem.source_offset", only="cooling")
+    sigma_0: float = _key(1.0, "sat.sigma_0", only="st-se")
+    sat_s: float = _key(0.5, "sat.s", only="st-se")
+    sat_safety: float = _key(1.0, "sat.safety", only="st-se")
+    tol_design: float = _key(1e-4, "optimizer.tol_design")
+    max_iters: int = _key(300, "optimizer.max_iters")
+    solvers: tuple = _key(_SOLVERS, "run.solvers")
     # compare's st-se levels: each sets nt, the time degree, so level n has n + 1 time nodes
-    nt_nodes_sweep: tuple = _key((11, 13, 15), "run.nt_nodes_sweep", "intlist",
-                                 only="st-se", commands=("compare",))
+    nt_nodes_sweep: tuple = _key((11, 13, 15), "run.nt_nodes_sweep", only="st-se",
+                                 commands=("compare",))
     nt_steps_sweep: tuple = _key((8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384),
-                                 "run.nt_steps_sweep", "intlist", only="be-fe")
-    converge_n: tuple = _key(tuple(range(4, 21, 2)), "run.converge_n", "intlist",
-                             commands=("converge",))
-    repeats: int = _key(3, "run.repeats", int, commands=("compare",))
-    seed: int = _key(0, "run.seed", int, commands=("verify",))
-    out_dir: str = _key("stheat-out", "run.out_dir", str, commands=_DESIGN + ("verify", "converge"))
+                                 "run.nt_steps_sweep", only="be-fe")
+    converge_n: tuple = _key(tuple(range(4, 21, 2)), "run.converge_n", commands=("converge",))
+    repeats: int = _key(3, "run.repeats", commands=("compare",))
+    seed: int = _key(0, "run.seed", commands=("verify",))
+    out_dir: str = _key("stheat-out", "run.out_dir", commands=_DESIGN + ("verify", "converge"))
     # not a field: the "section.key" paths that parse_config's file and flags set
     set_keys = frozenset()
 
@@ -71,7 +71,7 @@ class RunConfig:
 
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.metadata["kind"] is float and not math.isfinite(value):
+            if f.type is float and not math.isfinite(value):
                 raise error(f.name, f"must be finite, got {value}")
         if self.preset not in _PRESETS:
             raise error("preset", f"unknown preset {self.preset!r}")
@@ -124,21 +124,15 @@ class RunConfig:
 _FIELDS = {f.metadata["path"]: f for f in fields(RunConfig)}
 
 
-def _convert(kind, raw, path):
+def _convert(default, raw, path):
+    """``raw`` as a value of ``default``'s type; a tuple's entries are
+    space-separated and take the type of its first."""
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw.strip()
-        if kind == "intlist":
-            return tuple(int(tok) for tok in raw.split())
-        if kind == "strlist":
-            return tuple(tok for tok in raw.split())
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(tok) for tok in raw.split())
+        return type(default)(raw.strip())
     except ValueError as err:
         raise ConfigError(f"{path}: cannot parse {raw!r}") from err
-    raise AssertionError(kind)
 
 
 def parse_config(path=None, command="compare", flags=None):
@@ -167,7 +161,7 @@ def parse_config(path=None, command="compare", flags=None):
                 if key_path not in _FIELDS:
                     raise ConfigError(f"unknown key {key_path}")
                 f = _FIELDS[key_path]
-                setattr(cfg, f.name, _convert(f.metadata["kind"], raw, key_path))
+                setattr(cfg, f.name, _convert(f.default, raw, key_path))
                 set_keys.add(key_path)
     for key_path, value in (flags or {}).items():
         if value is not None:

@@ -218,7 +218,6 @@ def mma_update(rho, dj, volumes, volume_bound, state):
     if state.gradient_scale is None:
         scale = np.max(np.abs(dj))
         if scale == 0.0:
-            state.x_prev2, state.x_prev1 = state.x_prev1, rho.copy()
             return rho.copy()
         state.gradient_scale = scale
     d = dj / state.gradient_scale

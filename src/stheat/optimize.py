@@ -24,23 +24,28 @@ from .mma import MmaState, mma_update
 REL_EPS = 1e-12
 
 
+def _column(name, fmt):
+    """A field written to ``trace.csv`` as column ``name``, in format ``fmt``."""
+    return field(metadata={"column": name, "format": fmt})
+
+
 @dataclass
 class IterationRecord:
-    iteration: int
+    iteration: int = _column("iter", "d")
     rho: np.ndarray
-    objective: float
-    design_change: float
-    objective_rel_change: float
-    wall_time: float
+    objective: float = _column("J", ".16e")
+    design_change: float = _column("delta_rho_inf", ".16e")
+    objective_rel_change: float = _column("J_rel", ".16e")
+    wall_time: float = _column("wall_s", ".4f")
     # the parts of wall_time spent in the forward solve, the adjoint and
     # sensitivities, and the MMA update
-    forward_s: float
-    gradient_s: float
-    update_s: float
+    forward_s: float = _column("forward_s", ".4f")
+    gradient_s: float = _column("gradient_s", ".4f")
+    update_s: float = _column("update_s", ".4f")
     # the volume multiplier the MMA update accepted (0 where the bound is
     # inactive), and the volume bound minus the updated design's volume
-    mu: float
-    volume_slack: float
+    mu: float = _column("mu", ".16e")
+    volume_slack: float = _column("volume_slack", ".16e")
 
 
 @dataclass

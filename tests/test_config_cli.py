@@ -156,14 +156,28 @@ def test_optimize_once_takes_zero_steps_literally():
     # 0 steps is an error of the caller, which the backward-Euler loop refuses
     cfg = RunConfig(solvers=("be-fe",), elements=4, max_iters=1).validate()
     with pytest.raises(ValueError, match="at least one time step"):
-        _optimize_once(cfg, "be-fe", n_steps=0)
+        _optimize_once(cfg, "be-fe", level=0)
 
 
-def test_type_mismatch_rejected(tmp_path):
+@pytest.mark.parametrize("section, key, raw", [
+    ("problem", "elements", "many"), ("problem", "elements", "1.5"),
+    ("problem", "horizon", "warm"), ("run", "nt_steps_sweep", "8 x"),
+], ids=["int-word", "int-float", "float", "int-list"])
+def test_type_mismatch_rejected(tmp_path, section, key, raw):
+    # each value is parsed as its default's type; a list entry as the first entry's
     path = tmp_path / "bad.cfg"
-    path.write_text("[problem]\nelements = many\n")
-    with pytest.raises(ConfigError, match="problem.elements"):
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as err:
         parse_config(str(path))
+    assert str(err.value) == f"{section}.{key}: cannot parse {raw!r}"
+
+
+def test_every_default_is_of_its_declared_type():
+    # _convert parses a key as its default's type, a list's entries as its first's
+    for f in fields(RunConfig):
+        assert isinstance(f.default, f.type), f.name
+        if f.type is tuple:
+            assert f.default and len({type(v) for v in f.default}) == 1, f.name
 
 
 def test_missing_file_rejected():
@@ -345,6 +359,15 @@ def test_cli_compare_small_table_deterministic(tmp_path):
     assert "aao_unknowns" not in summary["solvers"]["st-se"]
 
 
+def test_cli_optimize_runs_be_fe_at_its_largest_step_count(tmp_path):
+    cfg = tmp_path / "be.cfg"
+    cfg.write_text("[problem]\nelements = 6\n[run]\nsolvers = be-fe\nnt_steps_sweep = 16 64\n")
+    assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    spec, vstar = cooling_benchmark(n_elements=6)
+    assert summary["final_objective"] == run_topology_optimization_be(spec, vstar, 64).final_objective
+
+
 def test_compare_cells_are_the_direct_runs_and_leave_the_config():
     # acceptance criteria 7 and 8 read compare's cells as these direct runs
     cfg = RunConfig(
@@ -446,8 +469,8 @@ def test_horizon_range_is_inclusive():
 def test_both_solvers_converge_at_the_ends_of_the_horizon_range(solver, horizon):
     # 4-element cooling at nx = nt = 3 and 64 steps: J reads 3.5e-17 and 3.3e-17
     # at the short end, 4.3e8 and 3.7e8 at the long one
-    cfg = RunConfig(horizon=horizon, elements=4, nx=3, nt=3).validate()
-    _, _, trace = _optimize_once(cfg, solver, n_steps=64)
+    cfg = RunConfig(horizon=horizon, elements=4, nx=3, nt=3, nt_steps_sweep=(64,)).validate()
+    _, _, trace, _ = _optimize_once(cfg, solver)
     assert trace.converged
     assert np.finfo(float).tiny <= trace.final_objective < np.inf
 
@@ -470,8 +493,8 @@ def test_cli_refuses_a_penalization_outside_its_range(tmp_path, capsys, solver, 
 def test_both_solvers_leave_the_start_at_the_largest_penalization(solver):
     # default cooling: st-se converges in 4 iterations, be-fe at 256 steps in 7,
     # with 88 % and 100 % of the design within 0.05 of 0 or 1
-    cfg = RunConfig(penalization=100.0).validate()
-    _, _, trace = _optimize_once(cfg, solver, n_steps=256)
+    cfg = RunConfig(penalization=100.0, nt_steps_sweep=(256,)).validate()
+    _, _, trace, _ = _optimize_once(cfg, solver)
     assert trace.converged and trace.iterations > 1 and np.isfinite(trace.final_objective)
     rho = trace.final_rho
     assert np.mean(np.minimum(rho, 1.0 - rho) < 0.05) >= 0.8
@@ -677,7 +700,7 @@ def test_compare_loads_the_solver_modules_before_its_first_cell(tmp_path, solver
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "key",
-    [f.metadata["path"] for f in fields(RunConfig) if f.metadata["kind"] is float],
+    [f.metadata["path"] for f in fields(RunConfig) if f.type is float],
 )
 def test_cli_rejects_non_finite_floats(tmp_path, capsys, key, value):
     section, name = key.split(".")

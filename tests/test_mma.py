@@ -87,6 +87,17 @@ def test_zero_gradient_returns_same_design():
     np.testing.assert_allclose(new, rho, atol=0)
 
 
+def test_zero_gradient_leaves_the_state_untouched():
+    # a zero gradient sets no asymptotes, so it records no design either: a
+    # later update must not take the oscillation branch without asymptotes
+    rho, volumes, dj = np.array([0.4, 0.4]), np.ones(2), np.array([1.0, -1.0])
+    state = fresh_state()
+    for _ in range(2):
+        mma_update(rho, np.zeros(2), volumes, 1.0, state)
+    first = mma_update(rho, dj, volumes, 1.0, fresh_state())
+    assert np.array_equal(mma_update(rho, dj, volumes, 1.0, state), first)
+
+
 def test_nonfinite_gradient_rejected():
     with pytest.raises(NumericalError):
         mma_update(np.array([0.5]), np.array([np.nan]), np.ones(1), 1.0, fresh_state())
