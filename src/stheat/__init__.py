@@ -36,5 +36,5 @@ from .problem import (
     kappa,
 )
 from .sbp import SbpOperator1D, build_sbp_1d, lgl_rule, verify_sbp
-from .twodomain import TwoDomainSolution, steady_coefficients, transient_eigenvalue
+from .twodomain import TwoDomainSolution
 from .verification import convergence_study, mms_source

@@ -120,6 +120,7 @@ class _MarchData:
     """The design-independent data of an ``n_steps`` march (see ``_march_data``)."""
 
     times: np.ndarray
+    dt: float  # horizon / N_t, bitwise times[1] - times[0] (linspace from 0)
     initial: np.ndarray  # the free nodes' initial state x_0
     dirichlet: np.ndarray  # g of every level, one row per level
     sources: np.ndarray  # rows [b_n | g_n] of levels 1 .. N_t, in sweep order
@@ -161,6 +162,13 @@ class MarchingSolution:
         u[fe.free, 1:] = self.free_levels(self.modes).T
         u[fe.dirichlet] = self.data.dirichlet.T
         return u
+
+    @cached_property
+    def dirichlet_coupling(self):
+        """g_n of levels 1 .. N_t in sweep order, and R = M_df V."""
+        fe = self.fe
+        g = self.data.sources[:, fe.free.size:]
+        return g, fe.mass[np.ix_(fe.dirichlet, fe.free)] @ self.basis
 
 
 def _dirichlet_values(fe, times):
@@ -214,13 +222,14 @@ def _march_data(fe, n_steps):
     if n_steps not in cache:
         fr, dr = fe.free, fe.dirichlet
         times = np.linspace(0.0, fe.spec.horizon, n_steps + 1)
+        dt = fe.spec.horizon / n_steps
         g = _dirichlet_values(fe, times)
-        m_fd = fe.mass[np.ix_(fr, dr)] / (fe.spec.horizon / n_steps)
+        m_fd = fe.mass[np.ix_(fr, dr)] / dt
         b = _load_matrix(fe, times)[1:, fr] - np.diff(g, axis=0) @ m_fd.T
         order = _sweep_order(n_steps)
         cache[n_steps] = _MarchData(
-            times=times, initial=np.asarray(fe.spec.q(fe.nodes), dtype=float)[fr], dirichlet=g,
-            sources=np.hstack([b, g[1:]])[order], order=order,
+            times=times, dt=dt, initial=np.asarray(fe.spec.q(fe.nodes), dtype=float)[fr],
+            dirichlet=g, sources=np.hstack([b, g[1:]])[order], order=order,
         )
     return cache[n_steps]
 
@@ -319,7 +328,7 @@ def be_march(fe, n_steps):
     _check_history(n_steps, fe.n_nodes)
     data = _march_data(fe, n_steps)
     fr, dr = fe.free, fe.dirichlet
-    dt = fe.spec.horizon / n_steps
+    dt = data.dt
     lam, basis = _modal_basis(fe)
     # block size isqrt(N) serves both sweeps: N levels forward and back
     decay = _decay_powers(dt, lam, isqrt(n_steps))
@@ -340,22 +349,14 @@ def be_aao_solve(fe, n_steps):
     return be_march(fe, n_steps)
 
 
-def _dirichlet_coupling(solution):
-    """g_n of levels 1 .. N_t in sweep order, and R = M_df V."""
-    fe = solution.fe
-    g = solution.data.sources[:, fe.free.size:]
-    return g, fe.mass[np.ix_(fe.dirichlet, fe.free)] @ solution.basis
-
-
 def be_objective(solution):
     """Right-endpoint quadrature of u^T M u over the marched history.
 
     With u_n = [V y_n; g_n] and V^T M_ff V = I, u_n^T M u_n is
     |y_n|^2 + 2 g_n^T R y_n + g_n^T M_dd g_n.
     """
-    fe, y = solution.fe, solution.modes
-    dt = solution.times[1] - solution.times[0]
-    g, r = _dirichlet_coupling(solution)
+    fe, y, dt = solution.fe, solution.modes, solution.data.dt
+    g, r = solution.dirichlet_coupling
     m_dd = fe.mass[np.ix_(fe.dirichlet, fe.dirichlet)]
     return float(dt * (np.vdot(y, y) + 2.0 * np.vdot(r, g.T @ y) + np.vdot(g @ m_dd, g)))
 
@@ -368,8 +369,8 @@ def _adjoint_modes(solution):
     forward's mu because M and K are symmetric (by construction in
     ``_p1_matrix``), and 2 dt (M u_n)_f = dJ/dx_n on the right.
     """
-    dt = solution.fe.spec.horizon / solution.n_steps
-    g, r = _dirichlet_coupling(solution)
+    dt = solution.data.dt
+    g, r = solution.dirichlet_coupling
     zeta = g @ r
     zeta += solution.modes
     zeta *= (2.0 * dt * dt) * solution.decay[0]
@@ -388,7 +389,7 @@ def be_adjoint_and_sensitivity(solution, rho):
     """
     fe = solution.fe
     zeta = _adjoint_modes(solution)
-    g, _ = _dirichlet_coupling(solution)
+    g, _ = solution.dirichlet_coupling
     diff = _differences(fe.n_nodes)
     a = diff[:, fe.free] @ solution.basis
     pairs = np.sum((a @ (zeta.T @ solution.modes)) * a, axis=1)

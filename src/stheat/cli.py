@@ -56,15 +56,7 @@ def _write_summary(out_dir, command, cfg, **fields):
     """``summary.json``: the command, its config and environment, then ``fields``."""
     payload = {"command": command, "config": asdict(cfg), "environment": _environment(), **fields}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonable)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        json.dump(payload, fh, indent=2)
 
 
 def _dense_matrix(system):
@@ -183,7 +175,7 @@ def cmd_optimize(cfg, out_dir):
         stop_reason=trace.stop_reason,
         converged=trace.converged,
         final_objective=trace.final_objective,
-        final_design=trace.final_rho,
+        final_design=trace.final_rho.tolist(),
         volume=float(trace.final_rho @ spec.element_volumes),
         volume_bound=vstar,
         ignored_keys=cfg.unread_keys("optimize", solver),

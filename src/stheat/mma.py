@@ -248,7 +248,7 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SCALAR_STEPS = 10_000
 
 
-def scalar_minimize(f, bracket, tol=1e-8, width_history=None):
+def scalar_minimize(f, bracket, tol=1e-8):
     """Brent-style bounded scalar minimization.
 
     Parabolic interpolation through the three best points, with
@@ -270,8 +270,6 @@ def scalar_minimize(f, bracket, tol=1e-8, width_history=None):
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = safe_eval(x)
     d = e = b - a
-    if width_history is not None:
-        width_history.append(b - a)
     for _ in range(_SCALAR_STEPS):
         if b - a <= tol:
             break
@@ -314,8 +312,6 @@ def scalar_minimize(f, bracket, tol=1e-8, width_history=None):
                 fv, fw = fw, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-        if width_history is not None:
-            width_history.append(b - a)
     else:
         raise NumericalError("scalar minimizer exceeded the iteration cap")
     return x, fx

@@ -78,10 +78,8 @@ class SbpOperator1D:
 
 
 def _legendre_pair(n, x):
-    """Values of P_{n-1} and P_{n-2} at x via the three-term recurrence."""
+    """Values of P_{n-1} and P_{n-2} at x via the three-term recurrence, for n >= 2."""
     p_prev = np.ones_like(x)  # P_0
-    if n == 1:
-        return p_prev, np.zeros_like(x)
     p = x.copy()  # P_1
     for k in range(1, n - 1):
         p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p

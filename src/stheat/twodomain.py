@@ -43,8 +43,12 @@ class TwoDomainSolution:
 
     def __post_init__(self):
         k1, k2, xi = self.kappa_1, self.kappa_2, self.interface
-        a1, a2, b2 = steady_coefficients(k1, k2, xi, self.source, self.u_right)
-        lam = transient_eigenvalue(k1, k2, xi)
+        if k1 <= 0 or k2 <= 0:
+            raise ValueError("diffusivities must be positive")
+        if not 0 < xi < 1:
+            raise ValueError("interface must lie inside (0, 1)")
+        a1, a2, b2 = _steady_coefficients(k1, k2, xi, self.source, self.u_right)
+        lam = _transient_eigenvalue(k1, k2, xi)
         alpha_1, alpha_2 = np.sqrt(lam / k1), np.sqrt(lam / k2)
         ratio = np.sin(alpha_1 * xi) / np.sin(alpha_2 * (1.0 - xi))
         for name, value in (("A1", a1), ("A2", a2), ("B2", b2), ("lam", lam), ("alpha_1", alpha_1),
@@ -73,12 +77,8 @@ class TwoDomainSolution:
         return self.steady(x) + self.mode(x)
 
 
-def steady_coefficients(kappa_1, kappa_2, interface, source, u_right):
+def _steady_coefficients(kappa_1, kappa_2, interface, source, u_right):
     """Closed-form coefficients of the piecewise-quadratic steady profile."""
-    if kappa_1 <= 0 or kappa_2 <= 0:
-        raise ValueError("diffusivities must be positive")
-    if not 0 < interface < 1:
-        raise ValueError("interface must lie inside (0, 1)")
     xi = interface
     a1 = (
         kappa_2 * u_right + 0.5 * source * (1.0 + xi**2 * (kappa_2 / kappa_1 - 1.0))
@@ -96,7 +96,7 @@ def _eigencondition(lam, kappa_1, kappa_2, interface):
     )
 
 
-def transient_eigenvalue(kappa_1, kappa_2, interface):
+def _transient_eigenvalue(kappa_1, kappa_2, interface):
     """Smallest positive decay rate of the transient mode.
 
     The condition sqrt(k1) cot(a1 xi) + sqrt(k2) cot(a2 (1 - xi)) = 0
@@ -104,10 +104,6 @@ def transient_eigenvalue(kappa_1, kappa_2, interface):
     of either cotangent, with exactly one root there, so bisection inside
     that cell is bulletproof.
     """
-    if kappa_1 <= 0 or kappa_2 <= 0:
-        raise ValueError("diffusivities must be positive")
-    if not 0 < interface < 1:
-        raise ValueError("interface must lie inside (0, 1)")
     xi = interface
     pole = min(kappa_1 * (np.pi / xi) ** 2, kappa_2 * (np.pi / (1.0 - xi)) ** 2)
     lo, hi = 1e-9 * pole, pole - 1e-9 * pole

@@ -29,9 +29,11 @@ def mms_source(u_exact, u_t, u_x, u_xx, rho, spec):
 
     The returned callable is element aware (it must be: the per-element
     diffusivity jumps at interfaces, so the source has one-sided values at
-    shared interface nodes): ``element`` is one element index, or an array
-    of one per point as ``Discretization.rhs`` passes it.  The supplied derivative callables are
-    cross-checked against finite differences at 20 seeded sample points.
+    shared interface nodes): its required ``element`` is one element index,
+    or an array of one per point as ``Discretization.rhs`` passes it, so the
+    backward-Euler loads, which pass none, cannot take it.  The supplied
+    derivative callables are cross-checked against finite differences at 20
+    seeded sample points.
     """
     rng = np.random.default_rng(7)
     a, b = spec.domain
@@ -51,18 +53,9 @@ def mms_source(u_exact, u_t, u_x, u_xx, rho, spec):
             raise ValueError(f"derivative callable {name} disagrees with finite differences")
     kap = spec.kappa(rho)
 
-    def source(x, t, element=None):
+    def source(x, t, element):
         x = np.asarray(x, dtype=float)
-        if element is None:
-            idx = np.clip(
-                np.searchsorted(spec.element_edges, x, side="right") - 1,
-                0,
-                spec.n_elements - 1,
-            )
-            k_loc = kap[idx]
-        else:
-            k_loc = kap[element]
-        return u_t(x, t) - k_loc * u_xx(x, t)
+        return u_t(x, t) - kap[element] * u_xx(x, t)
 
     source.element_aware = True
     return source

@@ -1,21 +1,21 @@
 """Reference solvers and checks for tests: dense oracles of the space-time
 system, the per-element loop that builds the spatial operator's triples, a
 complex-step gradient, the block elimination of the backward-Euler
-all-at-once system, the cross-validation of the design loop against the
-scalar reference optimum, the fluxes and time derivative of the
-closed-form two-domain solution, a smooth exact solution with either kind
-of left end, and the mark of the tests that the open Neumann sign defect
-fails."""
+all-at-once system and a complex-step gradient through it, the
+cross-validation of the design loop against the scalar reference optimum,
+the fluxes and time derivative of the closed-form two-domain solution, a
+smooth exact solution with either kind of left end, and the mark of the
+tests that the open Neumann sign defect fails."""
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from stheat.baselines import _dirichlet_values, _load_matrix
+from stheat.baselines import _dirichlet_values, _load_matrix, fe_assemble
 from stheat.optimize import run_topology_optimization
 from stheat.presets import two_design_benchmark
 from stheat.problem import MaterialModel, ProblemSpec
@@ -201,6 +201,8 @@ def be_block_elimination(fe, n_steps):
     subdiagonal blocks -M/dt.  Each level is one ``lu_solve`` of the step
     matrix against the previous level; the step matrix is factored here, so
     the oracle shares neither the modal basis nor the sweep of ``be_march``.
+    Its arrays take the stiffness's dtype, so a complex stiffness marches a
+    complex step.
     """
     spec = fe.spec
     m_dt = fe.mass / (spec.horizon / n_steps)
@@ -211,12 +213,12 @@ def be_block_elimination(fe, n_steps):
     lu = sla.lu_factor(step[np.ix_(fr, fr)])
     u_d = _dirichlet_values(fe, times).T
     loads = _load_matrix(fe, times).T
-    rhs = np.empty((n_free, n_steps))
+    rhs = np.empty((n_free, n_steps), dtype=fe.stiffness.dtype)
     rhs[:] = loads[fr, 1:] - step[np.ix_(fr, dr)] @ u_d[:, 1:]
     q0 = np.asarray(spec.q(fe.nodes), dtype=float)
     sub_free = m_dt[np.ix_(fr, fr)]
     sub_dir = m_dt[np.ix_(fr, dr)]
-    u = np.zeros((fe.n_nodes, n_steps + 1))
+    u = np.zeros((fe.n_nodes, n_steps + 1), dtype=fe.stiffness.dtype)
     u[:, 0] = q0
     u[dr, :] = u_d
     # block forward elimination down the lower-bidiagonal system
@@ -226,6 +228,29 @@ def be_block_elimination(fe, n_steps):
         prev = sla.lu_solve(lu, b_n)
         u[fr, n + 1] = prev
     return BlockSolution(times=times, states=u)
+
+
+def be_complex_step_gradient(spec, rho, n_steps):
+    """dJ/drho of the backward-Euler J = sum_n dt u_n^T M u_n, n = 1 .. N_t, by
+    complex step through ``be_block_elimination``.
+
+    ``fe_assemble`` refuses a complex design, so the stiffness D^T diag(w) D,
+    w = kappa / h, is built here with kappa at rho + i h e_k.  J takes no
+    conjugate, so dJ/drho_k = Im(J) / h to within h^2.
+    """
+    fe = fe_assemble(spec, rho)
+    material, widths = spec.material, np.diff(fe.nodes)
+    diff = np.diff(np.eye(fe.n_nodes), axis=0)
+    grad = np.empty(rho.size)
+    for k in range(rho.size):
+        rho_k = rho.astype(complex)
+        rho_k[k] += 1j * COMPLEX_STEP
+        kap = material.kappa_min + (material.kappa_max - material.kappa_min) * rho_k**material.p
+        stepped = replace(fe, stiffness=diff.T @ ((kap / widths)[:, None] * diff))
+        u = be_block_elimination(stepped, n_steps).states[:, 1:]
+        j = spec.horizon / n_steps * np.einsum("in,ij,jn->", u, fe.mass, u)
+        grad[k] = j.imag / COMPLEX_STEP
+    return grad
 
 
 def be_block_back_substitution(fe, n_steps, rhs):

@@ -275,15 +275,6 @@ def test_scalar_minimize_quartic():
     assert abs(x - 0.25 ** (1.0 / 3.0)) <= 1e-8
 
 
-def test_scalar_minimize_bracket_shrinks_monotonically():
-    widths = []
-    scalar_minimize(
-        lambda x: np.cos(3 * x) + 0.5 * x, (0.0, 2.0), tol=1e-7, width_history=widths
-    )
-    assert all(b <= a for a, b in zip(widths, widths[1:]))
-    assert widths[-1] <= 1e-7
-
-
 def test_scalar_minimize_rejects_nonfinite():
     with pytest.raises(NumericalError):
         scalar_minimize(lambda x: np.inf, (0.0, 1.0), tol=1e-6)

@@ -191,3 +191,23 @@ def test_neumann_cooling_optimum_agrees_with_backward_euler(K, ends):
     j_st = run_topology_optimization(spec, vstar).final_objective
     j_be = run_topology_optimization_be(spec, vstar, 2048).final_objective
     assert abs(j_st - j_be) <= 5e-2 * j_be
+
+
+@pytest.mark.parametrize("solver, iterations, j", [
+    ("st-se", 12, 6.929676978852978),
+    ("be-fe", 12, 6.921606045642242),
+], ids=["st-se", "be-fe"])
+def test_mma_constants_pinned_by_a_dirichlet_cooling_run(solver, iterations, j):
+    # the 50-cell cooling preset with both ends Dirichlet, be-fe at 256 steps.
+    # Each of _ASY_INIT 0.5 -> 0.4, _ASY_INCR 1.2 -> 1.25, _ASY_DECR 0.7 ->
+    # 0.75, _MOVE_LIMIT 0.5 -> 0.4, _ALBEFA 0.1 -> 0.2 and _RAA0 1e-5 -> 1e-4
+    # moves one of these J by 7.3e-10 relative or more.  The last design
+    # changes are 7.2e-5 and 7.05e-5 against 1.35e-4 and 1.13e-4 an iteration
+    # before, so roundoff cannot move the stop across tol_design = 1e-4
+    spec = replace(cooling_benchmark()[0], bc_left="dirichlet")
+    if solver == "st-se":
+        trace = run_topology_optimization(spec, 0.5)
+    else:
+        trace = run_topology_optimization_be(spec, 0.5, 256)
+    assert (trace.iterations, trace.stop_reason) == (iterations, "design_change")
+    assert trace.final_objective == pytest.approx(j, rel=1e-10, abs=0)

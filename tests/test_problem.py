@@ -36,6 +36,28 @@ def test_kappa_monotone_and_clamping():
         kappa(1.1, m)
 
 
+CLAMPED = MaterialModel(kappa_min=0.1, kappa_max=2.0, p=2.0)
+TWO_CELLS = ProblemSpec(domain=(0.0, 1.0), horizon=1.0, n_elements=2, nx=1, nt=1,
+                        material=CLAMPED)
+
+
+@pytest.mark.parametrize("rho", [1.0 + 1e-9, -1e-9])
+def test_design_value_just_outside_the_box_refused(rho):
+    # the clamp forgives 1e-12 of roundoff, and nothing as large as 1e-9
+    for call in (lambda: kappa(rho, CLAMPED), lambda: dkappa_drho(rho, CLAMPED),
+                 lambda: TWO_CELLS.kappa(np.array([0.5, rho]))):
+        with pytest.raises(ValueError, match=r"design value outside \[0, 1\]"):
+            call()
+
+
+@pytest.mark.parametrize("rho, clamped", [(1.0 + 5e-13, 1.0), (-5e-13, 0.0)])
+def test_design_value_within_roundoff_of_the_box_clamped(rho, clamped):
+    assert kappa(rho, CLAMPED) == kappa(clamped, CLAMPED)
+    assert dkappa_drho(rho, CLAMPED) == dkappa_drho(clamped, CLAMPED)
+    np.testing.assert_array_equal(TWO_CELLS.kappa(np.array([0.5, rho])),
+                                  TWO_CELLS.kappa(np.array([0.5, clamped])))
+
+
 def test_dkappa_values():
     m = MaterialModel(kappa_min=0.0, kappa_max=1.0, p=3.0)
     assert dkappa_drho(1.0, m) == pytest.approx(3.0)

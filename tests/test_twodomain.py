@@ -4,27 +4,21 @@ import numpy as np
 import pytest
 from oracle import eigencondition_residual, mode_flux, steady_flux, time_derivative
 
-from stheat.twodomain import (
-    TwoDomainSolution,
-    _eigencondition,
-    steady_coefficients,
-    transient_eigenvalue,
-)
+from stheat.twodomain import TwoDomainSolution, _eigencondition
 
 
 def test_steady_homogeneous_no_source_is_linear():
-    a1, a2, b2 = steady_coefficients(0.7, 0.7, 0.5, source=0.0, u_right=2.0)
-    assert a1 == pytest.approx(2.0)
-    assert a2 == pytest.approx(2.0)
-    assert b2 == pytest.approx(0.0)
+    sol = TwoDomainSolution(0.7, 0.7, 0.5, source=0.0, u_right=2.0)
+    assert sol.A1 == pytest.approx(2.0)
+    assert sol.A2 == pytest.approx(2.0)
+    assert sol.B2 == pytest.approx(0.0)
 
 
 def test_steady_parabolic_profile():
     # kappa = 1, f = 2, u_R = 0: u_s = -x^2 + x
-    a1, a2, b2 = steady_coefficients(1.0, 1.0, 0.5, source=2.0, u_right=0.0)
-    assert a1 == pytest.approx(1.0)
-    x = np.linspace(0, 1, 11)
     sol = TwoDomainSolution(1.0, 1.0, 0.5, source=2.0, u_right=0.0)
+    assert sol.A1 == pytest.approx(1.0)
+    x = np.linspace(0, 1, 11)
     np.testing.assert_allclose(sol.steady(x), -(x**2) + x, atol=1e-13)
 
 
@@ -54,7 +48,7 @@ def test_steady_invariants(k1, k2, xi, f, ur):
 def test_eigenvalue_root_inside_the_pad_below_the_pole(k1, k2, xi):
     # a thin stiff left cell puts the root within 1e-9 (relative) of the right
     # cell's pole, where the first padded bracket has g > 0 at both ends
-    lam = transient_eigenvalue(k1, k2, xi)
+    lam = TwoDomainSolution(k1, k2, xi).lam
     pole = k2 * (np.pi / (1.0 - xi)) ** 2
     assert 0 < pole - lam < 1e-9 * pole
     g = [_eigencondition(lam * (1.0 + e), k1, k2, xi) for e in (-1e-14, 1e-14)]
@@ -62,13 +56,13 @@ def test_eigenvalue_root_inside_the_pad_below_the_pole(k1, k2, xi):
 
 
 def test_homogeneous_eigenvalue_is_pi_squared():
-    lam = transient_eigenvalue(1.0, 1.0, 0.5)
+    lam = TwoDomainSolution(1.0, 1.0).lam
     assert lam == pytest.approx(np.pi**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("kap", [0.25, 0.375, 2.0])
 def test_homogeneous_eigenvalue_scales_with_kappa(kap):
-    lam = transient_eigenvalue(kap, kap, 0.5)
+    lam = TwoDomainSolution(kap, kap).lam
     assert lam == pytest.approx(np.pi**2 * kap, rel=1e-12)
 
 
@@ -120,10 +114,9 @@ def test_interface_jump_of_full_solution():
 
 
 def test_bad_arguments():
-    with pytest.raises(ValueError):
-        steady_coefficients(-1.0, 1.0, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        transient_eigenvalue(1.0, 1.0, 1.5)
+    for k1, k2 in ((-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="diffusivities must be positive"):
+            TwoDomainSolution(k1, k2)
     for interface in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="interface must lie inside"):
             TwoDomainSolution(0.45, 0.30, interface)

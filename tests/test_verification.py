@@ -23,7 +23,7 @@ def test_mms_source_constant_state():
     const = lambda x, t: np.full_like(np.asarray(x, float), 3.0)
     f = mms_source(const, zero, zero, zero, np.full(4, 0.5), spec)
     x = np.linspace(0, 1, 7)
-    np.testing.assert_allclose(f(x, x), 0.0, atol=0)
+    np.testing.assert_allclose(f(x, x, element=0), 0.0, atol=0)
 
 
 def test_mms_source_hand_computed():
@@ -39,7 +39,7 @@ def test_mms_source_hand_computed():
     xs = np.array([0.2, 0.7])
     ts = np.array([0.1, 0.5])
     np.testing.assert_allclose(
-        f(xs, ts), -xs * (1 - xs) * np.exp(-ts) + 2 * np.exp(-ts), atol=1e-12
+        f(xs, ts, element=0), -xs * (1 - xs) * np.exp(-ts) + 2 * np.exp(-ts), atol=1e-12
     )
 
 
